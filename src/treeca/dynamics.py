@@ -1,22 +1,23 @@
 """Evolution of configurations, preimages, Garden of Eden, brute-force oracle.
 
-step_local applies the local rule straight from the tree's parent/child
-maps and never touches a rule matrix; step_matrix is the matrix-action
+step_local applies the local rule straight from the tree's neighbour
+table and never touches a rule matrix; step_matrix is the matrix-action
 route. Their agreement is exactly what the rule-matrix construction
-claims, so the two paths are kept strictly separate.
+claims, so the two paths are kept strictly separate. They share only the
+tree's neighbour table, which the tests check against the address route.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
 from .rulematrix import Params, RuleMatrix, SolutionSet, linalg_report, solve
 from .tree import TreeShape
+from .tree import neighbor_tables as _neighbor_tables
 
 # Exhaustive operations refuse to run past this many configurations.
 DEFAULT_ENUMERATION_CAP = 2**20
@@ -57,34 +58,15 @@ class EvolutionTrace:
         return [self.initial, *self.steps]
 
 
-@lru_cache(maxsize=None)
-def _neighbor_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(parent, child1, child2) index arrays; absent neighbors point at a
-    zero sentinel slot at position total_vertices."""
-    shape = TreeShape(n)
-    size = shape.total_vertices
-    par = np.full(size, size, dtype=np.int64)
-    c1 = np.full(size, size, dtype=np.int64)
-    c2 = np.full(size, size, dtype=np.int64)
-    for v in range(size):
-        pi = shape.parent_index(v)
-        if pi is not None:
-            par[v] = pi
-        kids = shape.child_indices(v)
-        if kids:
-            c1[v] = kids[0]
-            c2[v] = kids[1] if len(kids) > 1 else size
-    return par, c1, c2
-
-
 def _apply_local(values: np.ndarray, shape: TreeShape, params: Params) -> np.ndarray:
     """One local-rule step on an array of configurations (last axis = vertex)."""
     par, c1, c2 = _neighbor_tables(shape.n)
     p = params.p
     ext = np.concatenate([values, np.zeros(values.shape[:-1] + (1,), dtype=np.int64)], axis=-1)
+    # products of residues are below 2^62: reducing after the first two
+    # keeps every partial sum below 2^63
     out = (
-        params.d * values
-        + params.c * ext[..., par]
+        (params.d * values + params.c * ext[..., par]) % p
         + params.a * ext[..., c1]
         + params.b * ext[..., c2]
     ) % p
@@ -106,7 +88,9 @@ def step_matrix(cfg: Configuration, m: RuleMatrix) -> Configuration:
         raise DimensionMismatch(
             f"matrix (n={m.shape.n}, p={m.p}) vs configuration (n={cfg.shape.n}, p={cfg.p})"
         )
-    return Configuration(cfg.shape, cfg.p, (m.dense() @ cfg.values) % m.p)
+    # a row has at most four products < 2^62, so their sum is exact in uint64
+    prod = m.dense().view(np.uint64) @ cfg.values.view(np.uint64)
+    return Configuration(cfg.shape, cfg.p, (prod % m.p).astype(np.int64))
 
 
 def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
@@ -189,13 +173,7 @@ def bijectivity_oracle(
     Ground-truth oracle: enumerates the whole configuration space and
     applies the local rule only, never the rule matrix.
     """
-    size = shape.total_vertices
-    p = params.p
-    configs = _all_configurations(size, p, cap)
-    images = _apply_local(configs, shape, params)
-    powers = p ** np.arange(size, dtype=np.int64)
-    codes = images @ powers
-    return len(np.unique(codes)) == len(configs)
+    return exhaustive_image_size(shape, params, cap) == params.p**shape.total_vertices
 
 
 def exhaustive_image_size(
@@ -229,8 +207,11 @@ def parse_config(text: str) -> Configuration:
     if len(head) != 4 or head[0] != _MAGIC or head[1] != "1":
         raise FormatError(f"unrecognized configuration header {lines[0]!r}")
     n, p = int(head[2]), int(head[3])
-    shape = TreeShape(n)
     values = [int(t) for ln in lines[1:] for t in ln.split()]
+    # |V_n| >= 2^n: bound n by the body before TreeShape(n) forms 2^n
+    if n > len(values).bit_length():
+        raise FormatError(f"level {n} is too deep for {len(values)} residues")
+    shape = TreeShape(n)
     if len(values) != shape.total_vertices:
         raise FormatError(f"expected {shape.total_vertices} residues, got {len(values)}")
     return Configuration(shape, p, np.array(values, dtype=np.int64))

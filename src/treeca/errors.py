@@ -14,6 +14,10 @@ class NonPrimeModulus(TreecaError):
     code = "non-prime-modulus"
 
 
+class ModulusOutOfRange(TreecaError):
+    code = "modulus-out-of-range"
+
+
 class DivisionByZero(TreecaError):
     code = "division-by-zero"
 

@@ -3,15 +3,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, NonPrimeModulus
+from .errors import DivisionByZero, ModulusOutOfRange, NonPrimeModulus
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3,215,031,751
-# (covers the supported range p < 2^31).
-_MR_WITNESSES = (2, 3, 5, 7)
+# The first twelve primes as Miller-Rabin witnesses make the test
+# deterministic for all n < 3.3e24, far past the supported range.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 2^31."""
+    """Deterministic primality test for n < 3.3e24."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -39,11 +39,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z_p for a prime modulus p. Residues live in [0, p-1]."""
+    """The field Z_p for a prime modulus p < 2^31. Residues live in [0, p-1]."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= 2**31:  # keeps every product of two residues below 2^62
+            raise ModulusOutOfRange(f"modulus {self.p} is not below 2^31")
         if self.p < 2 or not is_prime(self.p):
             raise NonPrimeModulus(f"modulus {self.p} is not prime")
 

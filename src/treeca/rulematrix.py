@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrix,
 )
 from .field import PrimeField
-from .tree import TreeShape
+from .tree import TreeShape, neighbor_tables
 
 
 @dataclass(frozen=True)
@@ -103,98 +103,85 @@ class RuleMatrix:
 
 
 def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
-    """Assemble the rule matrix from the parent/children maps."""
-    rows = []
-    for v in range(shape.total_vertices):
-        entries = []
-        pi = shape.parent_index(v)
-        if pi is not None:
-            entries.append((pi, "c"))
-        entries.append((v, "d"))
-        kids = shape.child_indices(v)
-        if pi is None:
-            # root: three children weighted a, b, c
-            for ci, label in zip(kids, ("a", "b", "c")):
-                entries.append((ci, label))
-        else:
-            for ci, label in zip(kids, ("a", "b")):
-                entries.append((ci, label))
-        entries.sort()
-        rows.append(tuple(entries))
+    """Assemble the rule matrix from the tree's neighbour table."""
+    size = shape.total_vertices
+    par, c1, c2 = (a.tolist() for a in neighbor_tables(shape.n))
+    rows = [((0, "d"), (1, "a"), (2, "b"), (3, "c"))]  # root: three children a, b, c
+    for v in range(1, size):
+        row = ((par[v], "c"), (v, "d"))
+        if c1[v] != size:
+            row += ((c1[v], "a"), (c2[v], "b"))
+        rows.append(row)
     return RuleMatrix(shape=shape, params=params, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
-# Gaussian elimination over Z_p (dense working copies; partial pivoting by
-# first nonzero residue, ties broken by lowest row index)
+# Exact linear algebra over Z_p by one elimination route: det, rank, inverse,
+# kernel and solve all come from the forward reduction _reduce (pivot: first
+# nonzero residue, lowest row) on a dense working copy; rref_mod adds a single
+# back-substitution pass.
 
 
 def _as_matrix(m) -> tuple[np.ndarray, int]:
     if isinstance(m, RuleMatrix):
-        return m.dense().copy(), m.p
+        return m.dense(), m.p
     raise TypeError(f"expected RuleMatrix, got {type(m).__name__}")
 
 
-def det_mod(mat: np.ndarray, p: int) -> int:
-    """Determinant of a square matrix over Z_p by elimination."""
-    m = mat.astype(np.int64).copy() % p
-    n = m.shape[0]
+def _reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
+    """Column-skipping forward elimination over Z_p on a copy of mat, with
+    each pivot row normalised. Returns (echelon, pivot columns, det); det
+    is 0 unless mat is square of full rank."""
+    m = np.asarray(mat, dtype=np.int64) % p
+    n_rows, n_cols = m.shape
+    pivots: list[int] = []
     det = 1
-    for i in range(n):
-        pivot = next((r for r in range(i, n) if m[r, i] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != i:
-            m[[i, pivot]] = m[[pivot, i]]
-            det = (-det) % p
-        pv = int(m[i, i])
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        nz = np.flatnonzero(m[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:  # the old row r is zero in column c, so the swap keeps nz[1:]
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+            det = -det
+        pv = int(m[r, c])
         det = det * pv % p
-        inv = pow(pv, -1, p)
-        for r in range(i + 1, n):
-            f = m[r, i] * inv % p
-            if f:
-                m[r, i:] = (m[r, i:] - f * m[i, i:]) % p
-    return det
+        row = slice(c, c + 1 + np.flatnonzero(m[r, c:])[-1])  # to the last nonzero
+        m[r, row] = m[r, row] * pow(pv, -1, p) % p
+        below = r + nz[1:]
+        m[below, row] = (m[below, row] - np.outer(m[below, c], m[r, row])) % p
+        pivots.append(c)
+    return m, pivots, det % p if len(pivots) == n_rows == n_cols else 0
+
+
+def det_mod(mat: np.ndarray, p: int) -> int:
+    """Determinant of a square matrix over Z_p."""
+    return _reduce(mat, p)[2]
 
 
 def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over Z_p; returns (rref, pivot columns)."""
-    m = mat.astype(np.int64).copy() % p
-    n_rows, n_cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if m[i, c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        for i in range(n_rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        pivots.append(c)
-        r += 1
+    m, pivots, _ = _reduce(mat, p)
+    for r in range(len(pivots) - 1, 0, -1):
+        c = pivots[r]
+        above = np.flatnonzero(m[:r, c])
+        m[above, c:] = (m[above, c:] - np.outer(m[above, c], m[r, c:])) % p
     return m, pivots
 
 
 def det_mod_p(m: RuleMatrix) -> int:
-    mat, p = _as_matrix(m)
-    return det_mod(mat, p)
+    return det_mod(*_as_matrix(m))
 
 
 def rank_mod_p(m: RuleMatrix) -> int:
-    mat, p = _as_matrix(m)
-    _, pivots = rref_mod(mat, p)
-    return len(pivots)
+    return len(_reduce(*_as_matrix(m))[1])
 
 
 def linalg_report(m: RuleMatrix) -> "LinAlgReport":
-    mat, p = _as_matrix(m)
-    det = det_mod(mat, p)
-    rank = len(rref_mod(mat, p)[1])
+    _, pivots, det = _reduce(*_as_matrix(m))
+    rank = len(pivots)
     return LinAlgReport(det=det, rank=rank, nullity=m.order - rank, invertible=det != 0)
 
 
@@ -217,24 +204,24 @@ def invert(m: RuleMatrix) -> np.ndarray:
     return red[:, n:]
 
 
+def _kernel_from_rref(red: np.ndarray, pivots: list[int], n_cols: int, p: int) -> list[np.ndarray]:
+    """Null-space basis of red[:, :n_cols] (an RREF whose pivots lie in
+    those columns), one vector per free column."""
+    free = np.setdiff1d(np.arange(n_cols), pivots)
+    basis = np.zeros((free.size, n_cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-red[: len(pivots), free].T) % p
+    return list(basis)
+
+
 def kernel_basis_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:
     """Basis of the null space of mat over Z_p (one vector per free column)."""
     red, pivots = rref_mod(mat, p)
-    n_cols = mat.shape[1]
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(n_cols, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r, fc]) % p
-        basis.append(v)
-    return basis
+    return _kernel_from_rref(red, pivots, mat.shape[1], p)
 
 
 def kernel_basis(m: RuleMatrix) -> list[np.ndarray]:
-    mat, p = _as_matrix(m)
-    return kernel_basis_mod(mat, p)
+    return kernel_basis_mod(*_as_matrix(m))
 
 
 @dataclass(frozen=True)
@@ -268,21 +255,23 @@ class SolutionSet:
 
 
 def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
-    """Full preimage set of y under the matrix map."""
+    """Full preimage set of y under the matrix map.
+
+    One reduction of [M | y]: its first N columns are rref(M), so the
+    particular solution and the kernel both come from it.
+    """
     mat, p = _as_matrix(m)
     y = np.asarray(y, dtype=np.int64) % p
     n = mat.shape[0]
     if y.shape != (n,):
         raise DimensionMismatch(f"expected vector of length {n}, got shape {y.shape}")
-    aug = np.hstack([mat, y.reshape(-1, 1)])
-    red, pivots = rref_mod(aug, p)
+    red, pivots = rref_mod(np.hstack([mat, y.reshape(-1, 1)]), p)
     if n in pivots:  # pivot in the augmented column: inconsistent
         return SolutionSet(p=p, order=n, consistent=False)
     x = np.zeros(n, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, n]
-    kern = kernel_basis_mod(mat, p)
-    return SolutionSet(p=p, order=n, consistent=True, particular=x, kernel=tuple(kern))
+    x[pivots] = red[: len(pivots), n]
+    kern = tuple(_kernel_from_rref(red, pivots, n, p))
+    return SolutionSet(p=p, order=n, consistent=True, particular=x, kernel=kern)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +279,8 @@ def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
 
 _MAGIC_DENSE = "treeca-matrix"
 _MAGIC_COO = "treeca-matrix-coo"
+# parse_matrix builds a dense matrix: level 10 is 3070x3070 int64, 75 MB
+_MAX_PARSE_LEVEL = 10
 
 
 def format_matrix(m: RuleMatrix, sparse: bool = False) -> str:
@@ -310,28 +301,40 @@ def format_matrix(m: RuleMatrix, sparse: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parsed_order(n: int) -> int:
+    """|V_n| for a header level, checked before anything is allocated."""
+    if not 1 <= n <= _MAX_PARSE_LEVEL:
+        raise FormatError(f"level {n} outside [1, {_MAX_PARSE_LEVEL}]")
+    return 1 + 3 * (2**n - 1)
+
+
 def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:
-    """Parse either v1 text format; returns (n, p, dense matrix)."""
+    """Parse either v1 text format; returns (n, p, dense matrix).
+
+    Levels 1 to 10 are accepted, and COO indices must lie in [0, |V_n|).
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty matrix text")
     head = lines[0].split()
-    if head[0] == _MAGIC_DENSE and head[1] == "1" and len(head) == 4:
+    if len(head) == 4 and head[:2] == [_MAGIC_DENSE, "1"]:
         n, p = int(head[2]), int(head[3])
-        order = 1 + 3 * (2**n - 1)
+        order = _parsed_order(n)
         if len(lines) - 1 != order:
             raise FormatError(f"expected {order} rows, got {len(lines) - 1}")
         mat = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int64)
         if mat.shape != (order, order):
             raise FormatError(f"expected {order}x{order} matrix, got {mat.shape}")
-    elif head[0] == _MAGIC_COO and head[1] == "1" and len(head) == 5:
+    elif len(head) == 5 and head[:2] == [_MAGIC_COO, "1"]:
         n, p, nnz = int(head[2]), int(head[3]), int(head[4])
-        order = 1 + 3 * (2**n - 1)
+        order = _parsed_order(n)
         if len(lines) - 1 != nnz:
             raise FormatError(f"expected {nnz} triples, got {len(lines) - 1}")
         mat = np.zeros((order, order), dtype=np.int64)
         for ln in lines[1:]:
             r, c, v = (int(t) for t in ln.split())
+            if not (0 <= r < order and 0 <= c < order):
+                raise FormatError(f"entry ({r}, {c}) outside the {order}x{order} matrix")
             mat[r, c] = v
     else:
         raise FormatError(f"unrecognized matrix header {lines[0]!r}")

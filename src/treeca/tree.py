@@ -6,11 +6,18 @@ every other vertex has 2; level l holds 3*2^(l-1) vertices. The linear
 index flattens the ball of radius n level by level, addresses in
 lexicographic order within each level, giving the basis used by all
 matrices and configuration vectors.
+
+Production code finds neighbours by index arithmetic (neighbor_tables);
+the digit-string address methods of TreeShape are the independent
+reference that the tests check it against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import AddressOutOfShape, InvalidLevel
 
@@ -49,12 +56,10 @@ class TreeShape:
         if self.n < 1:
             raise InvalidLevel(f"level count must be >= 1, got {self.n}")
         sizes = (1,) + tuple(3 * 2 ** (l - 1) for l in range(1, self.n + 1))
-        offsets = [0]
-        for s in sizes[:-1]:
-            offsets.append(offsets[-1] + s)
         object.__setattr__(self, "level_sizes", sizes)
-        object.__setattr__(self, "level_offsets", tuple(offsets))
-        object.__setattr__(self, "total_vertices", sum(sizes))
+        # level l >= 1 starts at 3*2^(l-1) - 2, two below its size
+        object.__setattr__(self, "level_offsets", (0,) + tuple(s - 2 for s in sizes[1:]))
+        object.__setattr__(self, "total_vertices", 3 * 2**self.n - 2)
 
     def check_level(self, l: int) -> None:
         if l > self.n:
@@ -110,6 +115,29 @@ class TreeShape:
 
     def child_indices(self, index: int) -> list[int]:
         return [self.linear_index(c) for c in self.children(self.address_of(index))]
+
+
+@lru_cache(maxsize=None)
+def neighbor_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (parent, child1, child2) index arrays of the level-n shape;
+    absent neighbours point at a zero sentinel slot at total_vertices. The
+    root's third child, 3, is left to callers.
+
+    Level l >= 1 starts at 3*2^(l-1)-2 and position q of level l has
+    children 2q, 2q+1 of level l+1, so vertex v >= 1 has children 2v+2, 2v+3.
+    """
+    shape = TreeShape(n)
+    size = shape.total_vertices
+    par, c1, c2 = (np.full(size, size, dtype=np.int64) for _ in range(3))
+    par[1:4] = 0
+    par[4:] = (np.arange(4, size) - 2) // 2
+    c1[0], c2[0] = 1, 2
+    inner = np.arange(1, shape.level_offsets[n])  # levels 1 .. n-1
+    c1[inner] = 2 * inner + 2
+    c2[inner] = 2 * inner + 3
+    for a in (par, c1, c2):
+        a.setflags(write=False)
+    return par, c1, c2
 
 
 def make_shape(n: int) -> TreeShape:

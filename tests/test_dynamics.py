@@ -19,7 +19,7 @@ from treeca.dynamics import (
     step_matrix,
     trace_to_json,
 )
-from treeca.errors import DimensionMismatch, EnumerationTooLarge
+from treeca.errors import DimensionMismatch, EnumerationTooLarge, FormatError
 from treeca.field import PrimeField
 from treeca.rulematrix import Params, build_rule_matrix, det_mod_p, invert, linalg_report
 from treeca.tree import TreeShape
@@ -72,7 +72,7 @@ def test_step_matrix_basis_vectors_give_columns():
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(1, 4),
-    p=st.sampled_from([2, 3, 5, 7, 13]),
+    p=st.sampled_from([2, 3, 5, 7, 13, 2**31 - 1]),
     data=st.data(),
 )
 def test_step_local_equals_step_matrix(n, p, data):
@@ -103,6 +103,31 @@ def test_step_local_linearity(p, data):
     fkx = step_local(Configuration(shape, p, k * x % p), pr).values
     assert (fxy == (fx + fy) % p).all()
     assert (fkx == k * fx % p).all()
+
+
+def exact_step(shape, coeffs, x, p):
+    """The local rule in Python ints, from the digit-string address maps."""
+    a, b, c, d = coeffs
+    out = []
+    for v in range(shape.total_vertices):
+        parent = shape.parent_index(v)
+        total = d * x[v] + (0 if parent is None else c * x[parent])
+        kids = shape.child_indices(v)
+        total += sum(k * x[i] for k, i in zip((a, b, c), kids))
+        out.append(total % p)
+    return out
+
+
+def test_steps_exact_at_largest_supported_prime():
+    # every product is just below 2^62: four of them overflow an int64 sum
+    p = 2**31 - 1
+    shape = TreeShape(3)
+    pr = params_for(p, p - 1, p - 1, p - 1, p - 1)
+    x = [p - 1] * shape.total_vertices
+    cfg = config(shape, p, x)
+    want = exact_step(shape, (p - 1,) * 4, x, p)
+    assert [int(v) for v in step_local(cfg, pr).values] == want
+    assert [int(v) for v in step_matrix(cfg, build_rule_matrix(shape, pr)).values] == want
 
 
 def test_step_mismatched_modulus():
@@ -248,6 +273,20 @@ def test_config_format_roundtrip():
     back = parse_config(text)
     assert back.shape.n == 2 and back.p == 5
     assert (back.values == cfg.values).all()
+
+
+def test_parse_config_rejects_level_beyond_body(monkeypatch):
+    import treeca.dynamics
+
+    def guarded_shape(n):  # TreeShape(10**6) would need ~60 GB of level sizes
+        assert n <= 64, f"TreeShape({n}) built before the header was checked"
+        return TreeShape(n)
+
+    monkeypatch.setattr(treeca.dynamics, "TreeShape", guarded_shape)
+    with pytest.raises(FormatError):
+        parse_config("treeca-config 1 1000000 3\n0 0 0 0\n")
+    with pytest.raises(FormatError):
+        parse_config("treeca-config 1 2 3\n0 0 0 0\n")
 
 
 def test_trace_json():

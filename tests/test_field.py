@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from treeca.errors import DivisionByZero, NonPrimeModulus
+from treeca.errors import DivisionByZero, ModulusOutOfRange, NonPrimeModulus
 from treeca.field import PrimeField, field_inv, is_prime, make_field
 
 
@@ -26,6 +26,24 @@ def test_is_prime_small_range():
 def test_is_prime_large():
     assert is_prime(2**31 - 1)  # Mersenne prime
     assert not is_prime(2**31 - 3)
+
+
+def test_is_prime_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 .. 23 respectively
+    assert 3215031751 == 151 * 751 * 28351
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+
+
+@pytest.mark.parametrize("p", [2**31, 2**31 + 11, 3215031751])
+def test_modulus_range(p):
+    with pytest.raises(ModulusOutOfRange):
+        PrimeField(p)
+
+
+def test_largest_supported_modulus():
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
 
 
 def test_field_inv_examples():

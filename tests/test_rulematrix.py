@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeca.errors import DimensionMismatch, SingularMatrix
+from treeca.errors import DimensionMismatch, FormatError, SingularMatrix
 from treeca.field import PrimeField
 from treeca.rulematrix import (
     Params,
     build_rule_matrix,
+    det_mod,
     det_mod_p,
     format_matrix,
     invert,
@@ -17,6 +18,7 @@ from treeca.rulematrix import (
     linalg_report,
     parse_matrix,
     rank_mod_p,
+    rref_mod,
     solve,
 )
 from treeca.tree import TreeShape
@@ -239,3 +241,164 @@ def test_matrix_format_roundtrip(sparse):
     assert (dense == m.dense()).all()
     # byte-exact round trip through format again
     assert format_matrix(m, sparse=sparse) == text
+
+
+# ---------------------------------------------------------------------------
+# The one elimination route against independent references
+
+PRIMES = [2, 3, 5, 7, 17, 2**31 - 1]
+
+
+def continuant_det(a, b, c, d, n, p):
+    """Leaf-to-root three-term continuant: q_{n+1}=1, q_n=d,
+    q_l = d q_{l+1} - s c q_{l+2}, q_0 = d q_1 - c(s+c) q_2, s = a+b;
+    det = q_0 q_1^2 prod_{l>=2} q_l^(3 2^(l-2))."""
+    s = a + b
+    q = {n + 1: 1, n: d}
+    for l in range(n - 1, 0, -1):
+        q[l] = d * q[l + 1] - s * c * q[l + 2]
+    det = (d * q[1] - c * (s + c) * q[2]) * q[1] ** 2
+    for l in range(2, n + 1):
+        det *= pow(q[l], 3 * 2 ** (l - 2), p)
+    return det % p
+
+
+def python_rref(rows, p):
+    """Gauss-Jordan in Python ints: (rref rows, pivot columns)."""
+    m = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [(u - f * v) % p for u, v in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def mat_vec(mat, x, p):
+    return [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in mat]
+
+
+@st.composite
+def rule_tuples(draw, max_n):
+    """(p, n, a, b, c, d); about half singular via c = d^2/(a+b) when a+b != 0."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, max_n))
+    a, b, c, d = (draw(st.integers(1, p - 1)) for _ in range(4))
+    if (a + b) % p and draw(st.booleans()):
+        c = d * d * pow(a + b, -1, p) % p
+    return p, n, a, b, c, d
+
+
+@settings(max_examples=80, deadline=None)
+@given(rule_tuples(max_n=5))
+def test_det_equals_continuant(t):
+    p, n, a, b, c, d = t
+    m = build_rule_matrix(TreeShape(n), params_for(p, a, b, c, d))
+    det = det_mod_p(m)
+    assert det == continuant_det(a, b, c, d, n, p) == linalg_report(m).det
+    if n <= 2:
+        assert det == brute_force_det(m.dense(), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_det_mod_random_square_matches_laplace(p, data):
+    size = data.draw(st.integers(1, 6))
+    entries = st.integers(0, p - 1) | st.just(0)
+    mat = np.array(data.draw(st.lists(st.lists(entries, min_size=size, max_size=size),
+                                      min_size=size, max_size=size)), dtype=np.int64)
+    assert det_mod(mat, p) == brute_force_det(mat, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_rref_mod_random_matches_python(p, data):
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 7))
+    entries = st.integers(0, p - 1) | st.just(0)
+    mat = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    red, pivots = rref_mod(np.array(mat, dtype=np.int64), p)
+    want, want_pivots = python_rref(mat, p)
+    assert pivots == want_pivots
+    assert red.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_tuples(max_n=3), st.data())
+def test_rref_mod_rule_matrix_matches_python(t, data):
+    p, n, a, b, c, d = t
+    m = build_rule_matrix(TreeShape(n), params_for(p, a, b, c, d))
+    y = data.draw(st.lists(st.integers(0, p - 1), min_size=m.order, max_size=m.order))
+    aug = np.hstack([m.dense(), np.array(y, dtype=np.int64).reshape(-1, 1)])
+    red, pivots = rref_mod(aug, p)
+    assert (red.tolist(), pivots) == python_rref(aug.tolist(), p)
+    assert rank_mod_p(m) == len(python_rref(m.dense().tolist(), p)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_tuples(max_n=4), st.data())
+def test_solve_satisfies_system(t, data):
+    p, n, a, b, c, d = t
+    m = build_rule_matrix(TreeShape(n), params_for(p, a, b, c, d))
+    mat = m.dense().tolist()
+    vec = st.lists(st.integers(0, p - 1), min_size=m.order, max_size=m.order)
+    x0 = data.draw(vec)
+    y = mat_vec(mat, x0, p) if data.draw(st.booleans()) else data.draw(vec)
+    sols = solve(m, np.array(y, dtype=np.int64))
+    rank = len(python_rref(mat, p)[1])
+    consistent = m.order not in python_rref([r + [v] for r, v in zip(mat, y)], p)[1]
+    assert sols.consistent == consistent
+    if consistent:
+        assert mat_vec(mat, sols.particular, p) == y
+        assert len(sols.kernel) == m.order - rank
+        for k in sols.kernel:
+            assert mat_vec(mat, k, p) == [0] * m.order
+
+
+def address_rows(shape):
+    """Rule-matrix rows built from the digit-string address maps."""
+    rows = []
+    for v in range(shape.total_vertices):
+        pi = shape.parent_index(v)
+        labels = ("a", "b", "c") if pi is None else ("a", "b")
+        entries = [(v, "d")] + list(zip(shape.child_indices(v), labels))
+        if pi is not None:
+            entries.append((pi, "c"))
+        rows.append(tuple(sorted(entries)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rows_match_address_route(n):
+    shape = TreeShape(n)
+    assert build_rule_matrix(shape, params_for(5, 1, 2, 3, 4)).rows == address_rows(shape)
+
+
+@pytest.mark.parametrize("text", [
+    "treeca-matrix-coo 1 1 5 1\n-1 -1 3\n",  # numpy would wrap round to (3, 3)
+    "treeca-matrix-coo 1 1 5 1\n0 4 3\n",
+    "treeca-matrix-coo 1 0 5 0\n",
+    "treeca-matrix-coo 1 11 5 0\n",
+    "treeca-matrix-coo 1 1000000 5 0\n",
+    "treeca-matrix 1 1000000 5\n0\n",
+    "treeca-matrix\n",
+])
+def test_parse_matrix_rejects_out_of_range(text, monkeypatch):
+    real_zeros = np.zeros
+
+    def guarded_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**7, f"np.zeros({shape}) before the header was checked"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded_zeros)
+    with pytest.raises(FormatError):
+        parse_matrix(text)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from treeca.errors import AddressOutOfShape, InvalidLevel
-from treeca.tree import TreeShape, make_shape, parent
+from treeca.tree import TreeShape, make_shape, neighbor_tables, parent
 
 
 def test_shape_sizes():
@@ -87,3 +87,20 @@ def test_address_out_of_shape():
         shape.children("111")
     with pytest.raises(AddressOutOfShape):
         shape.linear_index("4")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_neighbor_tables_match_address_route(n):
+    shape = make_shape(n)
+    size = shape.total_vertices
+    par, c1, c2 = neighbor_tables(n)
+    for v in range(size):
+        pi = shape.parent_index(v)
+        kids = shape.child_indices(v) + [size, size]
+        assert (par[v], c1[v], c2[v]) == (size if pi is None else pi, kids[0], kids[1])
+
+
+def test_neighbor_tables_read_only_and_validated():
+    assert not any(a.flags.writeable for a in neighbor_tables(3))
+    with pytest.raises(InvalidLevel):
+        neighbor_tables(0)
