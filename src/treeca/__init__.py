@@ -35,6 +35,7 @@ from .rulematrix import (
     invert,
     kernel_basis,
     linalg_report,
+    linalg_report_for,
     rank_mod_p,
     solve,
 )

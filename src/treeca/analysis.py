@@ -1,7 +1,9 @@
 """Reversibility sweeps, closed-form determinants, entropy growth, probes.
 
-The reversibility verdict for one parameter tuple comes from exact
-elimination on the rule matrix; the closed-form degree-10 and degree-22
+The reversibility verdict for one parameter tuple comes from the exact
+leaf-to-root level recursion of rulematrix.linalg_report_for, O(n) field
+operations with no rule matrix assembled (dense elimination only when a
+zero among a, b, c is allowed); the closed-form degree-10 and degree-22
 determinant polynomials are evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
 so H_n / n is unbounded. The partition probe is a desk-scale experiment
@@ -23,7 +25,7 @@ import numpy as np
 from .dynamics import DEFAULT_ENUMERATION_CAP, _all_configurations, _apply_local
 from .errors import FixtureMismatch
 from .field import PrimeField, is_prime
-from .rulematrix import Params, build_rule_matrix, linalg_report
+from .rulematrix import Params, linalg_report_for
 from .tree import TreeShape
 
 
@@ -49,11 +51,10 @@ class ReversibilityRecord:
 
 def classify(a: int, b: int, c: int, d: int, n: int, p: int,
              allow_zero: bool = False) -> ReversibilityRecord:
-    """Build the rule matrix for one parameter tuple and judge reversibility."""
-    field = PrimeField(p)
-    params = Params(a=a, b=b, c=c, d=d, field=field, allow_zero=allow_zero)
-    m = build_rule_matrix(TreeShape(n), params)
-    rep = linalg_report(m)
+    """Judge reversibility of one parameter tuple from det and rank of its
+    rule matrix."""
+    params = Params(a=a, b=b, c=c, d=d, field=PrimeField(p), allow_zero=allow_zero)
+    rep = linalg_report_for(TreeShape(n), params)
     return ReversibilityRecord(
         a=a, b=b, c=c, d=d, n=n, p=p, det=rep.det, rank=rep.rank, reversible=rep.invertible
     )

@@ -70,8 +70,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_det(args) -> int:
-    m = _matrix(args)
-    _emit(f"{rulematrix.det_mod_p(m)}\n", args.out)
+    rep = rulematrix.linalg_report_for(TreeShape(args.n), _params(args))
+    _emit(f"{rep.det}\n", args.out)
     return EXIT_OK
 
 

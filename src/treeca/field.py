@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DivisionByZero, ModulusOutOfRange, NonPrimeModulus
 
@@ -10,6 +11,7 @@ from .errors import DivisionByZero, ModulusOutOfRange, NonPrimeModulus
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=1024)  # every PrimeField(p) asks again; sweeps reuse a few primes
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24."""
     if n < 2:

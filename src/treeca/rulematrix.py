@@ -61,22 +61,18 @@ class RuleMatrix:
     """Square mod-p matrix of order 1+3(2^n-1), stored row-sparse.
 
     rows[r] lists (column, label) pairs with label in {a,b,c,d};
-    iterating a row costs its nonzero count.
+    iterating a row costs its nonzero count. The dense matrix is built
+    on the first dense() call.
     """
 
     shape: TreeShape
     params: Params
     rows: tuple[tuple[tuple[int, str], ...], ...]
-    _dense: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    _dense: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.order
-        dense = np.zeros((n, n), dtype=np.int64)
-        for r, row in enumerate(self.rows):
-            for col, label in row:
-                dense[r, col] = self.params.coeff(label)
-        dense.setflags(write=False)
-        object.__setattr__(self, "_dense", dense)
+        if len(self.rows) != self.order:
+            raise DimensionMismatch(f"expected {self.order} rows, got {len(self.rows)}")
 
     @property
     def order(self) -> int:
@@ -87,7 +83,15 @@ class RuleMatrix:
         return self.params.p
 
     def dense(self) -> np.ndarray:
-        """Dense residue matrix (read-only view)."""
+        """Dense residue matrix (read-only), built on first use."""
+        if self._dense is None:
+            n = self.order
+            dense = np.zeros((n, n), dtype=np.int64)
+            for r, row in enumerate(self.rows):
+                for col, label in row:
+                    dense[r, col] = self.params.coeff(label)
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)
         return self._dense
 
     def label_at(self, r: int, c: int) -> str:
@@ -116,10 +120,12 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Z_p by one elimination route: det, rank, inverse,
-# kernel and solve all come from the forward reduction _reduce (pivot: first
-# nonzero residue, lowest row) on a dense working copy; rref_mod adds a single
-# back-substitution pass.
+# Exact linear algebra over Z_p. det, rank and the reversibility verdict come
+# from the leaf-to-root level recursion (_level_recursion, O(n) field
+# operations, no matrix) whenever a*b*c != 0 mod p. Inverse, kernel, solve,
+# and det/rank for a zero among a, b, c, come from the dense forward
+# reduction _reduce (pivot: first nonzero residue, lowest row); rref_mod adds
+# a single back-substitution pass.
 
 
 def _as_matrix(m) -> tuple[np.ndarray, int]:
@@ -171,18 +177,69 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
+def _level_recursion(n: int, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
+    """(det, rank) of the level-n rule matrix over Z_p, for a*b*c != 0 mod p.
+
+    Eliminates leaf to root. Every vertex of a level heads an identical
+    subtree, so one state per level suffices: q is None when there is no
+    level below, 0 when the level below has a zero pivot, else its pivot.
+    A vertex over zero children pivots on one child's c entry and on its
+    own a/b entry (two ranks) and drops out of its parent's row, leaving
+    the other children as empty rows and columns. Otherwise its pivot is
+    the Schur complement e = d - s*c/q with s = a+b (d - c(s+c)/q at the
+    root, which has three children). Only diagonal pivots multiply det,
+    so there is no sign.
+    """
+    s = (a + b) % p
+    det, rank, q = 1, 0, None
+    for l in range(n, 0, -1):
+        size = 3 * 2 ** (l - 1)
+        if q == 0:
+            rank += 2 * size
+            q = None
+            continue
+        e = d if q is None else (d - s * c * pow(q, -1, p)) % p
+        if e:
+            rank += size
+            det = det * pow(e, 3 * pow(2, l - 1, p - 1), p) % p  # e^size, by Fermat
+        q = e
+    if q == 0:
+        rank += 2
+    else:
+        e = d if q is None else (d - c * (s + c) * pow(q, -1, p)) % p
+        if e:
+            rank += 1
+        det = det * e % p
+    return (det if rank == 3 * 2**n - 2 else 0), rank
+
+
+def linalg_report_for(shape: TreeShape, params: Params) -> "LinAlgReport":
+    """det, rank and invertibility of the rule matrix of (shape, params).
+
+    Runs the level recursion and assembles no matrix, unless a zero among
+    a, b, c breaks the vertex pairing it relies on; then the matrix is
+    built and eliminated densely.
+    """
+    a, b, c, d, p = params.a, params.b, params.c, params.d, params.p
+    if a * b * c % p:
+        det, rank = _level_recursion(shape.n, a, b, c, d, p)
+    else:
+        _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
+        rank = len(pivots)
+    return LinAlgReport(det=det, rank=rank, nullity=shape.total_vertices - rank,
+                        invertible=det != 0)
+
+
 def det_mod_p(m: RuleMatrix) -> int:
-    return det_mod(*_as_matrix(m))
+    return linalg_report_for(m.shape, m.params).det
 
 
 def rank_mod_p(m: RuleMatrix) -> int:
-    return len(_reduce(*_as_matrix(m))[1])
+    return linalg_report_for(m.shape, m.params).rank
 
 
 def linalg_report(m: RuleMatrix) -> "LinAlgReport":
-    _, pivots, det = _reduce(*_as_matrix(m))
-    rank = len(pivots)
-    return LinAlgReport(det=det, rank=rank, nullity=m.order - rank, invertible=det != 0)
+    return linalg_report_for(m.shape, m.params)
 
 
 @dataclass(frozen=True)
@@ -284,20 +341,21 @@ _MAX_PARSE_LEVEL = 10
 
 
 def format_matrix(m: RuleMatrix, sparse: bool = False) -> str:
-    """Serialize in the v1 text format (dense by default, COO if sparse)."""
-    dense = m.dense()
+    """Serialize in the v1 text format (dense by default, COO if sparse),
+    straight from the rows: a zero coefficient prints as 0 in a dense row
+    and is left out of the COO triples."""
+    coeff = {label: m.params.coeff(label) for label in "abcd"}
     if not sparse:
         lines = [f"{_MAGIC_DENSE} 1 {m.shape.n} {m.p}"]
-        lines += [" ".join(str(int(v)) for v in row) for row in dense]
+        for row in m.rows:
+            cells = ["0"] * m.order
+            for col, label in row:
+                cells[col] = str(coeff[label])
+            lines.append(" ".join(cells))
     else:
-        triples = [
-            (r, c, int(dense[r, c]))
-            for r in range(m.order)
-            for c, _ in m.rows[r]
-            if dense[r, c] != 0
-        ]
-        lines = [f"{_MAGIC_COO} 1 {m.shape.n} {m.p} {len(triples)}"]
-        lines += [f"{r} {c} {v}" for r, c, v in triples]
+        triples = [f"{r} {col} {coeff[label]}"
+                   for r, row in enumerate(m.rows) for col, label in row if coeff[label]]
+        lines = [f"{_MAGIC_COO} 1 {m.shape.n} {m.p} {len(triples)}"] + triples
     return "\n".join(lines) + "\n"
 
 

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeca.cli import main
 from treeca.errors import DimensionMismatch, FormatError, SingularMatrix
 from treeca.field import PrimeField
 from treeca.rulematrix import (
     Params,
+    RuleMatrix,
+    _reduce,
     build_rule_matrix,
     det_mod,
     det_mod_p,
@@ -16,6 +19,7 @@ from treeca.rulematrix import (
     invert,
     kernel_basis,
     linalg_report,
+    linalg_report_for,
     parse_matrix,
     rank_mod_p,
     rref_mod,
@@ -243,6 +247,22 @@ def test_matrix_format_roundtrip(sparse):
     assert format_matrix(m, sparse=sparse) == text
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("p,coeffs", [(5, (1, 2, 3, 4)), (7, (0, 3, 0, 5)), (3, (1, 1, 1, 0)),
+                                      (2**31 - 1, (2**31 - 2, 0, 12345, 7))])
+def test_format_matrix_matches_dense_text(n, p, coeffs):
+    """The row-built text equals the text written from the dense matrix,
+    zero coefficients included."""
+    m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
+    dense = m.dense()
+    want = [f"treeca-matrix 1 {n} {p}"] + [" ".join(str(int(v)) for v in row) for row in dense]
+    assert format_matrix(m) == "\n".join(want) + "\n"
+    triples = [f"{r} {c} {int(dense[r, c])}"
+               for r in range(m.order) for c, _ in m.rows[r] if dense[r, c]]
+    want = [f"treeca-matrix-coo 1 {n} {p} {len(triples)}"] + triples
+    assert format_matrix(m, sparse=True) == "\n".join(want) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # The one elimination route against independent references
 
@@ -402,3 +422,77 @@ def test_parse_matrix_rejects_out_of_range(text, monkeypatch):
     monkeypatch.setattr(np, "zeros", guarded_zeros)
     with pytest.raises(FormatError):
         parse_matrix(text)
+
+
+# ---------------------------------------------------------------------------
+# The level recursion against the dense reduction and the continuant
+
+
+@st.composite
+def level_tuples(draw):
+    """(p, n, a, b, c, d) for n = 1..6 with d = 0 allowed; some singular
+    via c = d^2/(a+b), some with zeros among a, b, c."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 6))
+    a, b, c = (draw(st.integers(1, p - 1)) for _ in range(3))
+    d = draw(st.just(0) | st.integers(0, p - 1))
+    kind = draw(st.sampled_from(["any", "singular", "zeros"]))
+    if kind == "singular" and (a + b) % p and d:
+        c = d * d * pow(a + b, -1, p) % p
+    elif kind == "zeros":
+        a, b, c = (draw(st.sampled_from([0, v])) for v in (a, b, c))
+    return p, n, a, b, c, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_tuples())
+def test_level_recursion_matches_dense_reduction(t):
+    p, n, a, b, c, d = t
+    shape = TreeShape(n)
+    params = params_for(p, a, b, c, d, allow_zero=True)
+    rep = linalg_report_for(shape, params)
+    _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
+    assert (rep.det, rep.rank) == (det, len(pivots))
+    assert rep.det == continuant_det(a, b, c, d, n, p)
+    assert rep.nullity == shape.total_vertices - rep.rank
+    assert rep.invertible == (rep.rank == shape.total_vertices)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_linalg_report_for_every_small_tuple(n, p):
+    """Every (a, b, c, d) in Z_p^4: the recursion where a*b*c != 0, the dense
+    reduction otherwise (the recursion is wrong there, e.g. c = d = 0)."""
+    shape = TreeShape(n)
+    for coeffs in itertools.product(range(p), repeat=4):
+        params = params_for(p, *coeffs, allow_zero=True)
+        rep = linalg_report_for(shape, params)
+        _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
+        assert (rep.det, rep.rank) == (det, len(pivots)), coeffs
+
+
+def test_level_recursion_rank_with_zero_pivot_level():
+    # level 1 has a zero pivot: d - (a+b)c/d = 4 - 3*2/4 = 0 mod 5; a sum of
+    # per-level ranks over symmetry blocks gives 7
+    m = build_rule_matrix(TreeShape(2), params_for(5, 2, 1, 2, 4))
+    assert (linalg_report(m).det, rank_mod_p(m)) == (0, 8)
+    assert len(_reduce(m.dense(), 5)[1]) == 8
+
+
+def test_classify_det_matrix_assemble_no_dense_matrix(capsys, monkeypatch):
+    p, coeffs = 2**31 - 1, (2, 1, 3, 2)
+    flags = ["-a", "2", "-b", "1", "-c", "3", "-d", "2"]
+    want = build_rule_matrix(TreeShape(6), params_for(p, *coeffs)).dense().copy()
+
+    def no_dense(self):
+        raise AssertionError("dense rule matrix assembled")
+
+    monkeypatch.setattr(RuleMatrix, "dense", no_dense)
+    assert main(["classify", "-n", "12", "-p", str(p), *flags]) == 0
+    out = capsys.readouterr().out
+    assert f"det={continuant_det(*coeffs, 12, p)} rank=12286 verdict=reversible" in out
+    assert main(["det", "-n", "64", "-p", str(p), *flags]) == 0
+    assert capsys.readouterr().out == f"{continuant_det(*coeffs, 64, p)}\n"
+    for sparse in ([], ["--sparse"]):
+        assert main(["matrix", "-n", "6", "-p", str(p), *flags, *sparse]) == 0
+        assert (parse_matrix(capsys.readouterr().out)[2] == want).all()
