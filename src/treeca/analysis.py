@@ -238,14 +238,17 @@ def partition_atom_count(
         raise ValueError(f"mode must be 'root' or 'ball', got {mode!r}")
     p = params.p
     observed_cols = [0] if mode == "root" else list(range(min(4, truncation.total_vertices)))
-    configs = _all_configurations(truncation.total_vertices, p, cap)
-    observations = []
-    cur = configs
-    for _ in range(steps):
-        observations.append(cur[:, observed_cols])
-        cur = _apply_local(cur, truncation, params)
-    stacked = np.hstack(observations)
-    atom_count = len(np.unique(stacked, axis=0))
+    cur = _all_configurations(truncation.total_vertices, p, cap)
+    # refine the partition one observed column at a time: key labels the
+    # atoms so far by 0 .. atoms-1, so key < rows < 2^32 for an in-memory
+    # array, and key * p + col < 2^63 for p < 2^31
+    key = np.zeros(len(cur), dtype=np.int64)
+    for t in range(steps):
+        if t:
+            cur = _apply_local(cur, truncation, params)
+        for col in cur[:, observed_cols].T:
+            key = np.unique(key * p + col, return_inverse=True)[1]
+    atom_count = int(key.max()) + 1
     return PartitionProbe(
         steps=steps,
         truncation_level=truncation.n,

@@ -120,7 +120,7 @@ def cmd_garden(args) -> int:
         "image_size": rep.image_size,
         "garden_count": rep.garden_count,
         "seed": args.seed,
-        "sample_garden_configs": [[int(v) for v in c.values] for c in rep.sample_garden_configs],
+        "sample_garden_configs": [c.values.tolist() for c in rep.sample_garden_configs],
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_OK

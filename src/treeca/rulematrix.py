@@ -120,12 +120,15 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Z_p. det, rank and the reversibility verdict come
-# from the leaf-to-root level recursion (_level_recursion, O(n) field
-# operations, no matrix) whenever a*b*c != 0 mod p. Inverse, kernel, solve,
-# and det/rank for a zero among a, b, c, come from the dense forward
-# reduction _reduce (pivot: first nonzero residue, lowest row); rref_mod adds
-# a single back-substitution pass.
+# Exact linear algebra over Z_p. Whenever a*b*c != 0 mod p, no matrix is
+# built: det, rank and the reversibility verdict come from the leaf-to-root
+# level recursion (_level_recursion, O(n) field operations), and solve and
+# in_image from the same elimination carried out on a right-hand side
+# (_tree_sweep, leaf to root over each level's vertex array, then
+# _tree_back, root to leaf, for solve). Inverse, kernel, and solve/det/rank
+# for a zero among a, b, c, come from the dense forward reduction _reduce
+# (pivot: first nonzero residue, lowest row); rref_mod adds a single
+# back-substitution pass.
 
 
 def _as_matrix(m) -> tuple[np.ndarray, int]:
@@ -211,6 +214,89 @@ def _level_recursion(n: int, a: int, b: int, c: int, d: int, p: int) -> tuple[in
             rank += 1
         det = det * e % p
     return (det if rank == 3 * 2**n - 2 else 0), rank
+
+
+def _level_slice(l: int) -> slice:
+    """Indices of the level-l vertices (level 0 is the root)."""
+    return slice(0, 1) if l == 0 else slice(3 * 2 ** (l - 1) - 2, 3 * 2**l - 2)
+
+
+def _parents_of(x: np.ndarray, l: int) -> np.ndarray:
+    """Values, along the last axis of x, at the parents of the level-l vertices."""
+    return np.repeat(x[..., _level_slice(l - 1)], 3 if l == 1 else 2, axis=-1)
+
+
+def _tree_sweep(n: int, a: int, b: int, c: int, d: int, p: int, y: np.ndarray):
+    """Forward sweep of M x = y, leaf to root, for a*b*c != 0 mod p.
+
+    The same elimination as _level_recursion, carried out on y: one scalar
+    pivot per level and one array over the level's vertices. Returns the
+    records by level (index 0 = root), or None at the first failed
+    consistency check, that is when y lies outside the image:
+      ("pivot", e, alpha)  e != 0, and x_v = alpha_v - (c/e) x_parent(v);
+      ("zero", 0, r)       the rows read c x_parent(v) = r_v, so sibling
+                           r's must agree; at the root, 0 = r_0;
+      ("known", None, x)   the parents of a zero level, fixed by its r's.
+    The level above a known level starts afresh, as the leaves do.
+    """
+    s, ci = (a + b) % p, pow(c, -1, p)
+    levels: list = [None] * (n + 1)
+    below = ("known", None, None)  # the leaves have no level below
+    for l in range(n, -1, -1):
+        kind, q, val = below
+        if kind == "zero":
+            r = val.reshape(-1, 3 if l == 0 else 2)  # one row per parent
+            if (r != r[:, :1]).any():
+                return None
+            below = ("known", None, r[:, 0] * ci % p)
+        else:
+            rhs, e = y[_level_slice(l)], d
+            if val is not None:
+                w = (a, b, c) if l == 0 else (a, b)
+                kids = val.reshape(-1, len(w))
+                rhs = (rhs - sum(wi * kids[:, i] % p for i, wi in enumerate(w))) % p
+                if kind == "pivot":
+                    e = (d - ((s + c) if l == 0 else s) * c * pow(q, -1, p)) % p
+            below = ("pivot", e, rhs * pow(e, -1, p) % p) if e else ("zero", 0, rhs)
+        levels[l] = below
+    if levels[0][0] == "zero" and levels[0][2][0]:
+        return None
+    return levels
+
+
+def _free_vertices(levels) -> list[int]:
+    """The vertices whose values parametrise the solutions: the root when
+    its pivot is zero, vertices 1 and 2 when level 1 is zero (the root row
+    then fixes vertex 3), and the first child of each pair on a deeper
+    zero level (the parent's row fixes the second)."""
+    free: list[int] = []
+    for l, (kind, _, _) in enumerate(levels):
+        if kind == "zero":
+            here = _level_slice(l)
+            free += [0] if l == 0 else [1, 2] if l == 1 else range(here.start, here.stop, 2)
+    return free
+
+
+def _tree_back(levels, coeffs: tuple[int, int, int, int, int, int], y: np.ndarray,
+               x: np.ndarray) -> None:
+    """Back-substitution of the forward sweep of (coeffs, y), root to leaf,
+    into each row of x, whose free vertices (_free_vertices) are already
+    set; a zero pivot at the root leaves x_0 as set."""
+    _, a, b, c, d, p = coeffs
+    for l, (kind, e, val) in enumerate(levels):
+        here = _level_slice(l)
+        if kind == "known" or (kind == "pivot" and l == 0):
+            x[:, here] = val
+        elif kind == "pivot":
+            x[:, here] = (val - c * pow(e, -1, p) % p * _parents_of(x, l) % p) % p
+        elif l == 1:  # root row: d x_0 + a x_1 + b x_2 + c x_3 = y_0
+            x[:, 3] = ((y[0] - d * x[:, 0] % p - a * x[:, 1] % p - b * x[:, 2] % p) % p
+                       * pow(c, -1, p) % p)
+        elif l > 1:  # row of parent u: a x_v1 + b x_v2 = y_u - c x_parent(u) - d x_u
+            u = _level_slice(l - 1)
+            rhs = (y[u] - c * _parents_of(x, l - 1) % p - d * x[:, u] % p) % p
+            x[:, here.start + 1:here.stop:2] = ((rhs - a * x[:, here.start:here.stop:2] % p) % p
+                                                * pow(b, -1, p) % p)
 
 
 def linalg_report_for(shape: TreeShape, params: Params) -> "LinAlgReport":
@@ -311,17 +397,78 @@ class SolutionSet:
             yield x
 
 
+def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
+    """y reduced mod p, checked against the order of m."""
+    if not isinstance(m, RuleMatrix):
+        raise TypeError(f"expected RuleMatrix, got {type(m).__name__}")
+    y = np.asarray(y, dtype=np.int64) % m.p
+    if y.shape != (m.order,):
+        raise DimensionMismatch(f"expected vector of length {m.order}, got shape {y.shape}")
+    return y
+
+
+def _tree_coeffs(m: RuleMatrix) -> Optional[tuple[int, int, int, int, int, int]]:
+    """(n, a, b, c, d, p) when the tree sweep applies (a*b*c != 0 mod p), else None."""
+    pr = m.params
+    return (m.shape.n, pr.a, pr.b, pr.c, pr.d, pr.p) if pr.a * pr.b * pr.c % pr.p else None
+
+
+def in_image(m: RuleMatrix, y: np.ndarray) -> bool:
+    """Whether M x = y has a solution: the forward tree sweep alone, in
+    O(|V_n|) with no matrix, when a*b*c != 0 mod p; else the dense solve."""
+    y = _target(m, y)
+    coeffs = _tree_coeffs(m)
+    if coeffs is None:
+        return solve(m, y).consistent
+    return _tree_sweep(*coeffs, y) is not None
+
+
+def _tree_solve(coeffs: tuple[int, int, int, int, int, int], y: np.ndarray) -> SolutionSet:
+    """solve by the tree sweep and back-substitution, for a*b*c != 0 mod p.
+
+    The back-substitution gives a particular solution and one kernel
+    vector per free vertex. The dense route's kernel vector for a free
+    column f of rref(M) is the kernel element whose last nonzero entry is
+    a 1 at f and which is 0 at the other free columns, so the RREF of the
+    basis with its columns reversed yields those vectors, its pivots
+    (reversed) being the free columns. The particular solution is then
+    made 0 at the free columns.
+    """
+    p, order = coeffs[-1], y.size
+    levels = _tree_sweep(*coeffs, y)
+    if levels is None:
+        return SolutionSet(p=p, order=order, consistent=False)
+    x = np.zeros((1, order), dtype=np.int64)
+    _tree_back(levels, coeffs, y, x)
+    x = x[0]
+    free = _free_vertices(levels)
+    if not free:
+        return SolutionSet(p=p, order=order, consistent=True, particular=x)
+    zero = np.zeros(order, dtype=np.int64)
+    basis = np.zeros((len(free), order), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    _tree_back(_tree_sweep(*coeffs, zero), coeffs, zero, basis)
+    red, pivots = rref_mod(basis[:, ::-1], p)
+    kern = np.ascontiguousarray(red[::-1, ::-1])  # rows by ascending free column
+    for f, k in zip(order - 1 - np.array(pivots[::-1]), kern):
+        x = (x - x[f] * k % p) % p
+    return SolutionSet(p=p, order=order, consistent=True, particular=x, kernel=tuple(kern))
+
+
 def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
     """Full preimage set of y under the matrix map.
 
-    One reduction of [M | y]: its first N columns are rref(M), so the
-    particular solution and the kernel both come from it.
+    The particular solution is 0 at the free columns of rref(M), and the
+    kernel has one vector per free column f, in ascending order, equal to
+    1 at f and 0 at the other free columns. When a*b*c != 0 mod p they come
+    from the tree sweep (_tree_solve), with no dense matrix. Otherwise from
+    one reduction of [M | y]: its first N columns are rref(M).
     """
-    mat, p = _as_matrix(m)
-    y = np.asarray(y, dtype=np.int64) % p
-    n = mat.shape[0]
-    if y.shape != (n,):
-        raise DimensionMismatch(f"expected vector of length {n}, got shape {y.shape}")
+    y = _target(m, y)
+    coeffs = _tree_coeffs(m)
+    if coeffs is not None:
+        return _tree_solve(coeffs, y)
+    mat, p, n = m.dense(), m.p, m.order
     red, pivots = rref_mod(np.hstack([mat, y.reshape(-1, 1)]), p)
     if n in pivots:  # pivot in the augmented column: inconsistent
         return SolutionSet(p=p, order=n, consistent=False)

@@ -22,6 +22,7 @@ from treeca.analysis import (
     table1_expected,
     table1_fixture_csv,
 )
+from treeca.dynamics import _all_configurations, _apply_local
 from treeca.errors import EnumerationTooLarge, FixtureMismatch, NonPrimeModulus
 from treeca.field import PrimeField
 from treeca.rulematrix import Params, build_rule_matrix, det_mod_p
@@ -214,3 +215,17 @@ def test_probe_ball_mode():
 def test_probe_cap():
     with pytest.raises(EnumerationTooLarge):
         partition_atom_count(params_for(5, 1, 1, 1, 1), 2, TreeShape(3))
+
+
+@pytest.mark.parametrize("mode", ["root", "ball"])
+@pytest.mark.parametrize("p,n,steps", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (3, 2, 3), (5, 1, 3)])
+def test_probe_atom_count_equals_unique_rows(p, n, steps, mode):
+    pr = params_for(p, 1, p - 1, 1, 1)
+    shape = TreeShape(n)
+    cur = _all_configurations(shape.total_vertices, p, 2**20)
+    observations = []
+    for _ in range(steps):
+        observations.append(cur[:, [0] if mode == "root" else [0, 1, 2, 3]])
+        cur = _apply_local(cur, shape, pr)
+    want = len(np.unique(np.hstack(observations), axis=0))
+    assert partition_atom_count(pr, steps, shape, mode=mode).atom_count == want

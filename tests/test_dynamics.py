@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from treeca.dynamics import (
     Configuration,
+    _all_configurations,
+    _apply_local,
     bijectivity_oracle,
     enumerate_preimages,
     evolve,
@@ -21,7 +24,16 @@ from treeca.dynamics import (
 )
 from treeca.errors import DimensionMismatch, EnumerationTooLarge, FormatError
 from treeca.field import PrimeField
-from treeca.rulematrix import Params, build_rule_matrix, det_mod_p, invert, linalg_report
+from treeca.cli import main
+from treeca.rulematrix import (
+    Params,
+    RuleMatrix,
+    build_rule_matrix,
+    det_mod_p,
+    invert,
+    linalg_report,
+    rref_mod,
+)
 from treeca.tree import TreeShape
 
 
@@ -298,3 +310,73 @@ def test_trace_json():
     arr = json.loads(trace_to_json(trace))
     assert len(arr) == 3
     assert arr[0] == [1, 0, 0, 0]
+
+
+def dense_garden_samples(m, samples, seed):
+    """The seeded attempt loop of garden_report, each draw tested by the
+    reduction of the dense [M | y]."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(10000):
+        if len(found) == samples:
+            break
+        y = rng.integers(0, m.p, size=m.order, dtype=np.int64)
+        if m.order in rref_mod(np.hstack([m.dense(), y.reshape(-1, 1)]), m.p)[1]:
+            found.append(y)
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 3, 17, 2**31 - 1]), n=st.integers(1, 4),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_garden_samples_match_dense_attempt_loop(p, n, seed, data):
+    a, b, c, d = (data.draw(st.integers(1, p - 1)) for _ in range(4))
+    if (a + b) % p and data.draw(st.booleans()):
+        c = d * d * pow(a + b, -1, p) % p  # singular: a garden exists
+    m = build_rule_matrix(TreeShape(n), params_for(p, a, b, c, d))
+    rep = garden_report(m, samples=3, seed=seed)
+    want = dense_garden_samples(m, 3, seed) if rep.garden_count else []
+    assert [cfg.values.tolist() for cfg in rep.sample_garden_configs] == [y.tolist() for y in want]
+
+
+def test_garden_and_preimages_build_no_dense_matrix(capsys, monkeypatch):
+    def no_dense(self):
+        raise AssertionError("dense rule matrix assembled")
+
+    monkeypatch.setattr(RuleMatrix, "dense", no_dense)
+    flags = ["-a", "1", "-b", "1", "-c", "1", "-d", "1", "--samples", "2"]
+    assert main(["garden", "-n", "12", "-p", "2", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rank"] == 12285  # root pivot d - c(a+b+c)/d = 0 mod 2
+    assert len(payload["sample_garden_configs"]) == 2
+    m = build_rule_matrix(TreeShape(12), params_for(2, 1, 1, 1, 1))
+    for y in payload["sample_garden_configs"]:
+        assert not preimages(config(m.shape, 2, y), m).consistent
+
+    p, a, b, d = 2**31 - 1, 5, 7, 11
+    pr = params_for(p, a, b, d * d * pow(a + b, -1, p) % p, d)
+    shape = TreeShape(10)
+    x = np.random.default_rng(0).integers(0, p, size=shape.total_vertices)
+    y = step_local(config(shape, p, x), pr)
+    m = build_rule_matrix(shape, pr)
+    sols = preimages(y, m)
+    assert sols.consistent
+    assert len(sols.kernel) == linalg_report(m).nullity
+    assert (step_local(config(shape, p, sols.particular), pr).values == y.values).all()
+    kernel = np.array(sols.kernel)
+    assert not _apply_local(kernel, shape, pr).any()
+
+
+@pytest.mark.parametrize("p,size", [(2, 1), (2, 10), (3, 4), (5, 5), (7, 3)])
+def test_all_configurations_in_product_order(p, size):
+    want = np.array(list(itertools.product(range(p), repeat=size)), dtype=np.int64)
+    assert (_all_configurations(size, p, p**size) == want).all()
+
+
+def test_trace_json_text_unchanged():
+    p = 2**31 - 1
+    shape = TreeShape(3)
+    x = np.random.default_rng(1).integers(0, p, size=shape.total_vertices)
+    trace = evolve(config(shape, p, x), params_for(p, 3, 5, 7, 11), 4)
+    assert trace_to_json(trace) == json.dumps(
+        [[int(v) for v in c.values] for c in trace.configurations])

@@ -16,6 +16,7 @@ from treeca.rulematrix import (
     det_mod,
     det_mod_p,
     format_matrix,
+    in_image,
     invert,
     kernel_basis,
     linalg_report,
@@ -496,3 +497,77 @@ def test_classify_det_matrix_assemble_no_dense_matrix(capsys, monkeypatch):
     for sparse in ([], ["--sparse"]):
         assert main(["matrix", "-n", "6", "-p", str(p), *flags, *sparse]) == 0
         assert (parse_matrix(capsys.readouterr().out)[2] == want).all()
+
+
+# ---------------------------------------------------------------------------
+# The tree solve against the dense reduction of [M | y]
+
+
+def dense_solve(m, y):
+    """(consistent, particular, kernel) from rref_mod of [M | y]: the
+    particular solution is 0 at the free columns, and kernel vector f is 1
+    at free column f and 0 at the others."""
+    n, p = m.order, m.p
+    red, pivots = rref_mod(np.hstack([m.dense(), y.reshape(-1, 1)]), p)
+    if n in pivots:
+        return False, None, []
+    x = np.zeros(n, dtype=np.int64)
+    x[pivots] = red[: len(pivots), n]
+    free = [f for f in range(n) if f not in pivots]
+    kernel = []
+    for f in free:
+        k = np.zeros(n, dtype=np.int64)
+        k[f] = 1
+        k[pivots] = -red[: len(pivots), f] % p
+        kernel.append(k)
+    return True, x, kernel
+
+
+@st.composite
+def solve_cases(draw):
+    """(p, n, a, b, c, d, y): a*b*c != 0 mod p, d = 0 allowed, about a
+    third singular via c = d^2/(a+b); y = M x half of the time, else random
+    (mostly outside the image when M is singular)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 2**31 - 1]))
+    n = draw(st.integers(1, 6))
+    a, b, c = (draw(st.integers(1, p - 1)) for _ in range(3))
+    d = draw(st.just(0) | st.integers(0, p - 1))
+    if (a + b) % p and d and draw(st.integers(0, 2)) == 0:
+        c = d * d * pow(a + b, -1, p) % p
+    m = build_rule_matrix(TreeShape(n), params_for(p, a, b, c, d, allow_zero=True))
+    vec = st.lists(st.integers(0, p - 1), min_size=m.order, max_size=m.order)
+    y = draw(vec)
+    if draw(st.booleans()):
+        y = mat_vec(m.dense().tolist(), y, p)
+    return m, np.array(y, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(solve_cases())
+def test_tree_solve_matches_dense_reduction(case):
+    m, y = case
+    consistent, x, kernel = dense_solve(m, y)
+    sols = solve(m, y)
+    assert sols.consistent == in_image(m, y) == consistent
+    if consistent:
+        assert (sols.particular == x).all()
+        assert len(sols.kernel) == len(kernel)
+        for got, want in zip(sols.kernel, kernel):
+            assert (got == want).all()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_solve_every_small_tuple(p):
+    """Every (a, b, c, d) in Z_p^4 at n = 1, 2 (the tree route where
+    a*b*c != 0, the dense reduction otherwise) for y = 0, y = M e_last and
+    y = e_0."""
+    for n, coeffs in itertools.product((1, 2), itertools.product(range(p), repeat=4)):
+        m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
+        for y in (np.zeros(m.order), m.dense()[:, -1], np.eye(m.order)[0]):
+            y = np.asarray(y, dtype=np.int64)
+            consistent, x, kernel = dense_solve(m, y)
+            sols = solve(m, y)
+            assert sols.consistent == in_image(m, y) == consistent, (n, coeffs)
+            if consistent:
+                assert (sols.particular == x).all()
+                assert [k.tolist() for k in sols.kernel] == [k.tolist() for k in kernel]
