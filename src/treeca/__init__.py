@@ -32,7 +32,6 @@ from .rulematrix import (
     SolutionSet,
     build_rule_matrix,
     det_mod_p,
-    in_image,
     invert,
     kernel_basis,
     linalg_report,

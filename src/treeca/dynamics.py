@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
-from .rulematrix import Params, RuleMatrix, SolutionSet, in_image, linalg_report, solve
+from .rulematrix import Params, RuleMatrix, SolutionSet, linalg_report, solve
 from .tree import TreeShape
 from .tree import neighbor_tables as _neighbor_tables
 
@@ -136,9 +136,10 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
     """Garden-of-Eden census via rank; optionally find sample configurations
     outside the image by deterministic seeded search.
 
-    Each seeded draw y is tested with rulematrix.in_image: the forward tree
-    sweep alone, O(|V_n|) with no matrix, when a*b*c != 0 mod p, else the
-    dense solve."""
+    Each seeded draw y is tested with rulematrix.solve. When a*b*c != 0
+    mod p that is a tree sweep with no matrix, which stops at its first
+    failed consistency check, so a draw outside the image costs one
+    partial sweep; otherwise it is a dense reduction of [M | y]."""
     rep = linalg_report(m)
     p, order = m.p, m.order
     count = p**order - p**rep.rank
@@ -148,7 +149,7 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
         attempts = 0
         while len(found) < samples and attempts < 10000:
             y = rng.integers(0, p, size=order, dtype=np.int64)
-            if not in_image(m, y):
+            if not solve(m, y).consistent:
                 found.append(Configuration(m.shape, p, y))
             attempts += 1
     return GardenReport(

@@ -122,10 +122,10 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Z_p. Whenever a*b*c != 0 mod p, no matrix is
 # built: det, rank and the reversibility verdict come from the leaf-to-root
-# level recursion (_level_recursion, O(n) field operations), and solve and
-# in_image from the same elimination carried out on a right-hand side
-# (_tree_sweep, leaf to root over each level's vertex array, then
-# _tree_back, root to leaf, for solve). Inverse, kernel, and solve/det/rank
+# level recursion (_level_recursion, O(n) field operations), and solve
+# from the same elimination schedule (_level_schedule) carried out on a
+# right-hand side (_tree_sweep, leaf to root over each level's vertices,
+# then _tree_back, root to leaf). Inverse, kernel, and solve/det/rank
 # for a zero among a, b, c, come from the dense forward reduction _reduce
 # (pivot: first nonzero residue, lowest row); rref_mod adds a single
 # back-substitution pass.
@@ -180,123 +180,123 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def _level_recursion(n: int, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
-    """(det, rank) of the level-n rule matrix over Z_p, for a*b*c != 0 mod p.
+def _level_schedule(n: int, a: int, b: int, c: int, d: int, p: int) -> list[tuple[str, int]]:
+    """The leaf-to-root elimination of the level-n rule matrix, for
+    a*b*c != 0 mod p: one (kind, e) per level, index 0 = root.
 
-    Eliminates leaf to root. Every vertex of a level heads an identical
-    subtree, so one state per level suffices: q is None when there is no
-    level below, 0 when the level below has a zero pivot, else its pivot.
-    A vertex over zero children pivots on one child's c entry and on its
-    own a/b entry (two ranks) and drops out of its parent's row, leaving
-    the other children as empty rows and columns. Otherwise its pivot is
-    the Schur complement e = d - s*c/q with s = a+b (d - c(s+c)/q at the
-    root, which has three children). Only diagonal pivots multiply det,
-    so there is no sign.
-    """
-    s = (a + b) % p
-    det, rank, q = 1, 0, None
-    for l in range(n, 0, -1):
-        size = 3 * 2 ** (l - 1)
-        if q == 0:
-            rank += 2 * size
-            q = None
-            continue
-        e = d if q is None else (d - s * c * pow(q, -1, p)) % p
-        if e:
-            rank += size
-            det = det * pow(e, 3 * pow(2, l - 1, p - 1), p) % p  # e^size, by Fermat
-        q = e
-    if q == 0:
-        rank += 2
-    else:
-        e = d if q is None else (d - c * (s + c) * pow(q, -1, p)) % p
-        if e:
-            rank += 1
-        det = det * e % p
-    return (det if rank == 3 * 2**n - 2 else 0), rank
-
-
-def _level_slice(l: int) -> slice:
-    """Indices of the level-l vertices (level 0 is the root)."""
-    return slice(0, 1) if l == 0 else slice(3 * 2 ** (l - 1) - 2, 3 * 2**l - 2)
-
-
-def _parents_of(x: np.ndarray, l: int) -> np.ndarray:
-    """Values, along the last axis of x, at the parents of the level-l vertices."""
-    return np.repeat(x[..., _level_slice(l - 1)], 3 if l == 1 else 2, axis=-1)
-
-
-def _tree_sweep(n: int, a: int, b: int, c: int, d: int, p: int, y: np.ndarray):
-    """Forward sweep of M x = y, leaf to root, for a*b*c != 0 mod p.
-
-    The same elimination as _level_recursion, carried out on y: one scalar
-    pivot per level and one array over the level's vertices. Returns the
-    records by level (index 0 = root), or None at the first failed
-    consistency check, that is when y lies outside the image:
-      ("pivot", e, alpha)  e != 0, and x_v = alpha_v - (c/e) x_parent(v);
-      ("zero", 0, r)       the rows read c x_parent(v) = r_v, so sibling
-                           r's must agree; at the root, 0 = r_0;
-      ("known", None, x)   the parents of a zero level, fixed by its r's.
+    Every vertex of a level heads an identical subtree, so one state per
+    level suffices. The level's pivot is the Schur complement
+    e = d - s*c/q, with q the pivot of the level below and s = a+b (s+c at
+    the root, which has three children); e = d when there is no level
+    below. kind is
+      "pivot"  e != 0;
+      "zero"   e == 0: each parent pivots on one child's c entry and on its
+               own a/b entry (two ranks) and drops out of its parent's row,
+               leaving the other children as empty rows and columns;
+      "known"  the parents of a zero level, consumed by it (e = 0 unused).
     The level above a known level starts afresh, as the leaves do.
     """
-    s, ci = (a + b) % p, pow(c, -1, p)
-    levels: list = [None] * (n + 1)
-    below = ("known", None, None)  # the leaves have no level below
+    s = (a + b) % p
+    sched: list[tuple[str, int]] = [("known", 0)] * (n + 1)
+    q = None
     for l in range(n, -1, -1):
-        kind, q, val = below
-        if kind == "zero":
-            r = val.reshape(-1, 3 if l == 0 else 2)  # one row per parent
-            if (r != r[:, :1]).any():
+        if q == 0:
+            q = None
+            continue
+        e = d if q is None else (d - (s + c if l == 0 else s) * c * pow(q, -1, p)) % p
+        sched[l] = ("pivot", e) if e else ("zero", 0)
+        q = e
+    return sched
+
+
+def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
+    """(det, rank) of the rule matrix of shape over Z_p, for a*b*c != 0 mod p,
+    from _level_schedule. A pivot level of size S adds S to the rank and
+    e^S to det, a known level 2S (its vertices and one child each), a zero
+    level nothing. Only diagonal pivots multiply det, so there is no sign.
+    """
+    det, rank = 1, 0
+    for l, (kind, e) in enumerate(_level_schedule(shape.n, a, b, c, d, p)):
+        size = shape.level_sizes[l]
+        if kind == "known":
+            rank += 2 * size
+        elif kind == "pivot":
+            rank += size
+            det = det * pow(e, size % (p - 1) if l else 1, p) % p  # e^size, by Fermat
+    return (det if rank == shape.total_vertices else 0), rank
+
+
+def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
+                y: np.ndarray) -> Optional[np.ndarray]:
+    """Forward sweep of M x = y, leaf to root, along the schedule of
+    _level_schedule. Returns w over the vertices, plus neighbor_tables'
+    zero sentinel slot, or None at the first failed consistency check,
+    that is when y lies outside the image. On a level of kind
+      pivot  x_v = w_v - (c/e) x_parent(v);
+      zero   the rows read c x_parent(v) = w_v, so sibling w's must agree,
+             and at the root 0 = w_0;
+      known  x_v = w_v, fixed by the zero level below.
+    """
+    _, c1, c2 = neighbor_tables(shape.n)
+    bounds = shape.level_offsets + (shape.total_vertices,)
+    ci = pow(c, -1, p)
+    w = np.zeros(shape.total_vertices + 1, dtype=np.int64)
+    for l in range(shape.n, -1, -1):
+        kind, e = sched[l]
+        here = slice(bounds[l], bounds[l + 1])
+        kids = [w[c1[here]], w[c2[here]]] + ([w[3:4]] if l == 0 else [])
+        if kind == "known":
+            if any((k != kids[0]).any() for k in kids[1:]):
                 return None
-            below = ("known", None, r[:, 0] * ci % p)
+            w[here] = kids[0] * ci % p
         else:
-            rhs, e = y[_level_slice(l)], d
-            if val is not None:
-                w = (a, b, c) if l == 0 else (a, b)
-                kids = val.reshape(-1, len(w))
-                rhs = (rhs - sum(wi * kids[:, i] % p for i, wi in enumerate(w))) % p
-                if kind == "pivot":
-                    e = (d - ((s + c) if l == 0 else s) * c * pow(q, -1, p)) % p
-            below = ("pivot", e, rhs * pow(e, -1, p) % p) if e else ("zero", 0, rhs)
-        levels[l] = below
-    if levels[0][0] == "zero" and levels[0][2][0]:
+            rhs = (y[here] - sum(wi * k % p for wi, k in zip((a, b, c), kids))) % p
+            w[here] = rhs * pow(e, -1, p) % p if kind == "pivot" else rhs
+    if sched[0][0] == "zero" and w[0]:
         return None
-    return levels
+    return w
 
 
-def _free_vertices(levels) -> list[int]:
+def _free_vertices(shape: TreeShape, sched) -> list[int]:
     """The vertices whose values parametrise the solutions: the root when
-    its pivot is zero, vertices 1 and 2 when level 1 is zero (the root row
-    then fixes vertex 3), and the first child of each pair on a deeper
-    zero level (the parent's row fixes the second)."""
+    its pivot is zero, the first two root children when level 1 is zero
+    (the root row then fixes the third), and the first child of each
+    parent over a deeper zero level (the parent's row fixes the second)."""
+    c1, c2 = neighbor_tables(shape.n)[1:]
     free: list[int] = []
-    for l, (kind, _, _) in enumerate(levels):
-        if kind == "zero":
-            here = _level_slice(l)
-            free += [0] if l == 0 else [1, 2] if l == 1 else range(here.start, here.stop, 2)
+    for l, (kind, _) in enumerate(sched):
+        if kind != "zero":
+            continue
+        if l == 0:
+            free.append(0)
+        elif l == 1:
+            free += [int(c1[0]), int(c2[0])]
+        else:
+            free += c1[shape.level_offsets[l - 1]:shape.level_offsets[l]].tolist()
     return free
 
 
-def _tree_back(levels, coeffs: tuple[int, int, int, int, int, int], y: np.ndarray,
-               x: np.ndarray) -> None:
-    """Back-substitution of the forward sweep of (coeffs, y), root to leaf,
-    into each row of x, whose free vertices (_free_vertices) are already
-    set; a zero pivot at the root leaves x_0 as set."""
-    _, a, b, c, d, p = coeffs
-    for l, (kind, e, val) in enumerate(levels):
-        here = _level_slice(l)
+def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, int, int, int],
+               y: np.ndarray, x: np.ndarray) -> None:
+    """Back-substitution of a forward sweep (sched, w) of M x = y, root to
+    leaf, into each row of x, whose free vertices (_free_vertices) are
+    already set; a zero pivot at the root leaves x_0 as set."""
+    a, b, c, d, p = coeffs
+    par, c1, c2 = neighbor_tables(shape.n)
+    bounds = shape.level_offsets + (shape.total_vertices,)
+    for l, (kind, e) in enumerate(sched):
+        here = slice(bounds[l], bounds[l + 1])
         if kind == "known" or (kind == "pivot" and l == 0):
-            x[:, here] = val
+            x[:, here] = w[here]
         elif kind == "pivot":
-            x[:, here] = (val - c * pow(e, -1, p) % p * _parents_of(x, l) % p) % p
+            x[:, here] = (w[here] - c * pow(e, -1, p) % p * x[:, par[here]] % p) % p
         elif l == 1:  # root row: d x_0 + a x_1 + b x_2 + c x_3 = y_0
-            x[:, 3] = ((y[0] - d * x[:, 0] % p - a * x[:, 1] % p - b * x[:, 2] % p) % p
+            x[:, 3] = ((y[0] - d * x[:, 0] % p - a * x[:, c1[0]] % p - b * x[:, c2[0]] % p) % p
                        * pow(c, -1, p) % p)
-        elif l > 1:  # row of parent u: a x_v1 + b x_v2 = y_u - c x_parent(u) - d x_u
-            u = _level_slice(l - 1)
-            rhs = (y[u] - c * _parents_of(x, l - 1) % p - d * x[:, u] % p) % p
-            x[:, here.start + 1:here.stop:2] = ((rhs - a * x[:, here.start:here.stop:2] % p) % p
-                                                * pow(b, -1, p) % p)
+        elif l > 1:  # row of parent u: a x_c1(u) + b x_c2(u) = y_u - c x_parent(u) - d x_u
+            u = slice(bounds[l - 1], bounds[l])
+            rhs = (y[u] - c * x[:, par[u]] % p - d * x[:, u] % p) % p
+            x[:, c2[u]] = (rhs - a * x[:, c1[u]] % p) % p * pow(b, -1, p) % p
 
 
 def linalg_report_for(shape: TreeShape, params: Params) -> "LinAlgReport":
@@ -308,7 +308,7 @@ def linalg_report_for(shape: TreeShape, params: Params) -> "LinAlgReport":
     """
     a, b, c, d, p = params.a, params.b, params.c, params.d, params.p
     if a * b * c % p:
-        det, rank = _level_recursion(shape.n, a, b, c, d, p)
+        det, rank = _level_recursion(shape, a, b, c, d, p)
     else:
         _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
         rank = len(pivots)
@@ -407,47 +407,32 @@ def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _tree_coeffs(m: RuleMatrix) -> Optional[tuple[int, int, int, int, int, int]]:
-    """(n, a, b, c, d, p) when the tree sweep applies (a*b*c != 0 mod p), else None."""
-    pr = m.params
-    return (m.shape.n, pr.a, pr.b, pr.c, pr.d, pr.p) if pr.a * pr.b * pr.c % pr.p else None
-
-
-def in_image(m: RuleMatrix, y: np.ndarray) -> bool:
-    """Whether M x = y has a solution: the forward tree sweep alone, in
-    O(|V_n|) with no matrix, when a*b*c != 0 mod p; else the dense solve."""
-    y = _target(m, y)
-    coeffs = _tree_coeffs(m)
-    if coeffs is None:
-        return solve(m, y).consistent
-    return _tree_sweep(*coeffs, y) is not None
-
-
-def _tree_solve(coeffs: tuple[int, int, int, int, int, int], y: np.ndarray) -> SolutionSet:
+def _tree_solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
     """solve by the tree sweep and back-substitution, for a*b*c != 0 mod p.
 
-    The back-substitution gives a particular solution and one kernel
-    vector per free vertex. The dense route's kernel vector for a free
-    column f of rref(M) is the kernel element whose last nonzero entry is
-    a 1 at f and which is 0 at the other free columns, so the RREF of the
-    basis with its columns reversed yields those vectors, its pivots
-    (reversed) being the free columns. The particular solution is then
-    made 0 at the free columns.
+    The back-substitution gives a particular solution and, run again with
+    zero values on the same schedule, one kernel vector per free vertex.
+    The dense route's kernel vector for a free column f of rref(M) is the
+    kernel element whose last nonzero entry is a 1 at f and which is 0 at
+    the other free columns, so the RREF of the basis with its columns
+    reversed yields those vectors, its pivots (reversed) being the free
+    columns. The particular solution is then made 0 at the free columns.
     """
-    p, order = coeffs[-1], y.size
-    levels = _tree_sweep(*coeffs, y)
-    if levels is None:
+    pr, shape, order = m.params, m.shape, m.order
+    coeffs = a, b, c, d, p = pr.a, pr.b, pr.c, pr.d, pr.p
+    sched = _level_schedule(shape.n, a, b, c, d, p)
+    w = _tree_sweep(shape, sched, a, b, c, p, y)
+    if w is None:
         return SolutionSet(p=p, order=order, consistent=False)
     x = np.zeros((1, order), dtype=np.int64)
-    _tree_back(levels, coeffs, y, x)
+    _tree_back(shape, sched, w, coeffs, y, x)
     x = x[0]
-    free = _free_vertices(levels)
+    free = _free_vertices(shape, sched)
     if not free:
         return SolutionSet(p=p, order=order, consistent=True, particular=x)
-    zero = np.zeros(order, dtype=np.int64)
     basis = np.zeros((len(free), order), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    _tree_back(_tree_sweep(*coeffs, zero), coeffs, zero, basis)
+    _tree_back(shape, sched, np.zeros_like(w), coeffs, np.zeros_like(y), basis)
     red, pivots = rref_mod(basis[:, ::-1], p)
     kern = np.ascontiguousarray(red[::-1, ::-1])  # rows by ascending free column
     for f, k in zip(order - 1 - np.array(pivots[::-1]), kern):
@@ -465,9 +450,8 @@ def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
     one reduction of [M | y]: its first N columns are rref(M).
     """
     y = _target(m, y)
-    coeffs = _tree_coeffs(m)
-    if coeffs is not None:
-        return _tree_solve(coeffs, y)
+    if m.params.a * m.params.b * m.params.c % m.p:
+        return _tree_solve(m, y)
     mat, p, n = m.dense(), m.p, m.order
     red, pivots = rref_mod(np.hstack([mat, y.reshape(-1, 1)]), p)
     if n in pivots:  # pivot in the augmented column: inconsistent
