@@ -6,14 +6,16 @@ operations with no rule matrix assembled (dense elimination only when a
 zero among a, b, c is allowed); the closed-form degree-10 and degree-22
 determinant polynomials are evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
-so H_n / n is unbounded. The partition probe is a desk-scale experiment
-counting the atoms actually distinguishable by repeated observation of
-the root cell.
+so H_n / n is unbounded. The partition probe counts the atoms actually
+distinguishable by repeated observation of the root cell (or the radius-1
+ball): the observation is linear, so the count is p^rank of the
+observability matrix, with no enumeration of configurations.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -22,10 +24,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_ENUMERATION_CAP, _all_configurations, _apply_local
-from .errors import FixtureMismatch
+from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration
+from .errors import FixtureMismatch, FormatError, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import Params, linalg_report_for
+from .rulematrix import Params, _reduce, linalg_report_for
 from .tree import TreeShape
 
 
@@ -91,13 +93,9 @@ def _sweep_tuples(spec: SweepSpec) -> list[tuple[int, int, int, int, int, int]]:
                 draws = rng.integers(1, p, size=(spec.random_count, 4))
                 tuples += [(int(a), int(b), int(c), int(d), n, p) for a, b, c, d in draws]
     else:
-        for p in spec.p_values:
-            for n in spec.n_values:
-                for a in spec.a_values:
-                    for b in spec.b_values:
-                        for c in spec.c_values:
-                            for d in spec.d_values:
-                                tuples.append((a, b, c, d, n, p))
+        grid = (spec.p_values, spec.n_values, spec.a_values, spec.b_values, spec.c_values,
+                spec.d_values)
+        tuples = [(a, b, c, d, n, p) for p, n, a, b, c, d in itertools.product(*grid)]
     return tuples
 
 
@@ -113,26 +111,20 @@ def sweep(spec: SweepSpec, threads: int = 1) -> list[ReversibilityRecord]:
     return sorted(records, key=ReversibilityRecord.sort_key)
 
 
+_RECORD_FIELDS = ("a", "b", "c", "d", "n", "p", "det", "rank", "reversible")
+
+
 def records_to_csv(records: Iterable[ReversibilityRecord]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["a", "b", "c", "d", "n", "p", "det", "rank", "reversible"])
+    w.writerow(_RECORD_FIELDS)
     for r in records:
         w.writerow([r.a, r.b, r.c, r.d, r.n, r.p, r.det, r.rank, str(r.reversible).lower()])
     return buf.getvalue()
 
 
 def records_to_json(records: Iterable[ReversibilityRecord]) -> str:
-    return json.dumps(
-        [
-            {
-                "a": r.a, "b": r.b, "c": r.c, "d": r.d, "n": r.n, "p": r.p,
-                "det": r.det, "rank": r.rank, "reversible": r.reversible,
-            }
-            for r in records
-        ],
-        indent=2,
-    )
+    return json.dumps([{k: getattr(r, k) for k in _RECORD_FIELDS} for r in records], indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +170,6 @@ def entropy_sequence(p: int, max_n: int) -> EntropySequence:
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if not is_prime(p):
-        from .errors import NonPrimeModulus
-
         raise NonPrimeModulus(f"modulus {p} is not prime")
     log2p = math.log2(p)
     terms = tuple((n, ball_size(n) * log2p, ball_size(n) * log2p / n) for n in range(1, max_n + 1))
@@ -225,38 +215,34 @@ def partition_atom_count(
     mode: str = "root",
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> PartitionProbe:
-    """Count the atoms of the joined partition obtained by observing the
-    root cell (or the radius-1 ball) at times 0 .. steps-1, exhaustively
-    over all configurations on the truncation.
+    """Count the atoms of the joined partition of all configurations on the
+    truncation obtained by observing the root cell (or the radius-1 ball)
+    at times 0 .. steps-1. The observation is linear, so the count is p^rank
+    of the observability map x -> (e_obs M^t x)_{t<steps}, whose columns are
+    the unit vectors stepped by the local rule; p^|V_n| must not exceed cap.
 
-    The claimed count p^(1+3(2^steps-1)) is reported alongside for
-    comparison; no equality is asserted.
+    The claimed count p^(1+3(2^steps-1)) is reported alongside, with no
+    equality asserted; steps at which it exceeds 4300 digits are rejected.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if mode not in ("root", "ball"):
         raise ValueError(f"mode must be 'root' or 'ball', got {mode!r}")
-    p = params.p
-    observed_cols = [0] if mode == "root" else list(range(min(4, truncation.total_vertices)))
-    cur = _all_configurations(truncation.total_vertices, p, cap)
-    # refine the partition one observed column at a time: key labels the
-    # atoms so far by 0 .. atoms-1, so key < rows < 2^32 for an in-memory
-    # array, and key * p + col < 2^63 for p < 2^31
-    key = np.zeros(len(cur), dtype=np.int64)
-    for t in range(steps):
-        if t:
-            cur = _apply_local(cur, truncation, params)
-        for col in cur[:, observed_cols].T:
-            key = np.unique(key * p + col, return_inverse=True)[1]
-    atom_count = int(key.max()) + 1
+    p, size = params.p, truncation.total_vertices
+    _check_enumeration(size, p, cap)
+    # min() keeps 2^steps small; every steps >= 13 is rejected anyway
+    if ball_size(min(steps, 64)) * math.log10(p) > 4300:
+        raise ValueError(f"claimed count p^|V_steps| exceeds 4300 digits at steps={steps}, p={p}")
+    observed_cols = [0] if mode == "root" else [0, 1, 2, 3]
+    stepped = [np.eye(size, dtype=np.int64)]  # row j of stepped[t]: M^t e_j
+    while len(stepped) < steps:
+        stepped.append(_apply_local(stepped[-1], truncation, params))
+    atom_count = p ** len(_reduce(np.hstack([x[:, observed_cols] for x in stepped]), p)[1])
     return PartitionProbe(
         steps=steps,
         truncation_level=truncation.n,
         p=p,
-        a=params.a,
-        b=params.b,
-        c=params.c,
-        d=params.d,
+        a=params.a, b=params.b, c=params.c, d=params.d,
         mode=mode,
         atom_count=atom_count,
         claimed_atom_count=p ** ball_size(steps),
@@ -301,11 +287,17 @@ def table1_fixture_csv() -> str:
 
 def table1_check(fixture_text: str) -> list[ReversibilityRecord]:
     """Recompute every fixture row and diff verdicts; raises FixtureMismatch
-    with per-row diffs if anything disagrees."""
+    with per-row diffs if anything disagrees, FormatError if a column or a
+    field is missing."""
     reader = csv.DictReader(io.StringIO(fixture_text))
+    columns = ("a", "b", "c", "d", "n", "p", "reversibility")
+    if missing := [k for k in columns if k not in (reader.fieldnames or ())]:
+        raise FormatError(f"fixture has no column {', '.join(missing)}")
     diffs = []
     records = []
     for row in reader:
+        if any(row[k] is None for k in columns):
+            raise FormatError(f"fixture line {reader.line_num} has fewer fields than the header")
         a, b, c, d = int(row["a"]), int(row["b"]), int(row["c"]), int(row["d"])
         n, p = int(row["n"]), int(row["p"])
         rec = classify(a, b, c, d, n, p)

@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(en)
     en.set_defaults(func=cmd_entropy)
 
-    pr = sp.add_parser("probe", help="partition refinement atom count (exhaustive)")
+    pr = sp.add_parser("probe", help="partition refinement atom count (observability rank)")
     _add_param_flags(pr, steps=True)
     _add_common(pr)
     pr.add_argument("--mode", choices=["root", "ball"], default="root")

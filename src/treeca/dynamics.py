@@ -1,10 +1,10 @@
 """Evolution of configurations, preimages, Garden of Eden, brute-force oracle.
 
-step_local applies the local rule straight from the tree's neighbour
-table and never touches a rule matrix; step_matrix is the matrix-action
-route. Their agreement is exactly what the rule-matrix construction
-claims, so the two paths are kept strictly separate. They share only the
-tree's neighbour table, which the tests check against the address route.
+step_local applies the local rule by level slices of the configuration
+(vertex v >= 1 has children 2v+2, 2v+3) and never touches a rule matrix;
+step_matrix is the matrix-action route, whose rows are built from the
+tree's neighbour table. Their agreement is exactly what the rule-matrix
+construction claims, so the two paths are kept strictly separate.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
 from .rulematrix import Params, RuleMatrix, SolutionSet, linalg_report, solve
 from .tree import TreeShape
-from .tree import neighbor_tables as _neighbor_tables
+from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
 # Exhaustive operations refuse to run past this many configurations.
 DEFAULT_ENUMERATION_CAP = 2**20
@@ -58,20 +58,19 @@ class EvolutionTrace:
 
 
 def _apply_local(values: np.ndarray, shape: TreeShape, params: Params) -> np.ndarray:
-    """One local-rule step on an array of configurations (last axis = vertex)."""
-    par, c1, c2 = _neighbor_tables(shape.n)
-    p = params.p
-    ext = np.concatenate([values, np.zeros(values.shape[:-1] + (1,), dtype=np.int64)], axis=-1)
-    # products of residues are below 2^62: reducing after the first two
-    # keeps every partial sum below 2^63
-    out = (
-        (params.d * values + params.c * ext[..., par]) % p
-        + params.a * ext[..., c1]
-        + params.b * ext[..., c2]
-    ) % p
-    # root rule: third child carries coefficient c (the parent slot is empty)
-    out[..., 0] = (out[..., 0] + params.c * values[..., 3]) % p
-    return out
+    """One local-rule step on an array of configurations (last axis = vertex),
+    by level slices: vertex v >= 1 has children 2v+2, 2v+3. A vertex sums at
+    most four products below 2^62, so one final uint64 reduction is exact."""
+    a, b, c, d = (np.uint64(k) for k in (params.a, params.b, params.c, params.d))
+    v = np.asarray(values).astype(np.uint64)
+    inner = shape.level_offsets[shape.n]  # vertices 1 .. inner-1 have children
+    out = d * v
+    out[..., 0] += a * v[..., 1] + b * v[..., 2] + c * v[..., 3]  # root: three children
+    out[..., 1:4] += c * v[..., :1]
+    out[..., 4:] += c * np.repeat(v[..., 1:inner], 2, axis=-1)
+    out[..., 1:inner] += a * v[..., 4::2] + b * v[..., 5::2]
+    out %= np.uint64(params.p)
+    return out.view(np.int64)
 
 
 def step_local(cfg: Configuration, params: Params) -> Configuration:
@@ -162,10 +161,14 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
     )
 
 
+def _check_enumeration(size: int, p: int, cap: int) -> None:
+    if p**size > cap:
+        raise EnumerationTooLarge(f"{p}^{size} = {p**size} configurations exceed cap {cap}")
+
+
 def _all_configurations(size: int, p: int, cap: int) -> np.ndarray:
+    _check_enumeration(size, p, cap)
     total = p**size
-    if total > cap:
-        raise EnumerationTooLarge(f"{p}^{size} = {total} configurations exceed cap {cap}")
     # row i holds the base-p digits of i, most significant first: the
     # itertools.product order
     powers = p ** np.arange(size - 1, -1, -1, dtype=np.int64)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeca.analysis import (
     SweepSpec,
@@ -22,8 +24,9 @@ from treeca.analysis import (
     table1_expected,
     table1_fixture_csv,
 )
+from treeca import analysis, dynamics
 from treeca.dynamics import _all_configurations, _apply_local
-from treeca.errors import EnumerationTooLarge, FixtureMismatch, NonPrimeModulus
+from treeca.errors import EnumerationTooLarge, FixtureMismatch, FormatError, NonPrimeModulus
 from treeca.field import PrimeField
 from treeca.rulematrix import Params, build_rule_matrix, det_mod_p
 from treeca.tree import TreeShape
@@ -71,6 +74,16 @@ def test_table1_check_passes_and_detects_tamper():
     with pytest.raises(FixtureMismatch) as exc:
         table1_check(tampered)
     assert len(exc.value.diffs) == 1
+
+
+def test_table1_check_rejects_missing_column_and_field():
+    fixture = table1_fixture_csv()
+    with pytest.raises(FormatError):
+        table1_check(fixture.replace("a,b,c,d,", "b,c,d,", 1))
+    short = fixture.splitlines()
+    short[3] = short[3].rsplit(",", 2)[0]
+    with pytest.raises(FormatError):
+        table1_check("\n".join(short) + "\n")
 
 
 def test_det_formula_n2_examples():
@@ -229,3 +242,49 @@ def test_probe_atom_count_equals_unique_rows(p, n, steps, mode):
         cur = _apply_local(cur, shape, pr)
     want = len(np.unique(np.hstack(observations), axis=0))
     assert partition_atom_count(pr, steps, shape, mode=mode).atom_count == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 2), p=st.sampled_from([2, 3, 5, 7]), steps=st.integers(1, 5),
+       mode=st.sampled_from(["root", "ball"]), kind=st.sampled_from(["random", "singular", "zero"]),
+       data=st.data())
+def test_probe_rank_matches_exhaustive_refinement(n, p, steps, mode, kind, data):
+    low = 0 if kind == "zero" else 1
+    a, b, c, d = (data.draw(st.integers(low, p - 1)) for _ in range(4))
+    if kind == "singular" and (a + b) % p:
+        c = d * d * pow(a + b, -1, p) % p
+    pr = Params(a=a, b=b, c=c, d=d, field=PrimeField(p), allow_zero=kind == "zero")
+    shape = TreeShape(n)
+    if p**shape.total_vertices > 2**20:
+        with pytest.raises(EnumerationTooLarge):
+            partition_atom_count(pr, steps, shape, mode=mode)
+        return
+    # refine by the rule matrix over every configuration, not by the local rule
+    m = build_rule_matrix(shape, pr).dense()
+    cur = _all_configurations(shape.total_vertices, p, 2**20)
+    observations = []
+    for _ in range(steps):
+        observations.append(cur[:, [0] if mode == "root" else [0, 1, 2, 3]])
+        cur = cur @ m.T % p
+    want = len(np.unique(np.hstack(observations), axis=0))
+    assert partition_atom_count(pr, steps, shape, mode=mode).atom_count == want
+
+
+def test_probe_enumerates_no_configurations(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("configurations enumerated")
+
+    monkeypatch.setattr(dynamics, "_all_configurations", no_enumeration)
+    monkeypatch.setattr(analysis, "_all_configurations", no_enumeration, raising=False)
+    probe = partition_atom_count(params_for(3, 1, 2, 1, 1), 3, TreeShape(2), mode="ball")
+    # the ball sees each pair of leaves only through a*x_left + b*x_right
+    assert probe.atom_count == 3**7
+    with pytest.raises(EnumerationTooLarge, match=r"5\^10 = 9765625 configurations exceed cap"):
+        partition_atom_count(params_for(5, 1, 1, 1, 1), 2, TreeShape(2))
+
+
+def test_probe_rejects_steps_past_print_limit():
+    pr = params_for(2, 1, 1, 1, 1)
+    assert partition_atom_count(pr, 12, TreeShape(1)).claimed_atom_count == 2**12286
+    with pytest.raises(ValueError, match="4300 digits"):
+        partition_atom_count(pr, 13, TreeShape(1))

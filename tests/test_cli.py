@@ -135,6 +135,28 @@ def test_table1_tampered_fixture(tmp_path, capsys):
     assert "fixture-mismatch" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("a,b,c,d,", "b,c,d,", 1),  # no `a` column
+    lambda text: text.replace(",2,17,reversible\n", ",2\n", 1),  # a short row
+])
+def test_table1_malformed_fixture(tmp_path, capsys, edit):
+    text = fixture_path().read_text()
+    assert edit(text) != text
+    f = tmp_path / "malformed.csv"
+    f.write_text(edit(text))
+    code, _, err = run(capsys, "table1", "--fixture", str(f))
+    assert code == 3
+    assert "format-error" in err
+
+
+def test_probe_large_steps_is_invalid_input(capsys):
+    code, out, err = run(capsys, "probe", "-n", "1", "-p", "2",
+                         "-a", "1", "-b", "1", "-c", "1", "-d", "1", "--steps", "40")
+    assert code == 3
+    assert out == ""
+    assert "invalid-input" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "classify", "-a", "1", "-b", "1", "-c", "1", "-d", "1",
                        "-n", "2", "-p", "4")

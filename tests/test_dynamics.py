@@ -142,6 +142,24 @@ def test_steps_exact_at_largest_supported_prime():
     assert [int(v) for v in step_matrix(cfg, build_rule_matrix(shape, pr)).values] == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), p=st.sampled_from([2, 17, 2**31 - 1]), rows=st.integers(0, 3),
+       data=st.data())
+def test_apply_local_matches_exact_rule(n, p, rows, data):
+    # rows == 0: one 1-D configuration; otherwise a 2-D stack of them
+    shape = TreeShape(n)
+    size = shape.total_vertices
+    top = st.one_of(st.just(p - 1), st.integers(1, p - 1))  # p - 1 maximises every product
+    coeffs = [data.draw(top) for _ in range(4)]
+    flat = data.draw(st.lists(st.one_of(top, st.just(0)), min_size=size * max(rows, 1),
+                              max_size=size * max(rows, 1)))
+    x = np.array(flat, dtype=np.int64).reshape(-1, size)
+    want = [exact_step(shape, coeffs, row, p) for row in x.tolist()]
+    got = _apply_local(x if rows else x[0], shape, params_for(p, *coeffs))
+    assert got.dtype == np.int64
+    assert got.tolist() == (want if rows else want[0])
+
+
 def test_step_mismatched_modulus():
     shape = TreeShape(2)
     cfg = Configuration.zero(shape, 3)
