@@ -1,10 +1,11 @@
 """Reversibility sweeps, closed-form determinants, entropy growth, probes.
 
 The reversibility verdict for one parameter tuple comes from the exact
-leaf-to-root level recursion of rulematrix.linalg_report_for, O(n) field
-operations with no rule matrix assembled (dense elimination only when a
-zero among a, b, c is allowed); the closed-form degree-10 and degree-22
-determinant polynomials are evaluated mod p as an independent check.
+leaf-to-root level recursion of rulematrix.linalg_report_for: O(n) field
+operations, no modular inverse, no rule matrix (dense elimination only when
+a zero among a, b, c is allowed); a sweep runs it directly, on one thread.
+The closed-form degree-10 and degree-22 determinant polynomials are
+evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
 so H_n / n is unbounded. The partition probe counts the atoms actually
 distinguishable by repeated observation of the root cell (or the radius-1
@@ -18,21 +19,22 @@ import io
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/spans.py patches this name
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration
-from .errors import FixtureMismatch, FormatError, NonPrimeModulus
+from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import Params, _reduce, linalg_report_for
+from .rulematrix import Params, _level_recursion, _reduce, linalg_report_for
 from .tree import TreeShape
 
 
-@dataclass(frozen=True)
-class ReversibilityRecord:
+class ReversibilityRecord(NamedTuple):
     a: int
     b: int
     c: int
@@ -51,15 +53,23 @@ class ReversibilityRecord:
         return (self.p, self.n, self.a, self.b, self.c, self.d)
 
 
+def _printable_shape(n: int) -> TreeShape:
+    """TreeShape(n), or InvalidLevel if |V_n| = 3*2^n - 2, the largest rank, has
+    more digits than Python prints (sys.get_int_max_str_digits, 0: no limit).
+    2^(n+2) <= 2^(3.32 limit) < 10^limit < 2^(4 limit) < 2^n decide most n."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and n + 2 > 3.32 * limit and (n > 4 * limit or 3 * 2**n - 2 >= 10**limit):
+        raise InvalidLevel(f"level {n}: |V_n| = 3*2^n - 2 has more than {limit} digits")
+    return TreeShape(n)
+
+
 def classify(a: int, b: int, c: int, d: int, n: int, p: int,
              allow_zero: bool = False) -> ReversibilityRecord:
     """Judge reversibility of one parameter tuple from det and rank of its
     rule matrix."""
     params = Params(a=a, b=b, c=c, d=d, field=PrimeField(p), allow_zero=allow_zero)
-    rep = linalg_report_for(TreeShape(n), params)
-    return ReversibilityRecord(
-        a=a, b=b, c=c, d=d, n=n, p=p, det=rep.det, rank=rep.rank, reversible=rep.invertible
-    )
+    rep = linalg_report_for(_printable_shape(n), params)
+    return ReversibilityRecord(a, b, c, d, n, p, rep.det, rep.rank, rep.invertible)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +100,8 @@ def _sweep_tuples(spec: SweepSpec) -> list[tuple[int, int, int, int, int, int]]:
         rng = np.random.default_rng(spec.seed)
         for p in spec.p_values:
             for n in spec.n_values:
-                draws = rng.integers(1, p, size=(spec.random_count, 4))
-                tuples += [(int(a), int(b), int(c), int(d), n, p) for a, b, c, d in draws]
+                draws = rng.integers(1, p, size=(spec.random_count, 4)).tolist()
+                tuples += [(a, b, c, d, n, p) for a, b, c, d in draws]
     else:
         grid = (spec.p_values, spec.n_values, spec.a_values, spec.b_values, spec.c_values,
                 spec.d_values)
@@ -100,31 +110,33 @@ def _sweep_tuples(spec: SweepSpec) -> list[tuple[int, int, int, int, int, int]]:
 
 
 def sweep(spec: SweepSpec, threads: int = 1) -> list[ReversibilityRecord]:
-    """Classify every tuple of the spec; output order is canonical
-    (lexicographic over (p, n, a, b, c, d)) regardless of thread count."""
-    tuples = _sweep_tuples(spec)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda t: classify(*t[:4], n=t[4], p=t[5]), tuples))
-    else:
-        records = [classify(a, b, c, d, n, p) for a, b, c, d, n, p in tuples]
-    return sorted(records, key=ReversibilityRecord.sort_key)
-
-
-_RECORD_FIELDS = ("a", "b", "c", "d", "n", "p", "det", "rank", "reversible")
+    """classify every tuple of the spec, with one TreeShape per n and one
+    PrimeField per p; the first bad tuple in generation order raises
+    classify's error. Output order is canonical (lexicographic over
+    (p, n, a, b, c, d)). threads is ignored: a pool was slower than one."""
+    fields, shapes, records = {}, {}, []
+    for a, b, c, d, n, p in _sweep_tuples(spec):
+        if p not in fields:
+            fields[p] = PrimeField(p)
+        if not (0 < a < p and 0 < b < p and 0 < c < p and 0 < d < p):
+            Params(a=a, b=b, c=c, d=d, field=fields[p])  # raises the coefficient's error
+        if n not in shapes:
+            shapes[n] = _printable_shape(n)
+        det, rank = _level_recursion(shapes[n], a, b, c, d, p)
+        records.append(ReversibilityRecord(a, b, c, d, n, p, det, rank, det != 0))
+    return sorted(records, key=itemgetter(5, 4, 0, 1, 2, 3))  # ReversibilityRecord.sort_key
 
 
 def records_to_csv(records: Iterable[ReversibilityRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_RECORD_FIELDS)
-    for r in records:
-        w.writerow([r.a, r.b, r.c, r.d, r.n, r.p, r.det, r.rank, str(r.reversible).lower()])
-    return buf.getvalue()
+    """One CSV line per record; ints and true/false need no quoting."""
+    lines = [",".join(ReversibilityRecord._fields)]
+    lines += [f"{a},{b},{c},{d},{n},{p},{det},{rank},{str(rev).lower()}"
+              for a, b, c, d, n, p, det, rank, rev in records]
+    return "\n".join(lines) + "\n"
 
 
 def records_to_json(records: Iterable[ReversibilityRecord]) -> str:
-    return json.dumps([{k: getattr(r, k) for k in _RECORD_FIELDS} for r in records], indent=2)
+    return json.dumps([r._asdict() for r in records], indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +310,7 @@ def table1_check(fixture_text: str) -> list[ReversibilityRecord]:
     for row in reader:
         if any(row[k] is None for k in columns):
             raise FormatError(f"fixture line {reader.line_num} has fewer fields than the header")
-        a, b, c, d = int(row["a"]), int(row["b"]), int(row["c"]), int(row["d"])
-        n, p = int(row["n"]), int(row["p"])
+        a, b, c, d, n, p = (int(row[k]) for k in columns[:6])
         rec = classify(a, b, c, d, n, p)
         records.append(rec)
         if rec.verdict != row["reversibility"]:

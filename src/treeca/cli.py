@@ -177,12 +177,10 @@ def cmd_sweep(args) -> int:
         )
     records = analysis.sweep(spec, threads=args.threads)
     if args.format == "json":
-        body = json.loads(analysis.records_to_json(records))
-        text = json.dumps({"seed": args.seed if args.random else None, "records": body},
-                          indent=2) + "\n"
+        text = json.dumps({"seed": args.seed if args.random else None,
+                           "records": [r._asdict() for r in records]}, indent=2) + "\n"
     else:
-        text = f"# seed={args.seed}\n" + analysis.records_to_csv(records) if args.random \
-            else analysis.records_to_csv(records)
+        text = (f"# seed={args.seed}\n" if args.random else "") + analysis.records_to_csv(records)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -51,20 +51,11 @@ class PrimeField:
         if self.p < 2 or not is_prime(self.p):
             raise NonPrimeModulus(f"modulus {self.p} is not prime")
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.p
 
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
     def mul(self, x: int, y: int) -> int:
         return (x * y) % self.p
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse of x, x != 0."""
@@ -72,10 +63,6 @@ class PrimeField:
         if x == 0:
             raise DivisionByZero(f"0 has no inverse mod {self.p}")
         return pow(x, -1, self.p)
-
-    def units(self) -> range:
-        """The nonzero residues Z_p^*, in increasing order."""
-        return range(1, self.p)
 
 
 def make_field(p: int) -> PrimeField:

@@ -60,9 +60,9 @@ class Params:
 class RuleMatrix:
     """Square mod-p matrix of order 1+3(2^n-1), stored row-sparse.
 
-    rows[r] lists (column, label) pairs with label in {a,b,c,d};
-    iterating a row costs its nonzero count. The dense matrix is built
-    on the first dense() call.
+    rows[r] lists (column, label) pairs with label in {a,b,c,d}, by
+    ascending column; iterating a row costs its nonzero count. The dense
+    matrix is built on the first dense() call.
     """
 
     shape: TreeShape
@@ -94,17 +94,6 @@ class RuleMatrix:
             object.__setattr__(self, "_dense", dense)
         return self._dense
 
-    def label_at(self, r: int, c: int) -> str:
-        """Coefficient label of entry (r, c): one of '0', 'a', 'b', 'c', 'd'."""
-        for col, label in self.rows[r]:
-            if col == c:
-                return label
-        return "0"
-
-    def label_grid(self) -> list[list[str]]:
-        n = self.order
-        return [[self.label_at(r, c) for c in range(n)] for r in range(n)]
-
 
 def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
     """Assemble the rule matrix from the tree's neighbour table."""
@@ -122,13 +111,15 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Z_p. Whenever a*b*c != 0 mod p, no matrix is
 # built: det, rank and the reversibility verdict come from the leaf-to-root
-# level recursion (_level_recursion, O(n) field operations), and solve
-# from the same elimination schedule (_level_schedule) carried out on a
+# level recursion (_level_recursion, O(n) field operations and no modular
+# inverse: the schedule carries each level's pivot as a fraction num/den,
+# and det telescopes to a product of powers of the nums), and solve from
+# the same elimination schedule (_level_schedule) carried out on a
 # right-hand side (_tree_sweep, leaf to root over each level's vertices,
-# then _tree_back, root to leaf). Inverse, kernel, and solve/det/rank
-# for a zero among a, b, c, come from the dense forward reduction _reduce
-# (pivot: first nonzero residue, lowest row); rref_mod adds a single
-# back-substitution pass.
+# then _tree_back, root to leaf; one inverse per level, den * num^-1).
+# Inverse, kernel, and solve/det/rank for a zero among a, b, c, come from
+# the dense forward reduction _reduce (pivot: first nonzero residue,
+# lowest row); rref_mod adds a single back-substitution pass.
 
 
 def _as_matrix(m) -> tuple[np.ndarray, int]:
@@ -180,49 +171,50 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def _level_schedule(n: int, a: int, b: int, c: int, d: int, p: int) -> list[tuple[str, int]]:
+def _level_schedule(n: int, a: int, b: int, c: int, d: int, p: int) -> list[tuple[str, int, int]]:
     """The leaf-to-root elimination of the level-n rule matrix, for
-    a*b*c != 0 mod p: one (kind, e) per level, index 0 = root.
+    a*b*c != 0 mod p: one (kind, num, den) per level, index 0 = root.
 
     Every vertex of a level heads an identical subtree, so one state per
     level suffices. The level's pivot is the Schur complement
     e = d - s*c/q, with q the pivot of the level below and s = a+b (s+c at
-    the root, which has three children); e = d when there is no level
-    below. kind is
-      "pivot"  e != 0;
-      "zero"   e == 0: each parent pivots on one child's c entry and on its
-               own a/b entry (two ranks) and drops out of its parent's row,
-               leaving the other children as empty rows and columns;
-      "known"  the parents of a zero level, consumed by it (e = 0 unused).
+    the root, which has three children), kept as num/den with no inverse:
+    num = d*q_num - s*c*q_den, den = q_num, from q = 1/0 below the leaves. kind is
+      "pivot"  num != 0;
+      "zero"   num == 0: each parent pivots on one child's c entry and on
+               its own a/b entry (two ranks) and drops out of its parent's
+               row, leaving the other children as empty rows and columns;
+      "known"  the parents of a zero level, consumed by it (num, den unused).
     The level above a known level starts afresh, as the leaves do.
     """
-    s = (a + b) % p
-    sched: list[tuple[str, int]] = [("known", 0)] * (n + 1)
-    q = None
+    sc = (a + b) * c % p
+    sched: list[tuple[str, int, int]] = [("known", 0, 1)] * (n + 1)
+    num, den = 1, 0
     for l in range(n, -1, -1):
-        if q == 0:
-            q = None
+        if not num:  # a zero level below: this level is known, the next starts afresh
+            num, den = 1, 0
             continue
-        e = d if q is None else (d - (s + c if l == 0 else s) * c * pow(q, -1, p)) % p
-        sched[l] = ("pivot", e) if e else ("zero", 0)
-        q = e
+        num, den = (d * num - (sc + c * c if l == 0 else sc) * den) % p, num
+        sched[l] = ("pivot" if num else "zero", num, den)
     return sched
 
 
 def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
     """(det, rank) of the rule matrix of shape over Z_p, for a*b*c != 0 mod p,
-    from _level_schedule. A pivot level of size S adds S to the rank and
-    e^S to det, a known level 2S (its vertices and one child each), a zero
-    level nothing. Only diagonal pivots multiply det, so there is no sign.
+    from _level_schedule. A pivot level of size S adds S to the rank, a known
+    level 2S (its vertices and one child each), a zero level nothing. At
+    full rank every level is a pivot level whose den is the num below, so
+    det = prod e_l^S_l telescopes to prod num_l^(S_l - S_(l-1)), S_(-1) = 0.
+    Only diagonal pivots multiply det, so there is no sign.
     """
-    det, rank = 1, 0
-    for l, (kind, e) in enumerate(_level_schedule(shape.n, a, b, c, d, p)):
-        size = shape.level_sizes[l]
-        if kind == "known":
-            rank += 2 * size
-        elif kind == "pivot":
+    det, rank, above = 1, 0, 0
+    for size, (kind, num, _) in zip(shape.level_sizes, _level_schedule(shape.n, a, b, c, d, p)):
+        if kind == "pivot":
             rank += size
-            det = det * pow(e, size % (p - 1) if l else 1, p) % p  # e^size, by Fermat
+            det = det * pow(num, (size - above) % (p - 1), p) % p  # by Fermat
+        elif kind == "known":
+            rank += 2 * size
+        above = size
     return (det if rank == shape.total_vertices else 0), rank
 
 
@@ -242,7 +234,7 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
     ci = pow(c, -1, p)
     w = np.zeros(shape.total_vertices + 1, dtype=np.int64)
     for l in range(shape.n, -1, -1):
-        kind, e = sched[l]
+        kind, num, den = sched[l]
         here = slice(bounds[l], bounds[l + 1])
         kids = [w[c1[here]], w[c2[here]]] + ([w[3:4]] if l == 0 else [])
         if kind == "known":
@@ -251,7 +243,7 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
             w[here] = kids[0] * ci % p
         else:
             rhs = (y[here] - sum(wi * k % p for wi, k in zip((a, b, c), kids))) % p
-            w[here] = rhs * pow(e, -1, p) % p if kind == "pivot" else rhs
+            w[here] = rhs * (den * pow(num, -1, p) % p) % p if kind == "pivot" else rhs
     if sched[0][0] == "zero" and w[0]:
         return None
     return w
@@ -264,7 +256,7 @@ def _free_vertices(shape: TreeShape, sched) -> list[int]:
     parent over a deeper zero level (the parent's row fixes the second)."""
     c1, c2 = neighbor_tables(shape.n)[1:]
     free: list[int] = []
-    for l, (kind, _) in enumerate(sched):
+    for l, (kind, *_) in enumerate(sched):
         if kind != "zero":
             continue
         if l == 0:
@@ -284,12 +276,12 @@ def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, i
     a, b, c, d, p = coeffs
     par, c1, c2 = neighbor_tables(shape.n)
     bounds = shape.level_offsets + (shape.total_vertices,)
-    for l, (kind, e) in enumerate(sched):
+    for l, (kind, num, den) in enumerate(sched):
         here = slice(bounds[l], bounds[l + 1])
         if kind == "known" or (kind == "pivot" and l == 0):
             x[:, here] = w[here]
         elif kind == "pivot":
-            x[:, here] = (w[here] - c * pow(e, -1, p) % p * x[:, par[here]] % p) % p
+            x[:, here] = (w[here] - c * den * pow(num, -1, p) % p * x[:, par[here]] % p) % p
         elif l == 1:  # root row: d x_0 + a x_1 + b x_2 + c x_3 = y_0
             x[:, 3] = ((y[0] - d * x[:, 0] % p - a * x[:, c1[0]] % p - b * x[:, c2[0]] % p) % p
                        * pow(c, -1, p) % p)
@@ -474,15 +466,23 @@ _MAX_PARSE_LEVEL = 10
 def format_matrix(m: RuleMatrix, sparse: bool = False) -> str:
     """Serialize in the v1 text format (dense by default, COO if sparse),
     straight from the rows: a zero coefficient prints as 0 in a dense row
-    and is left out of the COO triples."""
+    and is left out of the COO triples. Dense rows are cut from one run of
+    zero cells, with the row's coefficients spliced in."""
     coeff = {label: m.params.coeff(label) for label in "abcd"}
     if not sparse:
         lines = [f"{_MAGIC_DENSE} 1 {m.shape.n} {m.p}"]
+        zeros = " ".join("0" * m.order)  # k zero cells: zeros[:2k - 1]
+        text = {label: str(v) for label, v in coeff.items()}
         for row in m.rows:
-            cells = ["0"] * m.order
+            chunks, at = [], 0
             for col, label in row:
-                cells[col] = str(coeff[label])
-            lines.append(" ".join(cells))
+                if col > at:
+                    chunks.append(zeros[:2 * (col - at) - 1])
+                chunks.append(text[label])
+                at = col + 1
+            if at < m.order:
+                chunks.append(zeros[:2 * (m.order - at) - 1])
+            lines.append(" ".join(chunks))
     else:
         triples = [f"{r} {col} {coeff[label]}"
                    for r, row in enumerate(m.rows) for col, label in row if coeff[label]]

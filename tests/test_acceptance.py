@@ -34,7 +34,7 @@ from treeca.field import PrimeField
 from treeca.rulematrix import Params, build_rule_matrix, det_mod_p, invert
 from treeca.tree import TreeShape
 
-from test_rulematrix import GRID_N2, GRID_N3, parse_grid
+from test_rulematrix import GRID_N2, GRID_N3, label_grid, parse_grid
 
 
 def criterion(label):
@@ -66,9 +66,9 @@ def test_criterion_1_table1():
 @criterion("2 explicit matrix reproduction")
 def test_criterion_2_explicit_matrices():
     m2 = build_rule_matrix(TreeShape(2), params_for(7, 2, 3, 4, 5))
-    assert m2.label_grid() == parse_grid(GRID_N2)
+    assert label_grid(m2) == parse_grid(GRID_N2)
     m3 = build_rule_matrix(TreeShape(3), params_for(7, 2, 3, 4, 5))
-    assert m3.label_grid() == parse_grid(GRID_N3)
+    assert label_grid(m3) == parse_grid(GRID_N3)
 
 
 @criterion("3 determinant-formula equivalence")

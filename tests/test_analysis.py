@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,9 +27,15 @@ from treeca.analysis import (
 )
 from treeca import analysis, dynamics
 from treeca.dynamics import _all_configurations, _apply_local
-from treeca.errors import EnumerationTooLarge, FixtureMismatch, FormatError, NonPrimeModulus
+from treeca.errors import (
+    EnumerationTooLarge,
+    FixtureMismatch,
+    FormatError,
+    InvalidLevel,
+    NonPrimeModulus,
+)
 from treeca.field import PrimeField
-from treeca.rulematrix import Params, build_rule_matrix, det_mod_p
+from treeca.rulematrix import Params, _reduce, build_rule_matrix, det_mod_p
 from treeca.tree import TreeShape
 
 
@@ -149,6 +156,71 @@ def test_sweep_canonical_order_and_thread_independence():
 def test_sweep_random_deterministic():
     spec = SweepSpec(n_values=(2,), p_values=(7,), random_count=5, seed=11)
     assert sweep(spec) == sweep(spec)
+
+
+@st.composite
+def sweep_specs(draw):
+    """A small cartesian spec over one prime, n = 1..4, with a random c and,
+    when a+b != 0 mod p, the singular c = d^2/(a+b), which zeroes q_(n-1)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 17, 101, 65521, 2**31 - 1]))
+    a, b, c, d = (draw(st.integers(1, p - 1)) for _ in range(4))
+    cs = (c, d * d * pow(a + b, -1, p) % p) if (a + b) % p else (c,)
+    ns = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)))
+    return SweepSpec(a_values=(a,), b_values=(b,), c_values=cs, d_values=(d,),
+                     n_values=ns, p_values=(p,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_specs())
+def test_sweep_matches_closed_forms_and_dense_rank(spec):
+    """Each sweep record against oracles that share no code with the level
+    recursion: det against the n = 2, 3 closed forms (dense elimination at
+    n = 1, 4), rank against the pivot count of dense elimination."""
+    records = sweep(spec)
+    assert len(records) == len(spec.c_values) * len(spec.n_values)
+    for r in records:
+        _, pivots, det = _reduce(
+            build_rule_matrix(TreeShape(r.n), params_for(r.p, r.a, r.b, r.c, r.d)).dense(), r.p)
+        formula = {2: det_formula_n2, 3: det_formula_n3}.get(r.n)
+        assert r.det == (formula(r.a, r.b, r.c, r.d, r.p) if formula else det)
+        assert r.rank == len(pivots)
+        assert r.reversible == (r.det != 0) == (r.rank == ball_size(r.n))
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int-to-str digit limit, lowered to its minimum for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this Python")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(saved)
+
+
+def test_classify_and_sweep_reject_levels_whose_rank_would_not_print(digit_limit):
+    deepest = ((10**digit_limit + 1) // 3).bit_length() - 1  # 3*2^n - 2 < 10^limit
+    assert ball_size(deepest) < 10**digit_limit <= ball_size(deepest + 1)
+    # a + b = 0 mod p and c^2 != d^2: reversible at every level
+    rec = classify(1, 16, 2, 3, deepest, 17)
+    assert rec.reversible and str(rec.rank) == str(ball_size(deepest))
+    with pytest.raises(InvalidLevel):
+        classify(1, 16, 2, 3, deepest + 1, 17)
+    with pytest.raises(InvalidLevel):
+        sweep(SweepSpec(n_values=(2, deepest + 1), p_values=(17,), random_count=1))
+
+
+def test_deep_level_is_rejected_before_any_tree_is_built(monkeypatch, digit_limit):
+    def no_shape(n):
+        raise AssertionError(f"TreeShape({n}) built")
+
+    monkeypatch.setattr(analysis, "TreeShape", no_shape)
+    for n in (20000, 10**12):
+        with pytest.raises(InvalidLevel):
+            classify(1, 1, 1, 1, n, 5)
+        with pytest.raises(InvalidLevel):
+            sweep(SweepSpec(a_values=(1,), b_values=(1,), c_values=(1,), d_values=(1,),
+                            n_values=(n,), p_values=(5,)))
 
 
 def test_records_serialization():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -177,3 +178,46 @@ def test_cli_matches_library_output(capsys):
     code, out, _ = run(capsys, "classify", "-a", "2", "-b", "1", "-c", "3", "-d", "2",
                        "-n", "2", "-p", "17", "--format", "csv")
     assert out == records_to_csv([classify(2, 1, 3, 2, 2, 17)])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("spec", [
+    ["--random", "20", "--n-values", "1,3,2", "--p-values", "17,2,2147483647", "--seed", "5"],
+    ["--a-values", "3,1,2", "--b-values", "2,1", "--c-values", "1,4", "--d-values", "2,3",
+     "--n-values", "3,2", "--p-values", "7,5"],
+])
+def test_sweep_output_ignores_threads(capsys, monkeypatch, spec, fmt):
+    argv = ["sweep", *spec, "--format", fmt]
+    code, want, _ = run(capsys, *argv, "--threads", "1")
+    assert code == 0 and want.count("\n") > 20
+    assert run(capsys, *argv, "--threads", "4") == (0, want, "")
+    monkeypatch.setenv("TREECA_THREADS", "4")
+    assert run(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("primes,error", [
+    ("4,5", "error non-prime-modulus: modulus 4 is not prime"),
+    ("5,4", "error invalid-input: coefficient a must be nonzero"),
+])
+def test_sweep_first_bad_tuple_sets_the_error(capsys, primes, error):
+    code, out, err = run(capsys, "sweep", "--p-values", primes, "--a-values", "0",
+                         "--b-values", "1", "--c-values", "1", "--d-values", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith(error)
+
+
+def test_empty_sweep_checks_no_modulus(capsys):
+    code, out, err = run(capsys, "sweep", "--p-values", "4", "--b-values", "1")
+    assert (code, out, err) == (0, "a,b,c,d,n,p,det,rank,reversible\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+def test_classify_deep_level_is_invalid_level_but_det_answers(capsys):
+    flags = ["-a", "2", "-b", "1", "-c", "3", "-d", "2", "-n", "20000", "-p", "17"]
+    code, out, err = run(capsys, "classify", *flags)
+    assert (code, out) == (3, "")
+    assert err.startswith("error invalid-level: level 20000")
+    code, out, err = run(capsys, "det", *flags)
+    assert code == 0 and err == ""
+    assert 0 <= int(out) < 17 and out == f"{int(out)}\n"
