@@ -3,13 +3,17 @@
 Every subcommand is a thin adapter over the library: it parses flags,
 calls one library routine, serializes the result, and exits. Exit codes
 are stable: 0 success, 2 usage error, 3 domain error, 4 fixture mismatch.
+
+main reuses one parser per process: build_parser is cached, so each
+subcommand's cmd_* function is bound when the parser is first built. To
+stub a subcommand, patch the library function it calls, not cmd_*.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -44,10 +48,8 @@ def _matrix(args) -> rulematrix.RuleMatrix:
 
 
 def _add_param_flags(sub, steps=False, seed=False):
-    sub.add_argument("-a", type=int, required=True)
-    sub.add_argument("-b", type=int, required=True)
-    sub.add_argument("-c", type=int, required=True)
-    sub.add_argument("-d", type=int, required=True)
+    for coeff in "abcd":
+        sub.add_argument(f"-{coeff}", type=int, required=True)
     sub.add_argument("-n", type=int, required=True, help="tree level count")
     sub.add_argument("-p", type=int, required=True, help="prime modulus")
     if steps:
@@ -93,10 +95,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    if args.input:
-        cfg = dynamics.parse_config(Path(args.input).read_text())
-    else:
-        cfg = dynamics.parse_config(sys.stdin.read())
+    cfg = dynamics.parse_config(Path(args.input).read_text() if args.input else sys.stdin.read())
     if cfg.shape.n != args.n or cfg.p != args.p:
         raise TreecaError(
             f"input configuration (n={cfg.shape.n}, p={cfg.p}) does not match "
@@ -159,22 +158,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    if args.random:
-        spec = analysis.SweepSpec(
-            n_values=_parse_int_list(args.n_values),
-            p_values=_parse_int_list(args.p_values),
-            random_count=args.random,
-            seed=args.seed,
-        )
-    else:
-        spec = analysis.SweepSpec(
-            a_values=_parse_int_list(args.a_values),
-            b_values=_parse_int_list(args.b_values),
-            c_values=_parse_int_list(args.c_values),
-            d_values=_parse_int_list(args.d_values),
-            n_values=_parse_int_list(args.n_values),
-            p_values=_parse_int_list(args.p_values),
-        )
+    # a random sweep draws (a, b, c, d), so only its n and p lists are read
+    lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"))
+             for k in ("np" if args.random else "abcdnp")}
+    spec = analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed)
     records = analysis.sweep(spec, threads=args.threads)
     if args.format == "json":
         text = json.dumps({"seed": args.seed if args.random else None,
@@ -196,6 +183,7 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="treeca",
                                  description="Linear CA on the order-2 Cayley tree over Z_p")
@@ -251,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--random", type=int, default=0,
                     help="sample this many tuples per (p, n) instead of a cartesian sweep")
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--threads", type=int,
-                    default=int(os.environ.get("TREECA_THREADS", "1")))
+    sw.add_argument("--threads", type=int, default=1)  # accepted and ignored
     _add_common(sw)
     sw.set_defaults(func=cmd_sweep)
 

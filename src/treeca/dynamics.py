@@ -48,9 +48,16 @@ class Configuration:
 
 @dataclass(frozen=True)
 class EvolutionTrace:
+    """values[k], row k of a read-only (t+1, |V_n|) int64 array, is the state
+    after k steps; steps and configurations wrap rows as Configurations."""
+
     initial: Configuration
-    steps: tuple[Configuration, ...]
+    values: np.ndarray
     params: Params
+
+    @property
+    def steps(self) -> tuple[Configuration, ...]:
+        return tuple(Configuration(self.initial.shape, self.initial.p, r) for r in self.values[1:])
 
     @property
     def configurations(self) -> list[Configuration]:
@@ -92,15 +99,17 @@ def step_matrix(cfg: Configuration, m: RuleMatrix) -> Configuration:
 
 
 def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
-    """Trace of t steps; configurations[k] is the state after k steps."""
+    """Trace of t local-rule steps, filled row by row into one array."""
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
-    steps = []
-    cur = cfg
-    for _ in range(t):
-        cur = step_local(cur, params)
-        steps.append(cur)
-    return EvolutionTrace(initial=cfg, steps=tuple(steps), params=params)
+    if params.p != cfg.p:
+        raise DimensionMismatch(f"params mod {params.p} vs configuration mod {cfg.p}")
+    values = np.empty((t + 1, cfg.shape.total_vertices), dtype=np.int64)
+    values[0] = cfg.values
+    for k in range(t):
+        values[k + 1] = _apply_local(values[k], cfg.shape, params)
+    values.setflags(write=False)
+    return EvolutionTrace(initial=cfg, values=values, params=params)
 
 
 def preimages(cfg: Configuration, m: RuleMatrix) -> SolutionSet:
@@ -228,4 +237,4 @@ def parse_config(text: str) -> Configuration:
 
 
 def trace_to_json(trace: EvolutionTrace) -> str:
-    return json.dumps([c.values.tolist() for c in trace.configurations])
+    return json.dumps(trace.values.tolist())

@@ -1,10 +1,13 @@
+import argparse
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
 
-from treeca.cli import fixture_path, main
+from treeca import cli
+from treeca.cli import build_parser, fixture_path, main
 from treeca.dynamics import Configuration, format_config
 from treeca.tree import TreeShape
 
@@ -221,3 +224,65 @@ def test_classify_deep_level_is_invalid_level_but_det_answers(capsys):
     code, out, err = run(capsys, "det", *flags)
     assert code == 0 and err == ""
     assert 0 <= int(out) < 17 and out == f"{int(out)}\n"
+
+
+def test_threads_environment_variable_is_not_read(capsys, monkeypatch):
+    monkeypatch.setenv("TREECA_THREADS", "abc")
+    build_parser.cache_clear()  # a parser built now must not read the variable
+    assert run(capsys, "det", "-n", "2", "-p", "5", "-a", "1", "-b", "1", "-c", "1",
+               "-d", "1") == (0, "1\n", "")
+    assert run(capsys, "sweep", "--p-values", "5", "--a-values", "1", "--b-values", "1",
+               "--c-values", "1", "--d-values", "1") == (
+                   0, "a,b,c,d,n,p,det,rank,reversible\n1,1,1,1,2,5,1,10,true\n", "")
+
+
+COEFFS = ["-a", "1", "-b", "1", "-c", "1", "-d", "1"]
+SEQUENCE = [  # (argv, stdin), run in this order in one process
+    (["classify", "-a", "1"], ""),  # usage error
+    (["classify", *COEFFS, "-n", "2", "-p", "4"], ""),  # domain error
+    (["classify", *COEFFS, "-n", "3", "-p", "7", "--format", "json"], ""),
+    (["sweep", "--p-values", "17,5", "--n-values", "2,3", "--random", "5", "--seed", "3"], ""),
+    (["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "3"], "treeca-config 1 1 3\n1 0 2 1\n"),
+    (["garden", *COEFFS, "-n", "2", "-p", "2", "--samples", "2", "--seed", "4"], ""),
+    (["table1"], ""),
+]
+
+
+def run_sequence(capsys, monkeypatch):
+    results = []
+    for argv, stdin in SEQUENCE:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_reused_parser_answers_as_a_fresh_parser(capsys, monkeypatch):
+    build_parser()
+    reused = run_sequence(capsys, monkeypatch)
+    assert [r[0] for r in reused] == [2, 3, 0, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)  # a fresh parser per call
+    assert run_sequence(capsys, monkeypatch) == reused
+
+
+def test_main_builds_at_most_one_parser_tree(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.__wrapped__()
+    tree = len(built)  # the top-level parser and one per subcommand
+    built.clear()
+    build_parser.cache_clear()
+    for k in range(20):
+        assert main(["det", *COEFFS, "-n", str(k % 3 + 1), "-p", "5"]) == 0
+    capsys.readouterr()
+    assert tree > 1 and len(built) == tree

@@ -398,3 +398,34 @@ def test_trace_json_text_unchanged():
     trace = evolve(config(shape, p, x), params_for(p, 3, 5, 7, 11), 4)
     assert trace_to_json(trace) == json.dumps(
         [[int(v) for v in c.values] for c in trace.configurations])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), p=st.sampled_from([2, 3, 17, 2**31 - 1]), t=st.integers(0, 20),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_evolve_rows_are_repeated_local_steps(n, p, t, seed, data):
+    a, b, c, d = (data.draw(st.integers(1, p - 1)) for _ in range(4))
+    pr = params_for(p, a, b, c, d)
+    shape = TreeShape(n)
+    cur = config(shape, p, np.random.default_rng(seed).integers(0, p, shape.total_vertices))
+    trace = evolve(cur, pr, t)
+    assert trace.values.shape == (t + 1, shape.total_vertices)
+    assert not trace.values.flags.writeable
+    want = [cur]
+    for _ in range(t):
+        cur = step_local(cur, pr)
+        want.append(cur)
+    assert (trace.values == np.array([w.values for w in want])).all()
+    steps, configurations = trace.steps, trace.configurations
+    assert len(steps) == t and configurations[0] is want[0]
+    for got, w in zip((*steps, configurations[-1]), (*want[1:], want[-1])):
+        assert isinstance(got, Configuration) and (got.values == w.values).all()
+    assert trace_to_json(trace) == json.dumps(
+        [[int(v) for v in c.values] for c in configurations])
+
+
+def test_evolve_rejects_params_of_another_modulus():
+    cfg = Configuration.zero(TreeShape(1), 3)
+    for t in (0, 2):
+        with pytest.raises(DimensionMismatch):
+            evolve(cfg, params_for(5, 1, 1, 1, 1), t)
