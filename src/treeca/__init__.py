@@ -24,7 +24,7 @@ from .dynamics import (
     step_local,
     step_matrix,
 )
-from .field import PrimeField, field_inv, is_prime, make_field
+from .field import PrimeField, is_prime
 from .rulematrix import (
     LinAlgReport,
     Params,
@@ -39,6 +39,6 @@ from .rulematrix import (
     rank_mod_p,
     solve,
 )
-from .tree import TreeShape, make_shape, parent
+from .tree import TreeShape, parent
 
 __version__ = "0.1.0"

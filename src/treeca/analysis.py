@@ -109,11 +109,11 @@ def _sweep_tuples(spec: SweepSpec) -> list[tuple[int, int, int, int, int, int]]:
     return tuples
 
 
-def sweep(spec: SweepSpec, threads: int = 1) -> list[ReversibilityRecord]:
+def sweep(spec: SweepSpec) -> list[ReversibilityRecord]:
     """classify every tuple of the spec, with one TreeShape per n and one
     PrimeField per p; the first bad tuple in generation order raises
     classify's error. Output order is canonical (lexicographic over
-    (p, n, a, b, c, d)). threads is ignored: a pool was slower than one."""
+    (p, n, a, b, c, d))."""
     fields, shapes, records = {}, {}, []
     for a, b, c, d, n, p in _sweep_tuples(spec):
         if p not in fields:

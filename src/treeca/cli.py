@@ -103,7 +103,7 @@ def cmd_evolve(args) -> int:
         )
     trace = dynamics.evolve(cfg, _params(args), args.steps)
     if (args.format or "json") == "text":
-        text = dynamics.format_config(trace.configurations[-1])
+        text = dynamics.format_config(dynamics.Configuration(cfg.shape, cfg.p, trace.values[-1]))
     else:
         text = dynamics.trace_to_json(trace) + "\n"
     _emit(text, args.out)
@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
     lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"))
              for k in ("np" if args.random else "abcdnp")}
     spec = analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed)
-    records = analysis.sweep(spec, threads=args.threads)
+    records = analysis.sweep(spec)
     if args.format == "json":
         text = json.dumps({"seed": args.seed if args.random else None,
                            "records": [r._asdict() for r in records]}, indent=2) + "\n"

@@ -237,4 +237,5 @@ def parse_config(text: str) -> Configuration:
 
 
 def trace_to_json(trace: EvolutionTrace) -> str:
-    return json.dumps(trace.values.tolist())
+    """json.dumps(trace.values.tolist()), byte for byte, one row's ints at a time."""
+    return "[" + ", ".join(json.dumps(r.tolist()) for r in trace.values) + "]"

@@ -18,10 +18,6 @@ class ModulusOutOfRange(TreecaError):
     code = "modulus-out-of-range"
 
 
-class DivisionByZero(TreecaError):
-    code = "division-by-zero"
-
-
 class InvalidLevel(TreecaError):
     code = "invalid-level"
 

@@ -1,10 +1,10 @@
-"""Exact arithmetic in the prime field Z_p."""
+"""Deterministic primality and the modulus check of the prime field Z_p."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DivisionByZero, ModulusOutOfRange, NonPrimeModulus
+from .errors import ModulusOutOfRange, NonPrimeModulus
 
 # The first twelve primes as Miller-Rabin witnesses make the test
 # deterministic for all n < 3.3e24, far past the supported range.
@@ -50,24 +50,3 @@ class PrimeField:
             raise ModulusOutOfRange(f"modulus {self.p} is not below 2^31")
         if self.p < 2 or not is_prime(self.p):
             raise NonPrimeModulus(f"modulus {self.p} is not prime")
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
-    def inv(self, x: int) -> int:
-        """Multiplicative inverse of x, x != 0."""
-        x %= self.p
-        if x == 0:
-            raise DivisionByZero(f"0 has no inverse mod {self.p}")
-        return pow(x, -1, self.p)
-
-
-def make_field(p: int) -> PrimeField:
-    return PrimeField(p)
-
-
-def field_inv(f: PrimeField, x: int) -> int:
-    return f.inv(x)

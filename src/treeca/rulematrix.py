@@ -116,7 +116,9 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 # and det telescopes to a product of powers of the nums), and solve from
 # the same elimination schedule (_level_schedule) carried out on a
 # right-hand side (_tree_sweep, leaf to root over each level's vertices,
-# then _tree_back, root to leaf; one inverse per level, den * num^-1).
+# then _tree_back, one root-to-leaf pass that also picks the free vertices
+# and returns the particular solution with one kernel row per free vertex;
+# one inverse per level, den * num^-1).
 # Inverse, kernel, and solve/det/rank for a zero among a, b, c, come from
 # the dense forward reduction _reduce (pivot: first nonzero residue,
 # lowest row); rref_mod adds a single back-substitution pass.
@@ -249,46 +251,45 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
     return w
 
 
-def _free_vertices(shape: TreeShape, sched) -> list[int]:
-    """The vertices whose values parametrise the solutions: the root when
-    its pivot is zero, the first two root children when level 1 is zero
-    (the root row then fixes the third), and the first child of each
-    parent over a deeper zero level (the parent's row fixes the second)."""
-    c1, c2 = neighbor_tables(shape.n)[1:]
-    free: list[int] = []
-    for l, (kind, *_) in enumerate(sched):
-        if kind != "zero":
-            continue
-        if l == 0:
-            free.append(0)
-        elif l == 1:
-            free += [int(c1[0]), int(c2[0])]
-        else:
-            free += c1[shape.level_offsets[l - 1]:shape.level_offsets[l]].tolist()
-    return free
-
-
 def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, int, int, int],
-               y: np.ndarray, x: np.ndarray) -> None:
+               y: np.ndarray, nullity: int) -> np.ndarray:
     """Back-substitution of a forward sweep (sched, w) of M x = y, root to
-    leaf, into each row of x, whose free vertices (_free_vertices) are
-    already set; a zero pivot at the root leaves x_0 as set."""
+    leaf, in one pass. Returns a (1 + nullity) x |V_n| array: row 0 is a
+    solution that is 0 at the free vertices, and row i >= 1 is the kernel
+    vector that is 1 at the i-th free vertex and 0 at the others. Each zero
+    level chooses its free vertices as it is reached: the root when its
+    pivot is zero, the first two root children when level 1 is zero (the
+    root row then fixes the third), and the first child of each parent over
+    a deeper zero level (the parent's row fixes the second). w and y enter
+    row 0 only, and a kernel row is zero above its free vertex, so each
+    level works on the rows begun so far."""
     a, b, c, d, p = coeffs
     par, c1, c2 = neighbor_tables(shape.n)
     bounds = shape.level_offsets + (shape.total_vertices,)
+    x = np.zeros((1 + nullity, shape.total_vertices), dtype=np.int64)
+    r = 1  # rows begun: the particular solution and one per free vertex so far
     for l, (kind, num, den) in enumerate(sched):
         here = slice(bounds[l], bounds[l + 1])
         if kind == "known" or (kind == "pivot" and l == 0):
-            x[:, here] = w[here]
-        elif kind == "pivot":
-            x[:, here] = (w[here] - c * den * pow(num, -1, p) % p * x[:, par[here]] % p) % p
-        elif l == 1:  # root row: d x_0 + a x_1 + b x_2 + c x_3 = y_0
-            x[:, 3] = ((y[0] - d * x[:, 0] % p - a * x[:, c1[0]] % p - b * x[:, c2[0]] % p) % p
-                       * pow(c, -1, p) % p)
-        elif l > 1:  # row of parent u: a x_c1(u) + b x_c2(u) = y_u - c x_parent(u) - d x_u
+            x[0, here] = w[here]
+        elif kind == "pivot":  # x_v = w_v - (c/e) x_parent(v)
+            x[:r, here] = (p - c * den * pow(num, -1, p) % p) * x[:r, par[here]] % p
+            x[0, here] = (x[0, here] + w[here]) % p
+        elif l == 0:
+            x[r, 0] = 1
+            r += 1
+        else:  # row of parent u: g x_fixed = y_u - (the other terms of the row)
             u = slice(bounds[l - 1], bounds[l])
-            rhs = (y[u] - c * x[:, par[u]] % p - d * x[:, u] % p) % p
-            x[:, c2[u]] = (rhs - a * x[:, c1[u]] % p) % p * pow(b, -1, p) % p
+            if l == 1:  # root row: d x_0 + a x_1 + b x_2 + c x_3 = y_0
+                free, fixed, g, terms = [1, 2], [3], c, ((d, [0]), (a, [1]), (b, [2]))
+            else:  # a x_c1(u) + b x_c2(u) = y_u - c x_parent(u) - d x_u
+                free, fixed, g, terms = c1[u], c2[u], b, ((c, par[u]), (d, u), (a, c1[u]))
+            x[r + np.arange(len(free)), free] = 1
+            r += len(free)
+            rhs = -sum(k * x[:r, at] % p for k, at in terms) % p
+            rhs[0] = (rhs[0] + y[u]) % p
+            x[:r, fixed] = rhs * pow(g, -1, p) % p
+    return x
 
 
 def linalg_report_for(shape: TreeShape, params: Params) -> "LinAlgReport":
@@ -400,11 +401,12 @@ def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
 
 
 def _tree_solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
-    """solve by the tree sweep and back-substitution, for a*b*c != 0 mod p.
+    """solve by the tree sweep and one back-substitution pass, for
+    a*b*c != 0 mod p.
 
-    The back-substitution gives a particular solution and, run again with
-    zero values on the same schedule, one kernel vector per free vertex.
-    The dense route's kernel vector for a free column f of rref(M) is the
+    The pass (_tree_back) gives a particular solution and one kernel vector
+    per free vertex, |V_n| - rank of them (rank from _level_recursion). The
+    dense route's kernel vector for a free column f of rref(M) is the
     kernel element whose last nonzero entry is a 1 at f and which is 0 at
     the other free columns, so the RREF of the basis with its columns
     reversed yields those vectors, its pivots (reversed) being the free
@@ -416,15 +418,11 @@ def _tree_solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
     w = _tree_sweep(shape, sched, a, b, c, p, y)
     if w is None:
         return SolutionSet(p=p, order=order, consistent=False)
-    x = np.zeros((1, order), dtype=np.int64)
-    _tree_back(shape, sched, w, coeffs, y, x)
-    x = x[0]
-    free = _free_vertices(shape, sched)
-    if not free:
+    nullity = order - _level_recursion(shape, a, b, c, d, p)[1]
+    back = _tree_back(shape, sched, w, coeffs, y, nullity)
+    x, basis = back[0], back[1:]
+    if not nullity:
         return SolutionSet(p=p, order=order, consistent=True, particular=x)
-    basis = np.zeros((len(free), order), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    _tree_back(shape, sched, np.zeros_like(w), coeffs, np.zeros_like(y), basis)
     red, pivots = rref_mod(basis[:, ::-1], p)
     kern = np.ascontiguousarray(red[::-1, ::-1])  # rows by ascending free column
     for f, k in zip(order - 1 - np.array(pivots[::-1]), kern):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -104,11 +104,6 @@ class TreeShape:
             return ["1", "2", "3"]
         return [addr + "1", addr + "2"]
 
-    def addresses(self) -> Iterator[Address]:
-        """All addresses in linear-index order."""
-        for i in range(self.total_vertices):
-            yield self.address_of(i)
-
     def parent_index(self, index: int) -> Optional[int]:
         p = parent(self.address_of(index))
         return None if p is None else self.linear_index(p)
@@ -138,7 +133,3 @@ def neighbor_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in (par, c1, c2):
         a.setflags(write=False)
     return par, c1, c2
-
-
-def make_shape(n: int) -> TreeShape:
-    return TreeShape(n)

@@ -8,7 +8,9 @@ import pytest
 
 from treeca import cli
 from treeca.cli import build_parser, fixture_path, main
-from treeca.dynamics import Configuration, format_config
+from treeca.dynamics import Configuration, format_config, step_local
+from treeca.field import PrimeField
+from treeca.rulematrix import Params
 from treeca.tree import TreeShape
 
 
@@ -69,6 +71,21 @@ def test_evolve_command(tmp_path, capsys):
     trace = json.loads(out)
     assert trace[0] == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]
     assert trace[1] == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("steps", [0, 7])
+def test_evolve_text_prints_last_step(tmp_path, capsys, steps):
+    shape, p = TreeShape(3), 101
+    pr = Params(a=2, b=3, c=5, d=7, field=PrimeField(p))
+    cfg = Configuration(shape, p, np.random.default_rng(2).integers(0, p, size=shape.total_vertices))
+    src = tmp_path / "cfg.txt"
+    src.write_text(format_config(cfg))
+    code, out, _ = run(capsys, "evolve", "-n", "3", "-p", str(p), "-a", "2", "-b", "3",
+                       "-c", "5", "-d", "7", "--steps", str(steps), "--input", str(src),
+                       "--format", "text")
+    for _ in range(steps):
+        cfg = step_local(cfg, pr)
+    assert (code, out) == (0, format_config(cfg))
 
 
 def test_evolve_shape_mismatch(tmp_path, capsys):

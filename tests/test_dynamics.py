@@ -393,11 +393,12 @@ def test_all_configurations_in_product_order(p, size):
 
 def test_trace_json_text_unchanged():
     p = 2**31 - 1
-    shape = TreeShape(3)
-    x = np.random.default_rng(1).integers(0, p, size=shape.total_vertices)
-    trace = evolve(config(shape, p, x), params_for(p, 3, 5, 7, 11), 4)
-    assert trace_to_json(trace) == json.dumps(
-        [[int(v) for v in c.values] for c in trace.configurations])
+    for n, t in ((3, 4), (10, 100)):
+        shape = TreeShape(n)
+        x = np.random.default_rng(1).integers(0, p, size=shape.total_vertices)
+        trace = evolve(config(shape, p, x), params_for(p, 3, 5, 7, 11), t)
+        assert trace_to_json(trace) == json.dumps(
+            [[int(v) for v in c.values] for c in trace.configurations])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,20 +1,18 @@
-import itertools
-
 import pytest
 
-from treeca.errors import DivisionByZero, ModulusOutOfRange, NonPrimeModulus
-from treeca.field import PrimeField, field_inv, is_prime, make_field
+from treeca.errors import ModulusOutOfRange, NonPrimeModulus
+from treeca.field import PrimeField, is_prime
 
 
 def test_make_field_accepts_primes():
-    assert make_field(2).p == 2
-    assert make_field(17).p == 17
+    assert PrimeField(2).p == 2
+    assert PrimeField(17).p == 17
 
 
 @pytest.mark.parametrize("p", [4, 1, 0, 9, 15, 100])
 def test_make_field_rejects_composites(p):
     with pytest.raises(NonPrimeModulus):
-        make_field(p)
+        PrimeField(p)
 
 
 def test_is_prime_small_range():
@@ -44,28 +42,3 @@ def test_modulus_range(p):
 
 def test_largest_supported_modulus():
     assert PrimeField(2**31 - 1).p == 2**31 - 1
-
-
-def test_field_inv_examples():
-    assert field_inv(make_field(5), 1) == 1
-    assert field_inv(make_field(5), 2) == 3
-    # exhaustive-search oracle: the unique y with 5y = 1 mod 17
-    expected = next(y for y in range(1, 17) if 5 * y % 17 == 1)
-    assert expected == 7
-    assert field_inv(make_field(17), 5) == 7
-
-
-def test_field_inv_zero_raises():
-    with pytest.raises(DivisionByZero):
-        field_inv(make_field(7), 0)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_field_axioms_exhaustive(p):
-    f = PrimeField(p)
-    for x, y, z in itertools.product(range(p), repeat=3):
-        assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z))
-        assert f.mul(f.mul(x, y), z) == f.mul(x, f.mul(y, z))
-        assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
-    for x in range(1, p):
-        assert f.mul(x, f.inv(x)) == 1

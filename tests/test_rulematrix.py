@@ -579,3 +579,35 @@ def test_solve_every_small_tuple(p):
             if consistent:
                 assert (sols.particular == x).all()
                 assert [k.tolist() for k in sols.kernel] == [k.tolist() for k in kernel]
+
+
+P31 = 2**31 - 1
+C31 = 9 * pow(3, -1, P31) % P31  # c = d^2/(a+b) for (a, b, d) = (2, 1, 3)
+B31 = (24 * pow(10, -1, P31) - 2) % P31  # b = (d^2 - c^2)/(2c) - a for (a, c, d) = (2, 5, 7)
+
+
+@pytest.mark.parametrize("n,coeffs", [
+    (2, (2, 1, C31, 3)),  # level 1 zero: the root row fixes vertex 3
+    (3, (2, 1, C31, 3)),  # level 2 zero: each level-1 row fixes its second child
+    (5, (2, 1, C31, 3)),  # zero levels 1 and 4
+    (6, (2, 1, C31, 3)),  # zero levels 2 and 5
+    (2, (2, B31, 5, 7)),  # only the root's pivot is zero
+    (4, (2, 3, 5, 7)),  # full rank
+])
+def test_tree_back_branches_match_dense_reduction(n, coeffs):
+    """Each branch of the one back-substitution pass, for y inside and
+    (when M is singular) outside the image."""
+    m = build_rule_matrix(TreeShape(n), params_for(P31, *coeffs))
+    rank = linalg_report(m).rank
+    rng = np.random.default_rng(n)
+    inside = mat_vec(m.dense().tolist(), rng.integers(0, P31, m.order).tolist(), P31)
+    for y, in_image in ((np.array(inside, dtype=np.int64), True),
+                        (rng.integers(0, P31, m.order), rank == m.order)):
+        consistent, x, kernel = dense_solve(m, y)
+        sols = solve(m, y)
+        assert sols.consistent == consistent == in_image
+        if consistent:
+            assert len(sols.kernel) == len(kernel) == m.order - rank
+            assert (sols.particular == x).all()
+            for got, want in zip(sols.kernel, kernel):
+                assert (got == want).all()

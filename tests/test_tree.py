@@ -3,23 +3,23 @@ import itertools
 import pytest
 
 from treeca.errors import AddressOutOfShape, InvalidLevel
-from treeca.tree import TreeShape, make_shape, neighbor_tables, parent
+from treeca.tree import TreeShape, neighbor_tables, parent
 
 
 def test_shape_sizes():
-    assert make_shape(1).total_vertices == 4
-    assert make_shape(2).total_vertices == 10
-    assert make_shape(3).total_vertices == 22
+    assert TreeShape(1).total_vertices == 4
+    assert TreeShape(2).total_vertices == 10
+    assert TreeShape(3).total_vertices == 22
 
 
 def test_invalid_level():
     with pytest.raises(InvalidLevel):
-        make_shape(0)
+        TreeShape(0)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_level_counts(n):
-    shape = make_shape(n)
+    shape = TreeShape(n)
     assert shape.level_sizes[0] == 1
     for l in range(1, n + 1):
         assert shape.level_sizes[l] == 3 * 2 ** (l - 1)
@@ -30,7 +30,7 @@ def test_level_counts(n):
 
 
 def test_linear_index_examples():
-    shape = make_shape(2)
+    shape = TreeShape(2)
     assert shape.linear_index("") == 0
     assert shape.linear_index("3") == 3
     # enumerate level-2 addresses lexicographically and match position
@@ -42,7 +42,7 @@ def test_linear_index_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
 def test_linear_index_roundtrip_bijection(n):
-    shape = make_shape(n)
+    shape = TreeShape(n)
     seen = set()
     for i in range(shape.total_vertices):
         addr = shape.address_of(i)
@@ -52,7 +52,7 @@ def test_linear_index_roundtrip_bijection(n):
 
 
 def test_lexicographic_order_within_levels():
-    shape = make_shape(3)
+    shape = TreeShape(3)
     for l in range(1, 4):
         start = shape.level_offsets[l]
         addrs = [shape.address_of(start + k) for k in range(shape.level_sizes[l])]
@@ -66,21 +66,21 @@ def test_parent():
 
 
 def test_children():
-    shape = make_shape(2)
+    shape = TreeShape(2)
     assert shape.children("") == ["1", "2", "3"]
     assert shape.children("1") == ["11", "12"]
     assert shape.children("11") == []  # null boundary
 
 
 def test_parent_child_consistency():
-    shape = make_shape(4)
+    shape = TreeShape(4)
     for i in range(1, shape.total_vertices):
         addr = shape.address_of(i)
         assert addr in shape.children(parent(addr))
 
 
 def test_address_out_of_shape():
-    shape = make_shape(2)
+    shape = TreeShape(2)
     with pytest.raises(AddressOutOfShape):
         shape.linear_index("111")
     with pytest.raises(AddressOutOfShape):
@@ -91,7 +91,7 @@ def test_address_out_of_shape():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_neighbor_tables_match_address_route(n):
-    shape = make_shape(n)
+    shape = TreeShape(n)
     size = shape.total_vertices
     par, c1, c2 = neighbor_tables(n)
     for v in range(size):
