@@ -31,7 +31,7 @@ from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
 from .rulematrix import Params, _level_recursion, _reduce, linalg_report_for
-from .tree import TreeShape
+from .tree import TreeShape, ball_size
 
 
 class ReversibilityRecord(NamedTuple):
@@ -58,7 +58,7 @@ def _printable_shape(n: int) -> TreeShape:
     more digits than Python prints (sys.get_int_max_str_digits, 0: no limit).
     2^(n+2) <= 2^(3.32 limit) < 10^limit < 2^(4 limit) < 2^n decide most n."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and n + 2 > 3.32 * limit and (n > 4 * limit or 3 * 2**n - 2 >= 10**limit):
+    if limit and n + 2 > 3.32 * limit and (n > 4 * limit or ball_size(n) >= 10**limit):
         raise InvalidLevel(f"level {n}: |V_n| = 3*2^n - 2 has more than {limit} digits")
     return TreeShape(n)
 
@@ -169,10 +169,6 @@ def det_formula_n3(a: int, b: int, c: int, d: int, p: int) -> int:
 class EntropySequence:
     p: int
     terms: tuple[tuple[int, float, float], ...]  # (n, H_n, H_n / n)
-
-
-def ball_size(n: int) -> int:
-    return 1 + 3 * (2**n - 1)
 
 
 def entropy_sequence(p: int, max_n: int) -> EntropySequence:

@@ -31,7 +31,7 @@ class Configuration:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
+        v = np.array(self.values, dtype=np.int64)  # a copy: the caller's array stays theirs
         if v.shape != (self.shape.total_vertices,):
             raise DimensionMismatch(
                 f"expected {self.shape.total_vertices} values, got shape {v.shape}"

@@ -20,7 +20,7 @@ from .errors import (
     SingularMatrix,
 )
 from .field import PrimeField
-from .tree import TreeShape, neighbor_tables
+from .tree import TreeShape, ball_size, neighbor_tables
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,12 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 # right-hand side (_tree_sweep, leaf to root over each level's vertices,
 # then _tree_back, one root-to-leaf pass that also picks the free vertices
 # and returns the particular solution with one kernel row per free vertex;
-# one inverse per level, den * num^-1).
-# Inverse, kernel, and solve/det/rank for a zero among a, b, c, come from
-# the dense forward reduction _reduce (pivot: first nonzero residue,
-# lowest row); rref_mod adds a single back-substitution pass.
+# one inverse per level, den * num^-1). solve returns the canonical null
+# space of [M | -y] on both routes, and kernel_basis is the kernel of
+# solve(m, 0). Only the inverse, and solve/det/rank for a zero among
+# a, b, c, come from the dense forward reduction _reduce (pivot: first
+# nonzero residue, lowest row); rref_mod adds a single back-substitution
+# pass.
 
 
 def _as_matrix(m) -> tuple[np.ndarray, int]:
@@ -340,24 +342,22 @@ def invert(m: RuleMatrix) -> np.ndarray:
     return red[:, n:]
 
 
-def _kernel_from_rref(red: np.ndarray, pivots: list[int], n_cols: int, p: int) -> list[np.ndarray]:
-    """Null-space basis of red[:, :n_cols] (an RREF whose pivots lie in
-    those columns), one vector per free column."""
-    free = np.setdiff1d(np.arange(n_cols), pivots)
-    basis = np.zeros((free.size, n_cols), dtype=np.int64)
+def kernel_basis_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:
+    """Canonical basis of the null space of mat over Z_p: one vector per
+    free column f of rref(mat), in ascending order, 1 at f and 0 at the
+    other free columns."""
+    red, pivots = rref_mod(mat, p)
+    free = np.setdiff1d(np.arange(mat.shape[1]), pivots)
+    basis = np.zeros((free.size, mat.shape[1]), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-red[: len(pivots), free].T) % p
     return list(basis)
 
 
-def kernel_basis_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the null space of mat over Z_p (one vector per free column)."""
-    red, pivots = rref_mod(mat, p)
-    return _kernel_from_rref(red, pivots, mat.shape[1], p)
-
-
 def kernel_basis(m: RuleMatrix) -> list[np.ndarray]:
-    return kernel_basis_mod(*_as_matrix(m))
+    """Canonical null-space basis of m (kernel_basis_mod's form), as the
+    kernel of solve(m, 0), so by the tree route when a*b*c != 0 mod p."""
+    return list(solve(m, np.zeros(m.order, dtype=np.int64)).kernel)
 
 
 @dataclass(frozen=True)
@@ -400,56 +400,44 @@ def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _tree_solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
-    """solve by the tree sweep and one back-substitution pass, for
-    a*b*c != 0 mod p.
-
-    The pass (_tree_back) gives a particular solution and one kernel vector
-    per free vertex, |V_n| - rank of them (rank from _level_recursion). The
-    dense route's kernel vector for a free column f of rref(M) is the
-    kernel element whose last nonzero entry is a 1 at f and which is 0 at
-    the other free columns, so the RREF of the basis with its columns
-    reversed yields those vectors, its pivots (reversed) being the free
-    columns. The particular solution is then made 0 at the free columns.
-    """
+def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
+    """kernel_basis_mod's basis of [M | -y] by the tree sweep, for
+    a*b*c != 0 mod p, or None when the sweep finds y outside the image.
+    _tree_back spans that null space: row 0 (the particular solution) with
+    a 1 in the extra column, and one kernel vector per free vertex with a 0
+    (|V_n| - rank of them, rank from _level_recursion). A free column of
+    rref([M | -y]) is the last nonzero entry of some null vector, so the
+    RREF of the span with its columns reversed, read backwards, holds the
+    canonical vectors by ascending free column."""
     pr, shape, order = m.params, m.shape, m.order
     coeffs = a, b, c, d, p = pr.a, pr.b, pr.c, pr.d, pr.p
     sched = _level_schedule(shape.n, a, b, c, d, p)
     w = _tree_sweep(shape, sched, a, b, c, p, y)
     if w is None:
-        return SolutionSet(p=p, order=order, consistent=False)
+        return None
     nullity = order - _level_recursion(shape, a, b, c, d, p)[1]
-    back = _tree_back(shape, sched, w, coeffs, y, nullity)
-    x, basis = back[0], back[1:]
-    if not nullity:
-        return SolutionSet(p=p, order=order, consistent=True, particular=x)
-    red, pivots = rref_mod(basis[:, ::-1], p)
-    kern = np.ascontiguousarray(red[::-1, ::-1])  # rows by ascending free column
-    for f, k in zip(order - 1 - np.array(pivots[::-1]), kern):
-        x = (x - x[f] * k % p) % p
-    return SolutionSet(p=p, order=order, consistent=True, particular=x, kernel=tuple(kern))
+    span = _tree_back(shape, sched, w, coeffs, y, nullity)
+    span = np.hstack([np.eye(1 + nullity, 1, dtype=np.int64), span[:, ::-1]])
+    return rref_mod(span, p)[0][::-1, ::-1]
 
 
 def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
-    """Full preimage set of y under the matrix map.
-
-    The particular solution is 0 at the free columns of rref(M), and the
-    kernel has one vector per free column f, in ascending order, equal to
-    1 at f and 0 at the other free columns. When a*b*c != 0 mod p they come
-    from the tree sweep (_tree_solve), with no dense matrix. Otherwise from
-    one reduction of [M | y]: its first N columns are rref(M).
-    """
-    y = _target(m, y)
-    if m.params.a * m.params.b * m.params.c % m.p:
-        return _tree_solve(m, y)
-    mat, p, n = m.dense(), m.p, m.order
-    red, pivots = rref_mod(np.hstack([mat, y.reshape(-1, 1)]), p)
-    if n in pivots:  # pivot in the augmented column: inconsistent
+    """Full preimage set of y under the matrix map, read off the canonical
+    null-space basis of [M | -y] (kernel_basis_mod's form). y is in the
+    image exactly when the last column is free; its vector is then
+    (particular, 1), and the others are (kernel vector, 0), so the
+    particular solution is 0 at the free columns of rref(M). The basis comes
+    from the tree route (_tree_solve) when a*b*c != 0 mod p, with no dense
+    matrix, otherwise from the dense reduction."""
+    y, p, n = _target(m, y), m.p, m.order
+    if m.params.a * m.params.b * m.params.c % p:
+        basis = _tree_solve(m, y)
+    else:
+        basis = kernel_basis_mod(np.hstack([m.dense(), ((-y) % p).reshape(-1, 1)]), p)
+    if basis is None or not basis[-1][n]:  # the last column is a pivot
         return SolutionSet(p=p, order=n, consistent=False)
-    x = np.zeros(n, dtype=np.int64)
-    x[pivots] = red[: len(pivots), n]
-    kern = tuple(_kernel_from_rref(red, pivots, n, p))
-    return SolutionSet(p=p, order=n, consistent=True, particular=x, kernel=kern)
+    return SolutionSet(p=p, order=n, consistent=True, particular=basis[-1][:n],
+                       kernel=tuple(k[:n] for k in basis[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +480,7 @@ def _parsed_order(n: int) -> int:
     """|V_n| for a header level, checked before anything is allocated."""
     if not 1 <= n <= _MAX_PARSE_LEVEL:
         raise FormatError(f"level {n} outside [1, {_MAX_PARSE_LEVEL}]")
-    return 1 + 3 * (2**n - 1)
+    return ball_size(n)
 
 
 def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:

@@ -43,6 +43,10 @@ def parent(addr: Address) -> Optional[Address]:
     return addr[:-1]
 
 
+def ball_size(n: int) -> int:
+    return 3 * 2**n - 2  # |V_n| = 1 + 3(2^n - 1), the vertex count up to level n
+
+
 @dataclass(frozen=True)
 class TreeShape:
     """Combinatorics of the tree truncated at level n."""
@@ -59,7 +63,7 @@ class TreeShape:
         object.__setattr__(self, "level_sizes", sizes)
         # level l >= 1 starts at 3*2^(l-1) - 2, two below its size
         object.__setattr__(self, "level_offsets", (0,) + tuple(s - 2 for s in sizes[1:]))
-        object.__setattr__(self, "total_vertices", 3 * 2**self.n - 2)
+        object.__setattr__(self, "total_vertices", ball_size(self.n))
 
     def check_level(self, l: int) -> None:
         if l > self.n:

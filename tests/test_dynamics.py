@@ -45,6 +45,20 @@ def config(shape, p, values):
     return Configuration(shape, p, np.array(values, dtype=np.int64))
 
 
+def test_configuration_copies_the_callers_array():
+    shape = TreeShape(1)
+    values = np.array([1, 0, 2, 1], dtype=np.int64)
+    cfg = Configuration(shape, 3, values)
+    assert values.flags.writeable
+    values[0] = 2
+    assert cfg.values.tolist() == [1, 0, 2, 1]
+    base = np.zeros(8, dtype=np.int64)
+    from_view = Configuration(shape, 3, base[:4])
+    base[:4] = 7  # outside [0, 3): a shared buffer would bypass the range check
+    assert from_view.values.tolist() == [0, 0, 0, 0]
+    assert not cfg.values.flags.writeable
+
+
 def test_step_local_zero_fixed():
     shape = TreeShape(2)
     pr = params_for(3, 1, 1, 1, 1)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeca.cli import main
+from treeca.dynamics import _apply_local
 from treeca.errors import DimensionMismatch, FormatError, SingularMatrix
 from treeca.field import PrimeField
 from treeca.rulematrix import (
@@ -562,6 +563,7 @@ def test_tree_solve_matches_dense_reduction(case):
         assert len(sols.kernel) == len(kernel)
         for got, want in zip(sols.kernel, kernel):
             assert (got == want).all()
+    assert [k.tolist() for k in kernel_basis(m)] == [k.tolist() for k in dense_solve(m, 0 * y)[2]]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -571,6 +573,8 @@ def test_solve_every_small_tuple(p):
     y = e_0."""
     for n, coeffs in itertools.product((1, 2), itertools.product(range(p), repeat=4)):
         m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
+        zero_kernel = dense_solve(m, np.zeros(m.order, dtype=np.int64))[2]
+        assert [k.tolist() for k in kernel_basis(m)] == [k.tolist() for k in zero_kernel], (n, coeffs)
         for y in (np.zeros(m.order), m.dense()[:, -1], np.eye(m.order)[0]):
             y = np.asarray(y, dtype=np.int64)
             consistent, x, kernel = dense_solve(m, y)
@@ -584,6 +588,18 @@ def test_solve_every_small_tuple(p):
 P31 = 2**31 - 1
 C31 = 9 * pow(3, -1, P31) % P31  # c = d^2/(a+b) for (a, b, d) = (2, 1, 3)
 B31 = (24 * pow(10, -1, P31) - 2) % P31  # b = (d^2 - c^2)/(2c) - a for (a, c, d) = (2, 5, 7)
+
+
+def test_kernel_basis_builds_no_dense_matrix(monkeypatch):
+    """kernel_basis takes the tree route whenever a*b*c != 0 mod p."""
+    def no_dense(self):
+        raise AssertionError("dense rule matrix assembled")
+
+    m = build_rule_matrix(TreeShape(10), params_for(P31, 2, 1, C31, 3))
+    monkeypatch.setattr(RuleMatrix, "dense", no_dense)
+    basis = np.array(kernel_basis(m))
+    assert basis.shape == (m.order - linalg_report(m).rank, m.order) and basis.shape[0] > 0
+    assert not _apply_local(basis, m.shape, m.params).any()
 
 
 @pytest.mark.parametrize("n,coeffs", [
