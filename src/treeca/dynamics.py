@@ -8,8 +8,9 @@ construction claims, so the two paths are kept strictly separate.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -64,19 +65,25 @@ class EvolutionTrace:
         return [self.initial, *self.steps]
 
 
-def _apply_local(values: np.ndarray, shape: TreeShape, params: Params) -> np.ndarray:
-    """One local-rule step on an array of configurations (last axis = vertex),
-    by level slices: vertex v >= 1 has children 2v+2, 2v+3. A vertex sums at
-    most four products below 2^62, so one final uint64 reduction is exact."""
-    a, b, c, d = (np.uint64(k) for k in (params.a, params.b, params.c, params.d))
-    v = np.asarray(values).astype(np.uint64)
+def _apply_local(values: np.ndarray, shape: TreeShape, params: Params,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One local-rule step on an int64 or uint64 array of configurations
+    (last axis = vertex), by level slices: vertex v >= 1 has children 2v+2,
+    2v+3. A vertex sums at most four products below 2^62, so one final
+    uint64 reduction is exact. out, a uint64 array of the same shape that
+    does not overlap values, receives the step; the result is returned as
+    an int64 view."""
+    a, b, c, d, p = (np.uint64(k) for k in (params.a, params.b, params.c, params.d, params.p))
+    v = np.asarray(values).view(np.uint64)
     inner = shape.level_offsets[shape.n]  # vertices 1 .. inner-1 have children
-    out = d * v
+    out = np.multiply(d, v, out=out)
     out[..., 0] += a * v[..., 1] + b * v[..., 2] + c * v[..., 3]  # root: three children
     out[..., 1:4] += c * v[..., :1]
-    out[..., 4:] += c * np.repeat(v[..., 1:inner], 2, axis=-1)
+    below = c * v[..., 1:inner]  # each inner vertex's term in both its children
+    out[..., 4::2] += below
+    out[..., 5::2] += below
     out[..., 1:inner] += a * v[..., 4::2] + b * v[..., 5::2]
-    out %= np.uint64(params.p)
+    out -= out // p * p  # NumPy divides by a scalar much faster than it takes a remainder
     return out.view(np.int64)
 
 
@@ -99,15 +106,17 @@ def step_matrix(cfg: Configuration, m: RuleMatrix) -> Configuration:
 
 
 def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
-    """Trace of t local-rule steps, filled row by row into one array."""
+    """Trace of t local-rule steps, each written in place into the next row
+    of one array."""
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     if params.p != cfg.p:
         raise DimensionMismatch(f"params mod {params.p} vs configuration mod {cfg.p}")
-    values = np.empty((t + 1, cfg.shape.total_vertices), dtype=np.int64)
-    values[0] = cfg.values
+    rows = np.empty((t + 1, cfg.shape.total_vertices), dtype=np.uint64)
+    rows[0] = cfg.values
     for k in range(t):
-        values[k + 1] = _apply_local(values[k], cfg.shape, params)
+        _apply_local(rows[k], cfg.shape, params, out=rows[k + 1])
+    values = rows.view(np.int64)
     values.setflags(write=False)
     return EvolutionTrace(initial=cfg, values=values, params=params)
 
@@ -214,7 +223,7 @@ _MAGIC = "treeca-config"
 
 
 def format_config(cfg: Configuration) -> str:
-    body = " ".join(str(int(v)) for v in cfg.values)
+    body = " ".join(map(str, cfg.values.tolist()))
     return f"{_MAGIC} 1 {cfg.shape.n} {cfg.p}\n{body}\n"
 
 
@@ -236,6 +245,54 @@ def parse_config(text: str) -> Configuration:
     return Configuration(shape, p, np.array(values, dtype=np.int64))
 
 
+@lru_cache(maxsize=None)
+def _digit_table() -> np.ndarray:
+    """ASCII digits of 0 .. 99 999, five bytes packed into the low end of a
+    uint64, most significant digit in byte 0, leading zeros as NUL bytes
+    (0 is all NUL). Built from the ten digit bytes by broadcasting, with no
+    division. Every digit byte has the bits of "0" set, so OR-ing an entry
+    with "00000" pads it with zeros, and with "0" in byte 4 writes 0 as "0"."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+    table = np.zeros(1, dtype=np.uint64)
+    for k in range(5):
+        table = (table[:, None] | digit << np.uint64(8 * k)).ravel()
+    for k in range(5):  # byte k is a leading zero below 10^(4-k)
+        table[: 10 ** (4 - k)] &= ~np.uint64(0xFF << (8 * k))
+    table.setflags(write=False)
+    return table
+
+
+def _packed(text: str, at: int) -> np.uint64:
+    return np.uint64(int.from_bytes(text.encode(), "little") << 8 * at)
+
+
+_PAD, _ZERO = _packed("00000", 0), _packed("0", 4)
+# separators as they sit in bytes 2..5 of a cell's second word
+_COMMA, _ROW_END, _TRACE_END = (_packed(sep, 2) for sep in (", ", "], [", "]]"))
+_BLOCK = 1 << 14  # cells per block: about 2 MB of scratch arrays, small beside the text
+
+
 def trace_to_json(trace: EvolutionTrace) -> str:
-    """json.dumps(trace.values.tolist()), byte for byte, one row's ints at a time."""
-    return "[" + ", ".join(json.dumps(r.tolist()) for r in trace.values) + "]"
+    """json.dumps(trace.values.tolist()), byte for byte, with no Python int
+    per cell. Residues lie in [0, 2^31): a cell v = 10^5 hi + lo writes hi
+    without leading zeros (nothing when hi = 0) and lo zero-padded (lo
+    alone, unpadded, when hi = 0), then its separator, into a 16-byte slot
+    of two uint64 words; the NUL bytes left in each slot are dropped block
+    by block."""
+    table = _digit_table()
+    cols = trace.values.shape[1]
+    flat = trace.values.reshape(-1)
+    parts = ["[["]
+    for start in range(0, flat.size, _BLOCK):
+        hi, lo = np.divmod(flat[start:start + _BLOCK], 100_000)
+        low = table[lo] | np.where(hi > 0, _PAD, _ZERO)
+        sep = np.full(hi.size, _COMMA)
+        sep[(cols - 1 - start) % cols::cols] = _ROW_END
+        if start + hi.size == flat.size:
+            sep[-1] = _TRACE_END
+        slots = np.empty((hi.size, 2), dtype=np.uint64)
+        slots[:, 0] = table[hi] | low << np.uint64(40)
+        slots[:, 1] = low >> np.uint64(24) | sep
+        text = slots.view(np.uint8)
+        parts.append(text[text != 0].tobytes().decode("ascii"))
+    return "".join(parts)

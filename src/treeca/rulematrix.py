@@ -206,20 +206,28 @@ def _level_schedule(n: int, a: int, b: int, c: int, d: int, p: int) -> list[tupl
 def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
     """(det, rank) of the rule matrix of shape over Z_p, for a*b*c != 0 mod p,
     from _level_schedule. A pivot level of size S adds S to the rank, a known
-    level 2S (its vertices and one child each), a zero level nothing. At
-    full rank every level is a pivot level whose den is the num below, so
-    det = prod e_l^S_l telescopes to prod num_l^(S_l - S_(l-1)), S_(-1) = 0.
+    level 2S (its vertices and one child each), a zero level nothing; level
+    l >= 1 has S_l = 3*2^(l-1) vertices. At full rank every level is a pivot
+    level whose den is the num below, so det = prod e_l^S_l telescopes to
+    prod num_l^(S_l - S_(l-1)), S_(-1) = 0. The exponents are 1, 2 and then
+    3*2^(l-2), so det = num_0 num_1^2 q^3 with q = prod_(l>=2) num_l^(2^(l-2)),
+    which Horner's rule gives from the leaves in two products per level.
     Only diagonal pivots multiply det, so there is no sign.
     """
-    det, rank, above = 1, 0, 0
-    for size, (kind, num, _) in zip(shape.level_sizes, _level_schedule(shape.n, a, b, c, d, p)):
+    sched = _level_schedule(shape.n, a, b, c, d, p)
+    rank = 0
+    for l, (kind, _, _) in enumerate(sched):
+        size = 3 << (l - 1) if l else 1
         if kind == "pivot":
             rank += size
-            det = det * pow(num, (size - above) % (p - 1), p) % p  # by Fermat
         elif kind == "known":
             rank += 2 * size
-        above = size
-    return (det if rank == shape.total_vertices else 0), rank
+    if rank != shape.total_vertices:
+        return 0, rank
+    q = 1
+    for _, num, _ in reversed(sched[2:]):
+        q = q * q * num % p
+    return sched[0][1] * sched[1][1] ** 2 * pow(q, 3, p) % p, rank
 
 
 def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,

@@ -14,7 +14,7 @@ reference that the tests check it against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -52,18 +52,23 @@ class TreeShape:
     """Combinatorics of the tree truncated at level n."""
 
     n: int
-    level_sizes: tuple[int, ...] = field(init=False)
-    level_offsets: tuple[int, ...] = field(init=False)
     total_vertices: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidLevel(f"level count must be >= 1, got {self.n}")
-        sizes = (1,) + tuple(3 * 2 ** (l - 1) for l in range(1, self.n + 1))
-        object.__setattr__(self, "level_sizes", sizes)
-        # level l >= 1 starts at 3*2^(l-1) - 2, two below its size
-        object.__setattr__(self, "level_offsets", (0,) + tuple(s - 2 for s in sizes[1:]))
         object.__setattr__(self, "total_vertices", ball_size(self.n))
+
+    # The level tables hold O(n^2) bits, so they are built on first use:
+    # det and rank at large n never read them.
+    @cached_property
+    def level_sizes(self) -> tuple[int, ...]:
+        return (1,) + tuple(3 << (l - 1) for l in range(1, self.n + 1))
+
+    @cached_property
+    def level_offsets(self) -> tuple[int, ...]:
+        # level l >= 1 starts at 3*2^(l-1) - 2, two below its size
+        return (0,) + tuple((3 << (l - 1)) - 2 for l in range(1, self.n + 1))
 
     def check_level(self, l: int) -> None:
         if l > self.n:

@@ -1,9 +1,10 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeca.dynamics import (
@@ -172,6 +173,9 @@ def test_apply_local_matches_exact_rule(n, p, rows, data):
     got = _apply_local(x if rows else x[0], shape, params_for(p, *coeffs))
     assert got.dtype == np.int64
     assert got.tolist() == (want if rows else want[0])
+    out = np.empty(x.shape, dtype=np.uint64)
+    into = _apply_local(x.view(np.uint64), shape, params_for(p, *coeffs), out=out)
+    assert np.shares_memory(into, out) and into.tolist() == want
 
 
 def test_step_mismatched_modulus():
@@ -313,7 +317,7 @@ def test_config_format_roundtrip():
     shape = TreeShape(2)
     cfg = config(shape, 5, [0, 1, 2, 3, 4, 0, 1, 2, 3, 4])
     text = format_config(cfg)
-    assert text.startswith("treeca-config 1 2 5\n")
+    assert text == "treeca-config 1 2 5\n0 1 2 3 4 0 1 2 3 4\n"
     back = parse_config(text)
     assert back.shape.n == 2 and back.p == 5
     assert (back.values == cfg.values).all()
@@ -413,6 +417,46 @@ def test_trace_json_text_unchanged():
         trace = evolve(config(shape, p, x), params_for(p, 3, 5, 7, 11), t)
         assert trace_to_json(trace) == json.dumps(
             [[int(v) for v in c.values] for c in trace.configurations])
+
+
+def assert_same_text(got, want):
+    """got == want, reporting the first difference rather than a full diff,
+    which for megabyte texts takes minutes."""
+    if got != want:
+        g, w = (np.frombuffer(t.encode(), dtype=np.uint8) for t in (got, want))
+        size = min(g.size, w.size)
+        differs = np.flatnonzero(g[:size] != w[:size])
+        at = int(differs[0]) if differs.size else size
+        window = slice(max(at - 40, 0), at + 40)
+        raise AssertionError(f"texts differ at {at}: {got[window]!r} != {want[window]!r}")
+
+
+# residues where the decimal width changes, and the ends of the range
+DIGIT_BOUNDARIES = sorted({0, 2**31 - 1} | {10**k + e for k in range(1, 10) for e in (-1, 0, 1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(4, 6000), seed=st.integers(0, 2**32 - 1),
+       boundary_share=st.sampled_from([0.0, 0.5, 1.0]))
+@example(rows=11, cols=3070, seed=0, boundary_share=0.5)  # rows straddle an encoder block
+def test_trace_json_matches_json_dumps(rows, cols, seed, boundary_share):
+    rng = np.random.default_rng(seed)
+    uniform = rng.integers(0, 2**31, size=(rows, cols))
+    boundary = rng.choice(DIGIT_BOUNDARIES, size=(rows, cols))
+    values = np.where(rng.random((rows, cols)) < boundary_share, boundary, uniform)
+    assert_same_text(trace_to_json(SimpleNamespace(values=values)), json.dumps(values.tolist()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 10), p=st.sampled_from([17, 101, 2**31 - 1]), t=st.integers(0, 24),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_evolve_trace_json_matches_json_dumps(n, p, t, seed, data):
+    # n = 10 traces of a few steps span several encoder blocks, rows across their ends
+    pr = params_for(p, *(data.draw(st.integers(1, p - 1)) for _ in range(4)))
+    shape = TreeShape(n)
+    x = np.random.default_rng(seed).integers(0, p, shape.total_vertices)
+    trace = evolve(config(shape, p, x), pr, t)
+    assert_same_text(trace_to_json(trace), json.dumps(trace.values.tolist()))
 
 
 @settings(max_examples=60, deadline=None)

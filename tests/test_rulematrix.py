@@ -12,6 +12,7 @@ from treeca.field import PrimeField
 from treeca.rulematrix import (
     Params,
     RuleMatrix,
+    _level_schedule,
     _reduce,
     build_rule_matrix,
     det_mod,
@@ -479,6 +480,44 @@ def test_linalg_report_for_every_small_tuple(n, p):
         rep = linalg_report_for(shape, params)
         _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
         assert (rep.det, rep.rank) == (det, len(pivots)), coeffs
+
+
+def table_recursion(n, a, b, c, d, p):
+    """(det, rank) read off the full level-size table, det as a product of
+    Fermat-reduced powers prod num_l^(S_l - S_(l-1))."""
+    sizes = (1,) + tuple(3 * 2 ** (l - 1) for l in range(1, n + 1))
+    det, rank, above = 1, 0, 0
+    for size, (kind, num, _) in zip(sizes, _level_schedule(n, a, b, c, d, p)):
+        if kind == "pivot":
+            rank += size
+            det = det * pow(num, (size - above) % (p - 1), p) % p
+        elif kind == "known":
+            rank += 2 * size
+        above = size
+    return (det if rank == sum(sizes) else 0), rank
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(PRIMES), n=st.integers(1, 60), data=st.data())
+def test_level_recursion_matches_level_tables(p, n, data):
+    a, b, c = (data.draw(st.integers(1, p - 1)) for _ in range(3))
+    d = data.draw(st.integers(0, p - 1))
+    if (a + b) % p and d and data.draw(st.booleans()):
+        c = d * d * pow(a + b, -1, p) % p  # a zero level at the leaves' parents
+    rep = linalg_report_for(TreeShape(n), params_for(p, a, b, c, d, allow_zero=True))
+    assert (rep.det, rep.rank) == table_recursion(n, a, b, c, d, p)
+    assert rep.det == continuant_det(a, b, c, d, n, p)
+
+
+def test_det_at_n_20000_builds_no_level_tables(capsys, monkeypatch):
+    def unbuilt(self):
+        raise AssertionError("level table built")
+
+    for name in ("level_sizes", "level_offsets"):
+        monkeypatch.setattr(TreeShape, name, property(unbuilt))
+    flags = ["-a", "2", "-b", "3", "-c", "5", "-d", "7"]
+    assert main(["det", "-n", "20000", "-p", str(2**31 - 1), *flags]) == 0
+    assert capsys.readouterr().out == "1014424148\n"  # as read off the level tables
 
 
 def test_level_recursion_rank_with_zero_pivot_level():
