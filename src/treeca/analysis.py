@@ -174,12 +174,15 @@ class EntropySequence:
 def entropy_sequence(p: int, max_n: int) -> EntropySequence:
     """H_n = |V_n| * log2(p): the entropy of the n-step refinement of the
     root partition under the uniform Bernoulli measure, and its growth
-    rate H_n / n."""
+    rate H_n / n. InvalidLevel if H_max_n is not a finite float; 2^n is formed
+    only for n <= 1022, since |V_1023| alone passes the float range."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if not is_prime(p):
         raise NonPrimeModulus(f"modulus {p} is not prime")
     log2p = math.log2(p)
+    if max_n > 1022 or math.isinf(ball_size(max_n) * log2p):
+        raise InvalidLevel(f"level {max_n}: H_n = |V_n| * log2({p}) is past the float range")
     terms = tuple((n, ball_size(n) * log2p, ball_size(n) * log2p / n) for n in range(1, max_n + 1))
     return EntropySequence(p=p, terms=terms)
 

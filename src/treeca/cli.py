@@ -47,22 +47,22 @@ def _matrix(args) -> rulematrix.RuleMatrix:
     return build_rule_matrix(TreeShape(args.n), _params(args))
 
 
-def _add_param_flags(sub, steps=False, seed=False):
+def _add_param_flags(sub):
     for coeff in "abcd":
         sub.add_argument(f"-{coeff}", type=int, required=True)
     sub.add_argument("-n", type=int, required=True, help="tree level count")
     sub.add_argument("-p", type=int, required=True, help="prime modulus")
-    if steps:
-        sub.add_argument("--steps", type=int, default=1)
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
-
-
-def _add_common(sub):
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--format", choices=["csv", "json", "text"], default=None)
     sub.add_argument("--allow-zero-coeffs", action="store_true")
-    sub.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+
+
+def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()):
+    """A subparser with --out, and --format over formats (the first is the default)."""
+    sub = sp.add_parser(name, help=summary)
+    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0])
+    sub.set_defaults(func=func)
+    return sub
 
 
 def cmd_matrix(args) -> int:
@@ -80,10 +80,9 @@ def cmd_det(args) -> int:
 def cmd_classify(args) -> int:
     rec = analysis.classify(args.a, args.b, args.c, args.d, args.n, args.p,
                             allow_zero=args.allow_zero_coeffs)
-    fmt = args.format or "text"
-    if fmt == "json":
+    if args.format == "json":
         text = analysis.records_to_json([rec]) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         text = analysis.records_to_csv([rec])
     else:
         text = (
@@ -101,11 +100,15 @@ def cmd_evolve(args) -> int:
             f"input configuration (n={cfg.shape.n}, p={cfg.p}) does not match "
             f"flags (n={args.n}, p={args.p})"
         )
-    trace = dynamics.evolve(cfg, _params(args), args.steps)
-    if (args.format or "json") == "text":
-        text = dynamics.format_config(dynamics.Configuration(cfg.shape, cfg.p, trace.values[-1]))
+    params = _params(args)
+    if args.format == "text":  # the last configuration only, so no trace is kept
+        if args.steps < 0:
+            raise ValueError(f"step count must be >= 0, got {args.steps}")
+        for _ in range(args.steps):
+            cfg = dynamics.step_local(cfg, params)
+        text = dynamics.format_config(cfg)
     else:
-        text = dynamics.trace_to_json(trace) + "\n"
+        text = dynamics.trace_to_json(dynamics.evolve(cfg, params, args.steps)) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 
@@ -158,9 +161,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    # a random sweep draws (a, b, c, d), so only its n and p lists are read
-    lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"))
-             for k in ("np" if args.random else "abcdnp")}
+    if args.random and any(getattr(args, f"{k}_values") for k in "abcd"):
+        args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
+    lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values")) for k in "abcdnp"}
     spec = analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed)
     records = analysis.sweep(spec)
     if args.format == "json":
@@ -189,64 +192,53 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Linear CA on the order-2 Cayley tree over Z_p")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    m = sp.add_parser("matrix", help="print the rule matrix")
+    m = _subcommand(sp, "matrix", cmd_matrix, "print the rule matrix")
     _add_param_flags(m)
-    _add_common(m)
     m.add_argument("--sparse", action="store_true", help="COO triples instead of dense rows")
-    m.set_defaults(func=cmd_matrix)
 
-    d = sp.add_parser("det", help="determinant of the rule matrix mod p")
-    _add_param_flags(d)
-    _add_common(d)
-    d.set_defaults(func=cmd_det)
+    _add_param_flags(_subcommand(sp, "det", cmd_det, "determinant of the rule matrix mod p"))
 
-    c = sp.add_parser("classify", help="reversibility verdict for one parameter tuple")
-    _add_param_flags(c)
-    _add_common(c)
-    c.set_defaults(func=cmd_classify)
+    _add_param_flags(_subcommand(sp, "classify", cmd_classify,
+                                 "reversibility verdict for one parameter tuple",
+                                 ("text", "csv", "json")))
 
-    e = sp.add_parser("evolve", help="evolve a configuration file")
-    _add_param_flags(e, steps=True)
-    _add_common(e)
+    e = _subcommand(sp, "evolve", cmd_evolve, "evolve a configuration file", ("json", "text"))
+    _add_param_flags(e)
+    e.add_argument("--steps", type=int, default=1)
     e.add_argument("--input", default=None, help="treeca-config file (default: stdin)")
-    e.set_defaults(func=cmd_evolve)
 
-    g = sp.add_parser("garden", help="Garden-of-Eden census")
-    _add_param_flags(g, seed=True)
-    _add_common(g)
+    g = _subcommand(sp, "garden", cmd_garden, "Garden-of-Eden census")
+    _add_param_flags(g)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--samples", type=int, default=0)
-    g.set_defaults(func=cmd_garden)
 
-    en = sp.add_parser("entropy", help="entropy growth sequence H_n, H_n/n")
+    en = _subcommand(sp, "entropy", cmd_entropy, "entropy growth sequence H_n, H_n/n",
+                     ("csv", "json"))
     en.add_argument("-p", type=int, required=True)
     en.add_argument("--max-n", type=int, required=True)
-    _add_common(en)
-    en.set_defaults(func=cmd_entropy)
 
-    pr = sp.add_parser("probe", help="partition refinement atom count (observability rank)")
-    _add_param_flags(pr, steps=True)
-    _add_common(pr)
+    pr = _subcommand(sp, "probe", cmd_probe,
+                     "partition refinement atom count (observability rank)")
+    _add_param_flags(pr)
+    pr.add_argument("--steps", type=int, default=1)
     pr.add_argument("--mode", choices=["root", "ball"], default="root")
-    pr.set_defaults(func=cmd_probe)
+    pr.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
-    sw = sp.add_parser("sweep", help="reversibility sweep over parameter ranges")
-    sw.add_argument("--a-values", default="")
-    sw.add_argument("--b-values", default="")
-    sw.add_argument("--c-values", default="")
-    sw.add_argument("--d-values", default="")
+    sw = _subcommand(sp, "sweep", cmd_sweep, "reversibility sweep over parameter ranges",
+                     ("csv", "json"))
+    for coeff in "abcd":
+        sw.add_argument(f"--{coeff}-values", default="")
     sw.add_argument("--n-values", default="2")
     sw.add_argument("--p-values", required=True)
     sw.add_argument("--random", type=int, default=0,
                     help="sample this many tuples per (p, n) instead of a cartesian sweep")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--threads", type=int, default=1)  # accepted and ignored
-    _add_common(sw)
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(usage_error=sw.error)  # exits 2 with sweep's usage line
 
-    t1 = sp.add_parser("table1", help="regenerate the reversibility table and diff the fixture")
+    t1 = _subcommand(sp, "table1", cmd_table1,
+                     "regenerate the reversibility table and diff the fixture")
     t1.add_argument("--fixture", default=None, help="alternate fixture path")
-    _add_common(t1)
-    t1.set_defaults(func=cmd_table1)
 
     return ap
 

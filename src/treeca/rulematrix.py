@@ -203,18 +203,9 @@ def _level_schedule(n: int, a: int, b: int, c: int, d: int, p: int) -> list[tupl
     return sched
 
 
-def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
-    """(det, rank) of the rule matrix of shape over Z_p, for a*b*c != 0 mod p,
-    from _level_schedule. A pivot level of size S adds S to the rank, a known
-    level 2S (its vertices and one child each), a zero level nothing; level
-    l >= 1 has S_l = 3*2^(l-1) vertices. At full rank every level is a pivot
-    level whose den is the num below, so det = prod e_l^S_l telescopes to
-    prod num_l^(S_l - S_(l-1)), S_(-1) = 0. The exponents are 1, 2 and then
-    3*2^(l-2), so det = num_0 num_1^2 q^3 with q = prod_(l>=2) num_l^(2^(l-2)),
-    which Horner's rule gives from the leaves in two products per level.
-    Only diagonal pivots multiply det, so there is no sign.
-    """
-    sched = _level_schedule(shape.n, a, b, c, d, p)
+def _schedule_rank(sched) -> int:
+    """Rank from a _level_schedule: a pivot level adds its size, a known level
+    twice its size (its vertices and one child each), a zero level nothing."""
     rank = 0
     for l, (kind, _, _) in enumerate(sched):
         size = 3 << (l - 1) if l else 1
@@ -222,6 +213,21 @@ def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -
             rank += size
         elif kind == "known":
             rank += 2 * size
+    return rank
+
+
+def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
+    """(det, rank) of the rule matrix of shape over Z_p, for a*b*c != 0 mod p,
+    from _level_schedule, with the rank from _schedule_rank. Level l >= 1 has
+    S_l = 3*2^(l-1) vertices. At full rank every level is a pivot level whose
+    den is the num below, so det = prod e_l^S_l telescopes to
+    prod num_l^(S_l - S_(l-1)), S_(-1) = 0. The exponents are 1, 2 and then
+    3*2^(l-2), so det = num_0 num_1^2 q^3 with q = prod_(l>=2) num_l^(2^(l-2)),
+    which Horner's rule gives from the leaves in two products per level.
+    Only diagonal pivots multiply det, so there is no sign.
+    """
+    sched = _level_schedule(shape.n, a, b, c, d, p)
+    rank = _schedule_rank(sched)
     if rank != shape.total_vertices:
         return 0, rank
     q = 1
@@ -413,7 +419,7 @@ def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
     a*b*c != 0 mod p, or None when the sweep finds y outside the image.
     _tree_back spans that null space: row 0 (the particular solution) with
     a 1 in the extra column, and one kernel vector per free vertex with a 0
-    (|V_n| - rank of them, rank from _level_recursion). A free column of
+    (|V_n| - rank of them, rank from _schedule_rank). A free column of
     rref([M | -y]) is the last nonzero entry of some null vector, so the
     RREF of the span with its columns reversed, read backwards, holds the
     canonical vectors by ascending free column."""
@@ -423,7 +429,7 @@ def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
     w = _tree_sweep(shape, sched, a, b, c, p, y)
     if w is None:
         return None
-    nullity = order - _level_recursion(shape, a, b, c, d, p)[1]
+    nullity = order - _schedule_rank(sched)
     span = _tree_back(shape, sched, w, coeffs, y, nullity)
     span = np.hstack([np.eye(1 + nullity, 1, dtype=np.int64), span[:, ::-1]])
     return rref_mod(span, p)[0][::-1, ::-1]

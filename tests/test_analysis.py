@@ -260,6 +260,18 @@ def test_entropy_csv_format():
     assert text.splitlines() == ["n,H_n,H_n_over_n", "1,4,4", "2,10,5", "3,22,7.33333333333"]
 
 
+@pytest.mark.parametrize("p,last", [(2, 1022), (2**31 - 1, 1017)])
+def test_entropy_refuses_levels_past_the_float_range(p, last):
+    """The last level whose H_n is a finite float answers; the next, and any
+    far deeper one (which must not form 2^n), raises InvalidLevel."""
+    terms = entropy_sequence(p, last).terms
+    assert len(terms) == last and all(math.isfinite(h) for _, h, _ in terms)
+    assert terms[-1][1] == ball_size(last) * math.log2(p)
+    for n in (last + 1, 10**18):
+        with pytest.raises(InvalidLevel, match=f"level {n}: "):
+            entropy_sequence(p, n)
+
+
 def test_entropy_nonprime():
     with pytest.raises(NonPrimeModulus):
         entropy_sequence(4, 3)

@@ -303,3 +303,207 @@ def test_main_builds_at_most_one_parser_tree(capsys, monkeypatch):
         assert main(["det", *COEFFS, "-n", str(k % 3 + 1), "-p", "5"]) == 0
     capsys.readouterr()
     assert tree > 1 and len(built) == tree
+
+
+# Each subcommand accepts only the flags it reads. VALID holds one accepted
+# invocation per subcommand (argv, stdin); a flag or --format value that the
+# subcommand would not read must turn it into a usage error.
+CONFIG_N1_P3 = "treeca-config 1 1 3\n1 0 2 1\n"
+VALID = {
+    "matrix": (["matrix", *COEFFS, "-n", "1", "-p", "3"], ""),
+    "det": (["det", *COEFFS, "-n", "1", "-p", "3"], ""),
+    "classify": (["classify", *COEFFS, "-n", "1", "-p", "3"], ""),
+    "evolve": (["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "2"], CONFIG_N1_P3),
+    "garden": (["garden", *COEFFS, "-n", "2", "-p", "2", "--samples", "1"], ""),
+    "entropy": (["entropy", "-p", "2", "--max-n", "3"], ""),
+    "probe": (["probe", *COEFFS, "-n", "1", "-p", "3", "--steps", "2"], ""),
+    "sweep": (["sweep", "--p-values", "5", "--a-values", "1", "--b-values", "1",
+               "--c-values", "1", "--d-values", "1"], ""),
+    "table1": (["table1"], ""),
+}
+DROPPED_FLAGS = [  # (subcommand, flag and its value): 16 pairs
+    ("matrix", ["--format", "text"]), ("matrix", ["--enumeration-cap", "100"]),
+    ("det", ["--format", "text"]), ("det", ["--enumeration-cap", "100"]),
+    ("classify", ["--enumeration-cap", "100"]),
+    ("evolve", ["--enumeration-cap", "100"]),
+    ("garden", ["--format", "json"]), ("garden", ["--enumeration-cap", "100"]),
+    ("entropy", ["--allow-zero-coeffs"]), ("entropy", ["--enumeration-cap", "100"]),
+    ("probe", ["--format", "text"]),
+    ("sweep", ["--allow-zero-coeffs"]), ("sweep", ["--enumeration-cap", "100"]),
+    ("table1", ["--format", "csv"]), ("table1", ["--allow-zero-coeffs"]),
+    ("table1", ["--enumeration-cap", "100"]),
+]
+UNREAD_FORMATS = [  # the 18 of the old 27 (subcommand, --format value) pairs never read
+    *((command, fmt) for command in ("matrix", "det", "garden", "probe", "table1")
+      for fmt in ("csv", "json", "text")),
+    ("evolve", "csv"), ("entropy", "text"), ("sweep", "text"),
+]
+
+
+def run_exit(capsys, monkeypatch, argv, stdin=""):
+    """(exit status, stdout, stderr) of main(argv), a usage error included."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_valid_invocations_answer(capsys, monkeypatch):
+    for command, (argv, stdin) in VALID.items():
+        code, out, err = run_exit(capsys, monkeypatch, argv, stdin)
+        assert (code, err) == (0, "") and out, command
+
+
+@pytest.mark.parametrize("command,flag", [
+    *(pytest.param(command, flag, id=f"{command}{flag[0]}") for command, flag in DROPPED_FLAGS),
+    *(pytest.param(command, ["--format", fmt], id=f"{command}--format={fmt}")
+      for command, fmt in UNREAD_FORMATS),
+    *(pytest.param("sweep", ["--random", "2", f"--{k}-values", "1"], id=f"sweep--random--{k}")
+      for k in "abcd"),
+])
+def test_unread_flags_are_usage_errors(capsys, monkeypatch, command, flag):
+    argv, stdin = VALID[command]
+    code, out, err = run_exit(capsys, monkeypatch, [*argv, *flag], stdin)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: treeca")
+
+
+@pytest.mark.parametrize("command,formats", [
+    ("classify", "text,csv,json"), ("evolve", "json,text"), ("entropy", "csv,json"),
+    ("sweep", "csv,json"),
+])
+def test_format_offers_exactly_the_written_formats(capsys, command, formats):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert f"[--format {{{formats}}}]" in capsys.readouterr().out
+
+
+def _classify_line(rec):
+    return (f"a={rec.a} b={rec.b} c={rec.c} d={rec.d} n={rec.n} p={rec.p} "
+            f"det={rec.det} rank={rec.rank} verdict={rec.verdict}\n")
+
+
+def _kept_format_cases():
+    """(argv, stdin, expected stdout) for each subcommand that takes --format,
+    with the expected bytes from the library's own routines."""
+    from treeca import analysis, dynamics
+
+    rec = analysis.classify(2, 3, 5, 7, 3, 17)
+    classify_argv = ["classify", "-a", "2", "-b", "3", "-c", "5", "-d", "7", "-n", "3", "-p", "17"]
+    shape, p = TreeShape(2), 101
+    cfg = Configuration(shape, p, np.arange(shape.total_vertices) * 37 % p)
+    trace = dynamics.evolve(cfg, Params(a=2, b=3, c=5, d=7, field=PrimeField(p)), 6)
+    evolve_argv = ["evolve", "-a", "2", "-b", "3", "-c", "5", "-d", "7", "-n", "2", "-p", str(p),
+                   "--steps", "6"]
+    seq = analysis.entropy_sequence(17, 9)
+    entropy_json = json.dumps({"p": 17, "terms": [{"n": n, "H_n": h, "H_n_over_n": hn}
+                                                  for n, h, hn in seq.terms]}, indent=2) + "\n"
+    lists = dict(a_values=(1, 2), b_values=(3,), c_values=(1, 4), d_values=(2,),
+                 n_values=(2, 3), p_values=(7, 5))
+    records = analysis.sweep(analysis.SweepSpec(**lists))
+    sweep_argv = ["sweep", *(f for k, v in lists.items()
+                             for f in (f"--{k[0]}-values", ",".join(map(str, v))))]
+    sweep_json = json.dumps({"seed": None, "records": [r._asdict() for r in records]},
+                            indent=2) + "\n"
+    return {
+        ("classify", "text"): (classify_argv, "", _classify_line(rec)),
+        ("classify", "csv"): (classify_argv, "", analysis.records_to_csv([rec])),
+        ("classify", "json"): (classify_argv, "", analysis.records_to_json([rec]) + "\n"),
+        ("evolve", "json"): (evolve_argv, format_config(cfg), dynamics.trace_to_json(trace) + "\n"),
+        ("evolve", "text"): (evolve_argv, format_config(cfg),
+                             format_config(Configuration(shape, p, trace.values[-1]))),
+        ("entropy", "csv"): (["entropy", "-p", "17", "--max-n", "9"], "", analysis.entropy_csv(seq)),
+        ("entropy", "json"): (["entropy", "-p", "17", "--max-n", "9"], "", entropy_json),
+        ("sweep", "csv"): (sweep_argv, "", analysis.records_to_csv(records)),
+        ("sweep", "json"): (sweep_argv, "", sweep_json),
+    }
+
+
+DEFAULT_FORMATS = {"classify": "text", "evolve": "json", "entropy": "csv", "sweep": "csv"}
+
+
+@pytest.mark.parametrize("command,fmt", [
+    ("classify", "text"), ("classify", "csv"), ("classify", "json"), ("evolve", "json"),
+    ("evolve", "text"), ("entropy", "csv"), ("entropy", "json"), ("sweep", "csv"),
+    ("sweep", "json"),
+])
+def test_kept_formats_print_the_library_serialisation(capsys, monkeypatch, command, fmt):
+    argv, stdin, want = _kept_format_cases()[command, fmt]
+    assert run_exit(capsys, monkeypatch, [*argv, "--format", fmt], stdin) == (0, want, "")
+    if DEFAULT_FORMATS[command] == fmt:
+        assert run_exit(capsys, monkeypatch, argv, stdin) == (0, want, "")
+
+
+@pytest.mark.parametrize("command", ["classify", "det", "matrix"])
+@pytest.mark.parametrize("coeffs", [(0, 3, 5, 7), (2, 0, 5, 7), (2, 3, 0, 7), (2, 3, 5, 0),
+                                    (0, 0, 5, 0)])
+def test_allow_zero_coeffs_matches_the_dense_route(capsys, command, coeffs):
+    from treeca.analysis import ReversibilityRecord
+    from treeca.rulematrix import _reduce, build_rule_matrix
+
+    n, p = 3, 17
+    argv = [command, *(f for k, v in zip("abcd", coeffs) for f in (f"-{k}", str(v))),
+            "-n", str(n), "-p", str(p)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error invalid-input: coefficient ") and "must be nonzero" in err
+    dense = build_rule_matrix(TreeShape(n), Params(*coeffs, field=PrimeField(p),
+                                                   allow_zero=True)).dense()
+    _, pivots, det = _reduce(dense, p)
+    want = {
+        "det": f"{det}\n",
+        "classify": _classify_line(ReversibilityRecord(*coeffs, n, p, det, len(pivots), det != 0)),
+        "matrix": f"treeca-matrix 1 {n} {p}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                                         for row in dense.tolist()),
+    }[command]
+    assert run(capsys, *argv, "--allow-zero-coeffs") == (0, want, "")
+
+
+def test_evolve_text_keeps_no_trace(capsys, monkeypatch):
+    """The text route steps one configuration: it never calls
+    dynamics.evolve, and its peak allocation stays far below the
+    (t+1) x |V_n| trace (2001 x 190 x 8 bytes = 3 MB)."""
+    import tracemalloc
+
+    from treeca import dynamics
+
+    def no_trace(*args):
+        raise AssertionError("dynamics.evolve called")
+
+    monkeypatch.setattr(dynamics, "evolve", no_trace)
+    shape, p = TreeShape(6), 2**31 - 1
+    pr = Params(a=2, b=3, c=5, d=7, field=PrimeField(p))
+    cfg = Configuration(shape, p, np.random.default_rng(6).integers(0, p, shape.total_vertices))
+    argv = ["evolve", "-a", "2", "-b", "3", "-c", "5", "-d", "7", "-n", "6", "-p", str(p),
+            "--format", "text"]
+    tracemalloc.start()
+    try:
+        got = run_exit(capsys, monkeypatch, [*argv, "--steps", "2000"], format_config(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for _ in range(2000):
+        cfg = step_local(cfg, pr)
+    assert got == (0, format_config(cfg), "")
+    assert peak < 500_000
+    code, out, err = run_exit(capsys, monkeypatch, [*argv, "--steps", "-1"], format_config(cfg))
+    assert (code, out) == (3, "")
+    assert err == "error invalid-input: step count must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("p,last", [(2, 1022), (2**31 - 1, 1017)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_entropy_stops_at_the_float_range(capsys, p, last, fmt):
+    code, out, err = run(capsys, "entropy", "-p", str(p), "--max-n", str(last), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "inf" not in out and "Infinity" not in out
+    if fmt == "json":
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON"))
+    code, out, err = run(capsys, "entropy", "-p", str(p), "--max-n", str(last + 1),
+                         "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error invalid-level: level {last + 1}: ")

@@ -641,6 +641,26 @@ def test_kernel_basis_builds_no_dense_matrix(monkeypatch):
     assert not _apply_local(basis, m.shape, m.params).any()
 
 
+def test_consistent_singular_solve_builds_one_level_schedule(monkeypatch):
+    """_tree_solve reads the nullity off the schedule it sweeps with."""
+    from treeca import rulematrix
+
+    built = []
+    schedule = rulematrix._level_schedule
+
+    def counting_schedule(*args):
+        built.append(args)
+        return schedule(*args)
+
+    m = build_rule_matrix(TreeShape(5), params_for(17, 2, 1, 3, 3))  # c = d^2/(a+b)
+    y = mat_vec(m.dense().tolist(), list(range(m.order)), 17)
+    nullity = m.order - linalg_report(m).rank
+    monkeypatch.setattr(rulematrix, "_level_schedule", counting_schedule)
+    sols = solve(m, np.array(y, dtype=np.int64))
+    assert sols.consistent and len(sols.kernel) == nullity > 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("n,coeffs", [
     (2, (2, 1, C31, 3)),  # level 1 zero: the root row fixes vertex 3
     (3, (2, 1, C31, 3)),  # level 2 zero: each level-1 row fixes its second child
