@@ -3,7 +3,8 @@
 The reversibility verdict for one parameter tuple comes from the exact
 leaf-to-root level recursion of rulematrix.linalg_report_for: O(n) field
 operations, no modular inverse, no rule matrix (dense elimination only when
-a zero among a, b, c is allowed); a sweep runs it directly, on one thread.
+a zero among a, b, c is allowed). A sweep runs it as one array pass per
+(p, n) group (rulematrix._level_recursion_batch), on one thread.
 The closed-form degree-10 and degree-22 determinant polynomials are
 evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
@@ -22,7 +23,6 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/spans.py patches this name
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import Params, _level_recursion, _reduce, linalg_report_for
+from .rulematrix import Params, _level_recursion_batch, _reduce, linalg_report_for
 from .tree import TreeShape, ball_size
 
 
@@ -94,37 +94,50 @@ class SweepSpec:
     seed: int = 0
 
 
-def _sweep_tuples(spec: SweepSpec) -> list[tuple[int, int, int, int, int, int]]:
-    tuples = []
+def _sweep_groups(spec: SweepSpec):
+    """Each nonempty (p, n) group of the spec in generation order, as
+    (PrimeField(p), n, rows (a, b, c, d), the values the rows are taken from):
+    seeded draws from Z_p^*, made once the field is checked, or the
+    cartesian product of the value lists."""
     if spec.random_count:
         rng = np.random.default_rng(spec.seed)
         for p in spec.p_values:
             for n in spec.n_values:
-                draws = rng.integers(1, p, size=(spec.random_count, 4)).tolist()
-                tuples += [(a, b, c, d, n, p) for a, b, c, d in draws]
+                field = PrimeField(p)  # before the draws: rng.integers(1, p) needs p >= 2
+                yield field, n, rng.integers(1, p, size=(spec.random_count, 4)), ()
     else:
-        grid = (spec.p_values, spec.n_values, spec.a_values, spec.b_values, spec.c_values,
-                spec.d_values)
-        tuples = [(a, b, c, d, n, p) for p, n, a, b, c, d in itertools.product(*grid)]
-    return tuples
+        lists = (spec.a_values, spec.b_values, spec.c_values, spec.d_values)
+        rows = list(itertools.product(*lists))
+        for p in spec.p_values:
+            for n in spec.n_values:
+                if rows:
+                    yield PrimeField(p), n, rows, itertools.chain(*lists)
 
 
 def sweep(spec: SweepSpec) -> list[ReversibilityRecord]:
-    """classify every tuple of the spec, with one TreeShape per n and one
-    PrimeField per p; the first bad tuple in generation order raises
-    classify's error. Output order is canonical (lexicographic over
-    (p, n, a, b, c, d))."""
-    fields, shapes, records = {}, {}, []
-    for a, b, c, d, n, p in _sweep_tuples(spec):
-        if p not in fields:
-            fields[p] = PrimeField(p)
-        if not (0 < a < p and 0 < b < p and 0 < c < p and 0 < d < p):
-            Params(a=a, b=b, c=c, d=d, field=fields[p])  # raises the coefficient's error
-        if n not in shapes:
-            shapes[n] = _printable_shape(n)
-        det, rank = _level_recursion(shapes[n], a, b, c, d, p)
-        records.append(ReversibilityRecord(a, b, c, d, n, p, det, rank, det != 0))
-    return sorted(records, key=itemgetter(5, 4, 0, 1, 2, 3))  # ReversibilityRecord.sort_key
+    """classify every tuple of the spec, by one array pass of the level
+    recursion per (p, n) group. The first bad tuple in generation order
+    raises classify's error: its modulus, then its coefficients, then its
+    level; an empty group checks nothing. Output order is canonical
+    (lexicographic over (p, n, a, b, c, d))."""
+    tables, ranks = [], []
+    for field, n, rows, values in _sweep_groups(spec):
+        p = field.p
+        if not all(0 < v < p for v in values):
+            first = next(t for t in rows if not all(0 < v < p for v in t))
+            if first is not rows[0]:
+                _printable_shape(n)  # the group's first tuple is good, so its level comes first
+            Params(*first, field=field)  # raises the coefficient's error
+        abcd = np.asarray(rows, dtype=np.int64)
+        det, rank = _level_recursion_batch(_printable_shape(n), *abcd.T, p)
+        tables.append(np.column_stack([abcd, np.full((len(abcd), 2), (n, p)), det]))
+        ranks += rank
+    if not tables:
+        return []
+    table = np.concatenate(tables)
+    order = np.lexsort(table[:, [3, 2, 1, 0, 4, 5]].T).tolist()  # ReversibilityRecord.sort_key
+    return [ReversibilityRecord(*row, ranks[i], row[6] != 0)
+            for row, i in zip(table[order].tolist(), order)]
 
 
 def records_to_csv(records: Iterable[ReversibilityRecord]) -> str:

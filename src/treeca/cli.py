@@ -56,12 +56,13 @@ def _add_param_flags(sub):
 
 
 def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()):
-    """A subparser with --out, and --format over formats (the first is the default)."""
+    """A subparser with --out, --format over formats (the first is the
+    default), and usage_error, its own argparse error."""
     sub = sp.add_parser(name, help=summary)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     if formats:
         sub.add_argument("--format", choices=formats, default=formats[0])
-    sub.set_defaults(func=func)
+    sub.set_defaults(func=func, usage_error=sub.error)  # exits 2 with this subcommand's usage line
     return sub
 
 
@@ -234,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sample this many tuples per (p, n) instead of a cartesian sweep")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--threads", type=int, default=1)  # accepted and ignored
-    sw.set_defaults(usage_error=sw.error)  # exits 2 with sweep's usage line
 
     t1 = _subcommand(sp, "table1", cmd_table1,
                      "regenerate the reversibility table and diff the fixture")
@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # argparse hands them back to the top-level parser, whose usage line lists all nine
+        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except FixtureMismatch as exc:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
-from .rulematrix import Params, RuleMatrix, SolutionSet, linalg_report, solve
+from .rulematrix import Params, RuleMatrix, SolutionSet, _entries, linalg_report, solve
 from .tree import TreeShape
 from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
@@ -242,7 +242,7 @@ def parse_config(text: str) -> Configuration:
     shape = TreeShape(n)
     if len(values) != shape.total_vertices:
         raise FormatError(f"expected {shape.total_vertices} residues, got {len(values)}")
-    return Configuration(shape, p, np.array(values, dtype=np.int64))
+    return Configuration(shape, p, _entries(values, p))
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,7 @@ class Params:
             if not 0 <= v < p:
                 raise ValueError(f"coefficient {name}={v} outside [0, {p})")
             if v == 0 and not self.allow_zero:
-                raise ValueError(f"coefficient {name} must be nonzero (pass allow_zero to relax)")
+                raise ValueError(f"coefficient {name} must be nonzero")
 
     @property
     def p(self) -> int:
@@ -113,7 +113,8 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 # built: det, rank and the reversibility verdict come from the leaf-to-root
 # level recursion (_level_recursion, O(n) field operations and no modular
 # inverse: the schedule carries each level's pivot as a fraction num/den,
-# and det telescopes to a product of powers of the nums), and solve from
+# and det telescopes to a product of powers of the nums; a sweep runs it
+# over arrays of tuples, _level_recursion_batch), and solve from
 # the same elimination schedule (_level_schedule) carried out on a
 # right-hand side (_tree_sweep, leaf to root over each level's vertices,
 # then _tree_back, one root-to-leaf pass that also picks the free vertices
@@ -234,6 +235,36 @@ def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -
     for _, num, _ in reversed(sched[2:]):
         q = q * q * num % p
     return sched[0][1] * sched[1][1] ** 2 * pow(q, 3, p) % p, rank
+
+
+def _level_recursion_batch(shape: TreeShape, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                           d: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """_level_recursion over int64 arrays of coefficients in [1, p) (det) and
+    a list of exact Python ints (rank; it passes 2^63 from n = 62): one array
+    step per level, leaf to root, as _level_schedule takes it for one tuple.
+    A level over a zero level is known: its state becomes 1/0, as below the
+    leaves, so the next level starts afresh. A zero level l adds no rank and
+    its known parents add twice their number, so it costs |L_l| - |L_(l-1)|:
+    3*2^(l-2) for l >= 2, 2 at l = 1 and 1 at the root. det is the same
+    Horner product, and any zero level makes it 0 through q, num_1 or num_0.
+    Every product of two residues stays below 2^62."""
+    total = shape.total_vertices
+    sc = (a + b) % p * c % p
+    rank = np.full(len(a), total, dtype=object)
+    num, den, q = np.ones_like(a), np.zeros_like(a), np.ones_like(a)
+    zero = np.zeros(len(a), dtype=bool)  # the level below is a zero level
+    for l in range(shape.n, -1, -1):
+        s = (sc + c * c) % p if l == 0 else sc
+        num, den = np.where(zero, 1, (d * num - s * den) % p), num
+        zero = num == 0
+        if zero.any():
+            rank[zero] -= 3 << (l - 2) if l >= 2 else 2 if l else 1
+        if l >= 2:
+            q = q * q % p * num % p
+        elif l == 1:
+            num_1 = num
+    det = num * (num_1 * num_1 % p) % p * (q * q % p * q % p) % p
+    return det, rank.tolist()
 
 
 def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
@@ -497,10 +528,20 @@ def _parsed_order(n: int) -> int:
     return ball_size(n)
 
 
+def _entries(values, p: int) -> np.ndarray:
+    """values as int64; one that int64 cannot hold lies outside [0, p) for
+    every modulus, so it is a FormatError, not an OverflowError."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise FormatError(f"residues outside [0, {p})") from None
+
+
 def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:
     """Parse either v1 text format; returns (n, p, dense matrix).
 
     Levels 1 to 10 are accepted, and COO indices must lie in [0, |V_n|).
+    An entry that int64 cannot hold is a FormatError, like any outside [0, p).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -511,7 +552,7 @@ def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:
         order = _parsed_order(n)
         if len(lines) - 1 != order:
             raise FormatError(f"expected {order} rows, got {len(lines) - 1}")
-        mat = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=np.int64)
+        mat = _entries([[int(v) for v in ln.split()] for ln in lines[1:]], p)
         if mat.shape != (order, order):
             raise FormatError(f"expected {order}x{order} matrix, got {mat.shape}")
     elif len(head) == 5 and head[:2] == [_MAGIC_COO, "1"]:
@@ -524,7 +565,7 @@ def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:
             r, c, v = (int(t) for t in ln.split())
             if not (0 <= r < order and 0 <= c < order):
                 raise FormatError(f"entry ({r}, {c}) outside the {order}x{order} matrix")
-            mat[r, c] = v
+            mat[r, c] = _entries(v, p)
     else:
         raise FormatError(f"unrecognized matrix header {lines[0]!r}")
     if (mat < 0).any() or (mat >= p).any():

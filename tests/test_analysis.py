@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeca.analysis import (
+    ReversibilityRecord,
     SweepSpec,
     TABLE1_ROWS,
     ball_size,
@@ -32,6 +33,7 @@ from treeca.errors import (
     FixtureMismatch,
     FormatError,
     InvalidLevel,
+    ModulusOutOfRange,
     NonPrimeModulus,
 )
 from treeca.field import PrimeField
@@ -219,6 +221,71 @@ def test_deep_level_is_rejected_before_any_tree_is_built(monkeypatch, digit_limi
         with pytest.raises(InvalidLevel):
             sweep(SweepSpec(a_values=(1,), b_values=(1,), c_values=(1,), d_values=(1,),
                             n_values=(n,), p_values=(5,)))
+
+
+def test_sweep_of_every_unit_tuple_matches_classify():
+    """Every tuple of (Z_5^*)^4 at n = 1, 2, 3, one array pass per n,
+    record by record against classify's scalar recursion."""
+    units = (1, 2, 3, 4)
+    spec = SweepSpec(a_values=units, b_values=units, c_values=units, d_values=units,
+                     n_values=(3, 1, 2), p_values=(5,))
+    want = sorted((classify(a, b, c, d, n, 5) for n in (1, 2, 3) for a in units
+                   for b in units for c in units for d in units),
+                  key=ReversibilityRecord.sort_key)
+    assert sweep(spec) == want
+
+
+def unit_spec(**kwargs):
+    return SweepSpec(**{"a_values": (1,), "b_values": (1,), "c_values": (1,), "d_values": (1,),
+                        "n_values": (2,), "p_values": (5,), **kwargs})
+
+
+@pytest.mark.parametrize("spec,error,match", [
+    # a = 6 is a coefficient mod 7 but not mod 5, whose group comes second
+    pytest.param(unit_spec(a_values=(6,), p_values=(7, 5)), ValueError,
+                 r"^coefficient a=6 outside \[0, 5\)$", id="coefficient-bad-for-a-later-p"),
+    pytest.param(unit_spec(n_values=(2, 0)), InvalidLevel, "got 0", id="bad-n-after-a-good-one"),
+    # the n = 2 group, and its bad second tuple, come before the n = 0 group
+    pytest.param(unit_spec(d_values=(1, 6), n_values=(2, 0)), ValueError, "coefficient d=6",
+                 id="earlier-group-first"),
+    # the first tuple of the n = 0 group is good, so its level comes before d = 6
+    pytest.param(unit_spec(d_values=(1, 6), n_values=(0, 2)), InvalidLevel, "got 0",
+                 id="first-tuple-level-before-second-tuple"),
+    pytest.param(unit_spec(d_values=(6, 1), n_values=(0,)), ValueError, "coefficient d=6",
+                 id="coefficients-before-level"),
+    pytest.param(unit_spec(b_values=(1, 2**70)), ValueError, f"coefficient b={2**70} outside",
+                 id="coefficient-past-int64"),
+    # the modulus comes before the draws, which could not be made for p < 2
+    pytest.param(SweepSpec(p_values=(5, 1), random_count=2), NonPrimeModulus,
+                 "^modulus 1 is not prime$", id="random-p-below-2"),
+    pytest.param(SweepSpec(p_values=(2**31,), random_count=2), ModulusOutOfRange, "not below 2",
+                 id="random-p-out-of-range"),
+])
+def test_sweep_raises_the_first_bad_tuples_error(spec, error, match):
+    with pytest.raises(error, match=match):
+        sweep(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(unit_spec(a_values=(), b_values=(0,), n_values=(0,), p_values=(4,)),
+                 id="empty-coefficient-list"),
+    pytest.param(unit_spec(n_values=(), p_values=(1,)), id="empty-n-list"),
+    pytest.param(SweepSpec(n_values=(), p_values=(1,), random_count=2), id="random-empty-n-list"),
+    pytest.param(SweepSpec(n_values=(0,), p_values=(), random_count=2), id="random-empty-p-list"),
+])
+def test_sweep_with_an_empty_value_list_checks_nothing(spec):
+    assert sweep(spec) == []
+
+
+def test_random_sweep_draws_as_before():
+    """One generator across the (p, n) groups in generation order, drawing
+    (random_count, 4) from [1, p) per group."""
+    spec = SweepSpec(n_values=(3, 1), p_values=(17, 2, 101), random_count=7, seed=9)
+    rng = np.random.default_rng(9)
+    tuples = [(a, b, c, d, n, p) for p in (17, 2, 101) for n in (3, 1)
+              for a, b, c, d in rng.integers(1, p, size=(7, 4)).tolist()]
+    assert [(r.a, r.b, r.c, r.d, r.n, r.p) for r in sweep(spec)] == sorted(
+        tuples, key=lambda t: (t[5], t[4], *t[:4]))
 
 
 def test_records_serialization():

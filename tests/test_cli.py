@@ -226,6 +226,18 @@ def test_sweep_first_bad_tuple_sets_the_error(capsys, primes, error):
     assert err.startswith(error)
 
 
+def test_sweep_zero_coefficient_names_no_option_it_lacks(capsys):
+    code, out, err = run(capsys, "sweep", "--p-values", "5", "--a-values", "0",
+                         "--b-values", "1", "--c-values", "1", "--d-values", "1")
+    assert (code, out, err) == (3, "", "error invalid-input: coefficient a must be nonzero\n")
+    assert "allow_zero" not in err
+
+
+def test_random_sweep_checks_the_modulus_before_drawing(capsys):
+    code, out, err = run(capsys, "sweep", "--random", "2", "--p-values", "1")
+    assert (code, out, err) == (3, "", "error non-prime-modulus: modulus 1 is not prime\n")
+
+
 def test_empty_sweep_checks_no_modulus(capsys):
     code, out, err = run(capsys, "sweep", "--p-values", "4", "--b-values", "1")
     assert (code, out, err) == (0, "a,b,c,d,n,p,det,rank,reversible\n", "")
@@ -351,6 +363,12 @@ def run_exit(capsys, monkeypatch, argv, stdin=""):
     return code, captured.out, captured.err
 
 
+def test_evolve_rejects_a_residue_past_int64(capsys, monkeypatch):
+    config = "treeca-config 1 1 5\n1 2 3 99999999999999999999999\n"
+    assert run_exit(capsys, monkeypatch, ["evolve", *COEFFS, "-n", "1", "-p", "5"], config) == (
+        3, "", "error format-error: residues outside [0, 5)\n")
+
+
 def test_valid_invocations_answer(capsys, monkeypatch):
     for command, (argv, stdin) in VALID.items():
         code, out, err = run_exit(capsys, monkeypatch, argv, stdin)
@@ -368,7 +386,7 @@ def test_unread_flags_are_usage_errors(capsys, monkeypatch, command, flag):
     argv, stdin = VALID[command]
     code, out, err = run_exit(capsys, monkeypatch, [*argv, *flag], stdin)
     assert (code, out) == (2, "")
-    assert err.startswith("usage: treeca")
+    assert err.startswith(f"usage: treeca {command} ")
 
 
 @pytest.mark.parametrize("command,formats", [

@@ -337,6 +337,12 @@ def test_parse_config_rejects_level_beyond_body(monkeypatch):
         parse_config("treeca-config 1 2 3\n0 0 0 0\n")
 
 
+@pytest.mark.parametrize("residue", [2**63, 99999999999999999999999, -2**63 - 1])
+def test_parse_config_rejects_residues_past_int64(residue):
+    with pytest.raises(FormatError, match=r"outside \[0, 5\)"):
+        parse_config(f"treeca-config 1 1 5\n1 2 3 {residue}\n")
+
+
 def test_trace_json():
     shape = TreeShape(1)
     pr = params_for(2, 1, 1, 1, 1)

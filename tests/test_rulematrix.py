@@ -12,6 +12,8 @@ from treeca.field import PrimeField
 from treeca.rulematrix import (
     Params,
     RuleMatrix,
+    _level_recursion,
+    _level_recursion_batch,
     _level_schedule,
     _reduce,
     build_rule_matrix,
@@ -422,6 +424,10 @@ def test_rows_match_address_route(n):
     "treeca-matrix-coo 1 1000000 5 0\n",
     "treeca-matrix 1 1000000 5\n0\n",
     "treeca-matrix\n",
+    # residues that int64 cannot hold
+    f"treeca-matrix 1 1 5\n{2**63} 0 0 0\n" + "0 0 0 0\n" * 3,
+    f"treeca-matrix 1 1 5\n{-2**63 - 1} 0 0 0\n" + "0 0 0 0\n" * 3,
+    "treeca-matrix-coo 1 1 5 1\n0 0 99999999999999999999999\n",
 ])
 def test_parse_matrix_rejects_out_of_range(text, monkeypatch):
     real_zeros = np.zeros
@@ -507,6 +513,59 @@ def test_level_recursion_matches_level_tables(p, n, data):
     rep = linalg_report_for(TreeShape(n), params_for(p, a, b, c, d, allow_zero=True))
     assert (rep.det, rep.rank) == table_recursion(n, a, b, c, d, p)
     assert rep.det == continuant_det(a, b, c, d, n, p)
+
+
+@st.composite
+def level_groups(draw):
+    """(p, n, rows) for one array pass: rows (a, b, c, d) in [1, p), some with
+    c = d^2/(a+b) (a zero level at the leaves' parents), a + b = 0 or
+    a + b + c = 0 mod p; n up to 80, so ranks pass 2^63 from n = 62."""
+    p = draw(st.sampled_from([2, 3, 5, 17, 65521, 2**31 - 1]))
+    n = draw(st.integers(1, 80))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        a, b, c, d = (draw(st.integers(1, p - 1)) for _ in range(4))
+        kind = draw(st.sampled_from(["any", "singular", "a+b", "a+b+c"]))
+        if kind == "singular" and (a + b) % p:
+            c = d * d * pow(a + b, -1, p) % p
+        elif kind == "a+b":
+            b = p - a
+        elif kind == "a+b+c" and (a + b) % p:
+            c = -(a + b) % p
+        rows.append((a, b, c, d))
+    return p, n, rows
+
+
+def batch_pass(shape, rows, p):
+    det, rank = _level_recursion_batch(shape, *np.array(rows, dtype=np.int64).T, p)
+    assert all(type(r) is int for r in rank)
+    return list(zip(det.tolist(), rank))
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_groups())
+def test_level_recursion_batch_matches_scalar(group):
+    p, n, rows = group
+    shape = TreeShape(n)
+    assert batch_pass(shape, rows, p) == [_level_recursion(shape, *r, p) for r in rows]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_level_recursion_batch_restarts_after_zero_levels(p):
+    """Every tuple of (Z_p^*)^4 at n = 1..12 in one pass per n, against the
+    scalar recursion; the set includes tuples with several zero levels
+    (a restart above each) and with a zero level 1 under a known root.
+    (Z_2^*)^4 has one tuple, whose only zero level is the root's."""
+    rows = list(itertools.product(range(1, p), repeat=4))
+    restarts = known_root = 0
+    for n in range(1, 13):
+        shape = TreeShape(n)
+        assert batch_pass(shape, rows, p) == [_level_recursion(shape, *r, p) for r in rows]
+        for r in rows:
+            kinds = [kind for kind, _, _ in _level_schedule(n, *r, p)]
+            restarts += kinds.count("zero") >= 2
+            known_root += kinds[0] == "known"
+    assert restarts and known_root
 
 
 def test_det_at_n_20000_builds_no_level_tables(capsys, monkeypatch):
