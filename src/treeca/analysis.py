@@ -4,7 +4,7 @@ The reversibility verdict for one parameter tuple comes from the exact
 leaf-to-root level recursion of rulematrix.linalg_report_for: O(n) field
 operations, no modular inverse, no rule matrix (dense elimination only when
 a zero among a, b, c is allowed). A sweep runs it as one array pass per
-(p, n) group (rulematrix._level_recursion_batch), on one thread.
+(p, n) group, the same rulematrix._level_recursion over int64 arrays.
 The closed-form degree-10 and degree-22 determinant polynomials are
 evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import Params, _level_recursion_batch, _reduce, linalg_report_for
+from .rulematrix import Params, _level_recursion, _reduce, linalg_report_for
 from .tree import TreeShape, ball_size
 
 
@@ -129,9 +129,9 @@ def sweep(spec: SweepSpec) -> list[ReversibilityRecord]:
                 _printable_shape(n)  # the group's first tuple is good, so its level comes first
             Params(*first, field=field)  # raises the coefficient's error
         abcd = np.asarray(rows, dtype=np.int64)
-        det, rank = _level_recursion_batch(_printable_shape(n), *abcd.T, p)
+        det, rank = _level_recursion(_printable_shape(n).n, *abcd.T, p)
         tables.append(np.column_stack([abcd, np.full((len(abcd), 2), (n, p)), det]))
-        ranks += rank
+        ranks += rank.tolist()
     if not tables:
         return []
     table = np.concatenate(tables)

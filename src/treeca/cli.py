@@ -162,6 +162,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
+    if args.random < 0:
+        args.usage_error(f"--random must be >= 0, got {args.random}")
     if args.random and any(getattr(args, f"{k}_values") for k in "abcd"):
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
     lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values")) for k in "abcdnp"}

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
-from .rulematrix import Params, RuleMatrix, SolutionSet, _entries, linalg_report, solve
+from .rulematrix import Params, RuleMatrix, SolutionSet, _entries, _ints, linalg_report, solve
 from .tree import TreeShape
 from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
@@ -234,8 +234,8 @@ def parse_config(text: str) -> Configuration:
     head = lines[0].split()
     if len(head) != 4 or head[0] != _MAGIC or head[1] != "1":
         raise FormatError(f"unrecognized configuration header {lines[0]!r}")
-    n, p = int(head[2]), int(head[3])
-    values = [int(t) for ln in lines[1:] for t in ln.split()]
+    n, p = _ints(head[2:], "header numbers outside int64")
+    values = _ints(" ".join(lines[1:]).split(), f"residues outside [0, {p})")
     # |V_n| >= 2^n: bound n by the body before TreeShape(n) forms 2^n
     if n > len(values).bit_length():
         raise FormatError(f"level {n} is too deep for {len(values)} residues")

@@ -113,9 +113,9 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
 # built: det, rank and the reversibility verdict come from the leaf-to-root
 # level recursion (_level_recursion, O(n) field operations and no modular
 # inverse: the schedule carries each level's pivot as a fraction num/den,
-# and det telescopes to a product of powers of the nums; a sweep runs it
-# over arrays of tuples, _level_recursion_batch), and solve from
-# the same elimination schedule (_level_schedule) carried out on a
+# and det telescopes to a product of powers of the nums; the same code runs
+# one tuple in Python ints or a sweep's (p, n) group in int64 arrays), and
+# solve from the same elimination schedule (_level_schedule) carried out on a
 # right-hand side (_tree_sweep, leaf to root over each level's vertices,
 # then _tree_back, one root-to-leaf pass that also picks the free vertices
 # and returns the particular solution with one kernel row per free vertex;
@@ -176,95 +176,67 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def _level_schedule(n: int, a: int, b: int, c: int, d: int, p: int) -> list[tuple[str, int, int]]:
+def _level_schedule(n: int, a, b, c, d, p: int) -> list[tuple]:
     """The leaf-to-root elimination of the level-n rule matrix, for
-    a*b*c != 0 mod p: one (kind, num, den) per level, index 0 = root.
+    a*b*c != 0 mod p: one (num, den) per level, index 0 = root, in Python
+    ints (one tuple) or int64 arrays (one residue per tuple; every product
+    of two residues stays below 2^62).
 
     Every vertex of a level heads an identical subtree, so one state per
     level suffices. The level's pivot is the Schur complement
     e = d - s*c/q, with q the pivot of the level below and s = a+b (s+c at
     the root, which has three children), kept as num/den with no inverse:
-    num = d*q_num - s*c*q_den, den = q_num, from q = 1/0 below the leaves. kind is
-      "pivot"  num != 0;
-      "zero"   num == 0: each parent pivots on one child's c entry and on
-               its own a/b entry (two ranks) and drops out of its parent's
-               row, leaving the other children as empty rows and columns;
-      "known"  the parents of a zero level, consumed by it (num, den unused).
-    The level above a known level starts afresh, as the leaves do.
+    num = d*q_num - s*c*q_den, den = q_num, from q = 1/0 below the leaves.
+    On a zero level (num == 0) each parent pivots on one child's c entry
+    and on its own a/b entry (two ranks) and drops out of its parent's row,
+    leaving the other children as empty rows and columns. The parents form
+    a known level (den == 0), consumed by it: its state is reset to 1/0, as
+    below the leaves, so the level above starts afresh. Any other level is
+    a pivot level.
     """
-    sc = (a + b) * c % p
-    sched: list[tuple[str, int, int]] = [("known", 0, 1)] * (n + 1)
+    sc = (a + b) % p * c % p
+    sched = []
     num, den = 1, 0
     for l in range(n, -1, -1):
-        if not num:  # a zero level below: this level is known, the next starts afresh
-            num, den = 1, 0
-            continue
-        num, den = (d * num - (sc + c * c if l == 0 else sc) * den) % p, num
-        sched[l] = ("pivot" if num else "zero", num, den)
-    return sched
-
-
-def _schedule_rank(sched) -> int:
-    """Rank from a _level_schedule: a pivot level adds its size, a known level
-    twice its size (its vertices and one child each), a zero level nothing."""
-    rank = 0
-    for l, (kind, _, _) in enumerate(sched):
-        size = 3 << (l - 1) if l else 1
-        if kind == "pivot":
-            rank += size
-        elif kind == "known":
-            rank += 2 * size
-    return rank
-
-
-def _level_recursion(shape: TreeShape, a: int, b: int, c: int, d: int, p: int) -> tuple[int, int]:
-    """(det, rank) of the rule matrix of shape over Z_p, for a*b*c != 0 mod p,
-    from _level_schedule, with the rank from _schedule_rank. Level l >= 1 has
-    S_l = 3*2^(l-1) vertices. At full rank every level is a pivot level whose
-    den is the num below, so det = prod e_l^S_l telescopes to
-    prod num_l^(S_l - S_(l-1)), S_(-1) = 0. The exponents are 1, 2 and then
-    3*2^(l-2), so det = num_0 num_1^2 q^3 with q = prod_(l>=2) num_l^(2^(l-2)),
-    which Horner's rule gives from the leaves in two products per level.
-    Only diagonal pivots multiply det, so there is no sign.
-    """
-    sched = _level_schedule(shape.n, a, b, c, d, p)
-    rank = _schedule_rank(sched)
-    if rank != shape.total_vertices:
-        return 0, rank
-    q = 1
-    for _, num, _ in reversed(sched[2:]):
-        q = q * q * num % p
-    return sched[0][1] * sched[1][1] ** 2 * pow(q, 3, p) % p, rank
-
-
-def _level_recursion_batch(shape: TreeShape, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                           d: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """_level_recursion over int64 arrays of coefficients in [1, p) (det) and
-    a list of exact Python ints (rank; it passes 2^63 from n = 62): one array
-    step per level, leaf to root, as _level_schedule takes it for one tuple.
-    A level over a zero level is known: its state becomes 1/0, as below the
-    leaves, so the next level starts afresh. A zero level l adds no rank and
-    its known parents add twice their number, so it costs |L_l| - |L_(l-1)|:
-    3*2^(l-2) for l >= 2, 2 at l = 1 and 1 at the root. det is the same
-    Horner product, and any zero level makes it 0 through q, num_1 or num_0.
-    Every product of two residues stays below 2^62."""
-    total = shape.total_vertices
-    sc = (a + b) % p * c % p
-    rank = np.full(len(a), total, dtype=object)
-    num, den, q = np.ones_like(a), np.zeros_like(a), np.ones_like(a)
-    zero = np.zeros(len(a), dtype=bool)  # the level below is a zero level
-    for l in range(shape.n, -1, -1):
         s = (sc + c * c) % p if l == 0 else sc
-        num, den = np.where(zero, 1, (d * num - s * den) % p), num
-        zero = num == 0
-        if zero.any():
-            rank[zero] -= 3 << (l - 2) if l >= 2 else 2 if l else 1
-        if l >= 2:
-            q = q * q % p * num % p
-        elif l == 1:
-            num_1 = num
-    det = num * (num_1 * num_1 % p) % p * (q * q % p * q % p) % p
-    return det, rank.tolist()
+        # (num != 0) and (num == 0) select the reset over a zero level
+        num, den = (d * num - s * den) % p * (num != 0) + (num == 0), num
+        sched.append((num, den))
+    return sched[::-1]
+
+
+def _nullity(sched):
+    """|V_n| - rank from a _level_schedule. A zero level l adds no rank and
+    its known parents add twice their number (their vertices and one child
+    each), so it costs |L_l| - |L_(l-1)|: 3*2^(l-2) for l >= 2, 2 at l = 1
+    and 1 at the root. Exact past 2^63: a Python int for one tuple, an
+    object array of them for arrays."""
+    zero = np.array([num for num, _ in sched]) == 0  # one row per level
+    exact = zero.astype(object)
+    costs = (exact[l] * (3 << (l - 2) if l >= 2 else 2 if l else 1)
+             for l in set(np.nonzero(zero)[0].tolist()))
+    return sum(costs, 0 * exact[0])
+
+
+def _level_recursion(n: int, a, b, c, d, p: int) -> tuple:
+    """(det, rank) of the level-n rule matrix over Z_p, for a*b*c != 0 mod p,
+    from _level_schedule and _nullity, as Python ints or as arrays (rank an
+    object array), like the operands. Level l >= 1 has S_l = 3*2^(l-1)
+    vertices. At full rank every level is a pivot level whose den is the num
+    below, so det = prod e_l^S_l telescopes to prod num_l^(S_l - S_(l-1)),
+    S_(-1) = 0. The exponents are 1, 2 and then 3*2^(l-2), so
+    det = num_0 num_1^2 q^3 with q = prod_(l>=2) num_l^(2^(l-2)), which
+    Horner's rule gives from the leaves in two products per level. Any zero
+    level makes det 0 through num_0, num_1 or q. Only diagonal pivots
+    multiply det, so there is no sign.
+    """
+    sched = _level_schedule(n, a, b, c, d, p)
+    q = 1
+    for num, _ in reversed(sched[2:]):
+        q = q * q % p * num % p
+    (num_0, _), (num_1, _) = sched[:2]
+    det = num_0 * (num_1 * num_1 % p) % p * (q * q % p * q % p) % p
+    return det, ball_size(n) - _nullity(sched)
 
 
 def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
@@ -272,7 +244,7 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
     """Forward sweep of M x = y, leaf to root, along the schedule of
     _level_schedule. Returns w over the vertices, plus neighbor_tables'
     zero sentinel slot, or None at the first failed consistency check,
-    that is when y lies outside the image. On a level of kind
+    that is when y lies outside the image. On a level that is
       pivot  x_v = w_v - (c/e) x_parent(v);
       zero   the rows read c x_parent(v) = w_v, so sibling w's must agree,
              and at the root 0 = w_0;
@@ -283,26 +255,26 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
     ci = pow(c, -1, p)
     w = np.zeros(shape.total_vertices + 1, dtype=np.int64)
     for l in range(shape.n, -1, -1):
-        kind, num, den = sched[l]
+        num, den = sched[l]
         here = slice(bounds[l], bounds[l + 1])
         kids = [w[c1[here]], w[c2[here]]] + ([w[3:4]] if l == 0 else [])
-        if kind == "known":
+        if not den:  # known
             if any((k != kids[0]).any() for k in kids[1:]):
                 return None
             w[here] = kids[0] * ci % p
         else:
             rhs = (y[here] - sum(wi * k % p for wi, k in zip((a, b, c), kids))) % p
-            w[here] = rhs * (den * pow(num, -1, p) % p) % p if kind == "pivot" else rhs
-    if sched[0][0] == "zero" and w[0]:
+            w[here] = rhs * (den * pow(num, -1, p) % p) % p if num else rhs
+    if not sched[0][0] and w[0]:
         return None
     return w
 
 
 def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, int, int, int],
-               y: np.ndarray, nullity: int) -> np.ndarray:
+               y: np.ndarray) -> np.ndarray:
     """Back-substitution of a forward sweep (sched, w) of M x = y, root to
-    leaf, in one pass. Returns a (1 + nullity) x |V_n| array: row 0 is a
-    solution that is 0 at the free vertices, and row i >= 1 is the kernel
+    leaf, in one pass. Returns a (1 + _nullity(sched)) x |V_n| array: row 0
+    is a solution that is 0 at the free vertices, and row i >= 1 is the kernel
     vector that is 1 at the i-th free vertex and 0 at the others. Each zero
     level chooses its free vertices as it is reached: the root when its
     pivot is zero, the first two root children when level 1 is zero (the
@@ -313,16 +285,16 @@ def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, i
     a, b, c, d, p = coeffs
     par, c1, c2 = neighbor_tables(shape.n)
     bounds = shape.level_offsets + (shape.total_vertices,)
-    x = np.zeros((1 + nullity, shape.total_vertices), dtype=np.int64)
+    x = np.zeros((1 + _nullity(sched), shape.total_vertices), dtype=np.int64)
     r = 1  # rows begun: the particular solution and one per free vertex so far
-    for l, (kind, num, den) in enumerate(sched):
+    for l, (num, den) in enumerate(sched):
         here = slice(bounds[l], bounds[l + 1])
-        if kind == "known" or (kind == "pivot" and l == 0):
+        if not den or (num and l == 0):  # a known level, or the root's pivot
             x[0, here] = w[here]
-        elif kind == "pivot":  # x_v = w_v - (c/e) x_parent(v)
+        elif num:  # a pivot level: x_v = w_v - (c/e) x_parent(v)
             x[:r, here] = (p - c * den * pow(num, -1, p) % p) * x[:r, par[here]] % p
             x[0, here] = (x[0, here] + w[here]) % p
-        elif l == 0:
+        elif l == 0:  # a zero root
             x[r, 0] = 1
             r += 1
         else:  # row of parent u: g x_fixed = y_u - (the other terms of the row)
@@ -348,7 +320,7 @@ def linalg_report_for(shape: TreeShape, params: Params) -> "LinAlgReport":
     """
     a, b, c, d, p = params.a, params.b, params.c, params.d, params.p
     if a * b * c % p:
-        det, rank = _level_recursion(shape, a, b, c, d, p)
+        det, rank = _level_recursion(shape.n, a, b, c, d, p)
     else:
         _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
         rank = len(pivots)
@@ -450,19 +422,17 @@ def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
     a*b*c != 0 mod p, or None when the sweep finds y outside the image.
     _tree_back spans that null space: row 0 (the particular solution) with
     a 1 in the extra column, and one kernel vector per free vertex with a 0
-    (|V_n| - rank of them, rank from _schedule_rank). A free column of
+    (_nullity of the schedule swept). A free column of
     rref([M | -y]) is the last nonzero entry of some null vector, so the
     RREF of the span with its columns reversed, read backwards, holds the
     canonical vectors by ascending free column."""
-    pr, shape, order = m.params, m.shape, m.order
-    coeffs = a, b, c, d, p = pr.a, pr.b, pr.c, pr.d, pr.p
-    sched = _level_schedule(shape.n, a, b, c, d, p)
-    w = _tree_sweep(shape, sched, a, b, c, p, y)
+    coeffs = a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
+    sched = _level_schedule(m.shape.n, a, b, c, d, p)
+    w = _tree_sweep(m.shape, sched, a, b, c, p, y)
     if w is None:
         return None
-    nullity = order - _schedule_rank(sched)
-    span = _tree_back(shape, sched, w, coeffs, y, nullity)
-    span = np.hstack([np.eye(1 + nullity, 1, dtype=np.int64), span[:, ::-1]])
+    span = _tree_back(m.shape, sched, w, coeffs, y)
+    span = np.hstack([np.eye(len(span), 1, dtype=np.int64), span[:, ::-1]])
     return rref_mod(span, p)[0][::-1, ::-1]
 
 
@@ -528,6 +498,14 @@ def _parsed_order(n: int) -> int:
     return ball_size(n)
 
 
+def _ints(tokens: list[str], message: str) -> list[int]:
+    """int() of each token; one longer than 20 characters lies outside int64
+    (19 digits and a sign), so it is a FormatError(message) before int() meets it."""
+    if max(map(len, tokens), default=0) > 20:
+        raise FormatError(message)
+    return [int(t) for t in tokens]
+
+
 def _entries(values, p: int) -> np.ndarray:
     """values as int64; one that int64 cannot hold lies outside [0, p) for
     every modulus, so it is a FormatError, not an OverflowError."""
@@ -541,28 +519,29 @@ def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:
     """Parse either v1 text format; returns (n, p, dense matrix).
 
     Levels 1 to 10 are accepted, and COO indices must lie in [0, |V_n|).
-    An entry that int64 cannot hold is a FormatError, like any outside [0, p).
+    An entry or header number that int64 cannot hold is a FormatError, like
+    an entry outside [0, p).
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty matrix text")
     head = lines[0].split()
     if len(head) == 4 and head[:2] == [_MAGIC_DENSE, "1"]:
-        n, p = int(head[2]), int(head[3])
+        n, p = _ints(head[2:], "header numbers outside int64")
         order = _parsed_order(n)
         if len(lines) - 1 != order:
             raise FormatError(f"expected {order} rows, got {len(lines) - 1}")
-        mat = _entries([[int(v) for v in ln.split()] for ln in lines[1:]], p)
+        mat = _entries([_ints(ln.split(), f"residues outside [0, {p})") for ln in lines[1:]], p)
         if mat.shape != (order, order):
             raise FormatError(f"expected {order}x{order} matrix, got {mat.shape}")
     elif len(head) == 5 and head[:2] == [_MAGIC_COO, "1"]:
-        n, p, nnz = int(head[2]), int(head[3]), int(head[4])
+        n, p, nnz = _ints(head[2:], "header numbers outside int64")
         order = _parsed_order(n)
         if len(lines) - 1 != nnz:
             raise FormatError(f"expected {nnz} triples, got {len(lines) - 1}")
         mat = np.zeros((order, order), dtype=np.int64)
         for ln in lines[1:]:
-            r, c, v = (int(t) for t in ln.split())
+            r, c, v = _ints(ln.split(), "COO triples outside int64")
             if not (0 <= r < order and 0 <= c < order):
                 raise FormatError(f"entry ({r}, {c}) outside the {order}x{order} matrix")
             mat[r, c] = _entries(v, p)

@@ -238,6 +238,13 @@ def test_random_sweep_checks_the_modulus_before_drawing(capsys):
     assert (code, out, err) == (3, "", "error non-prime-modulus: modulus 1 is not prime\n")
 
 
+def test_negative_random_count_is_a_usage_error(capsys, monkeypatch):
+    code, out, err = run_exit(capsys, monkeypatch, ["sweep", "--p-values", "5", "--random", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: treeca sweep ")
+    assert err.endswith("treeca sweep: error: --random must be >= 0, got -1\n")
+
+
 def test_empty_sweep_checks_no_modulus(capsys):
     code, out, err = run(capsys, "sweep", "--p-values", "4", "--b-values", "1")
     assert (code, out, err) == (0, "a,b,c,d,n,p,det,rank,reversible\n", "")
@@ -365,6 +372,12 @@ def run_exit(capsys, monkeypatch, argv, stdin=""):
 
 def test_evolve_rejects_a_residue_past_int64(capsys, monkeypatch):
     config = "treeca-config 1 1 5\n1 2 3 99999999999999999999999\n"
+    assert run_exit(capsys, monkeypatch, ["evolve", *COEFFS, "-n", "1", "-p", "5"], config) == (
+        3, "", "error format-error: residues outside [0, 5)\n")
+
+
+def test_evolve_refuses_an_oversized_token(capsys, monkeypatch):
+    config = f"treeca-config 1 1 5\n1 2 3 {'7' * 5000}\n"
     assert run_exit(capsys, monkeypatch, ["evolve", *COEFFS, "-n", "1", "-p", "5"], config) == (
         3, "", "error format-error: residues outside [0, 5)\n")
 

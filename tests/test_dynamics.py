@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -337,10 +338,27 @@ def test_parse_config_rejects_level_beyond_body(monkeypatch):
         parse_config("treeca-config 1 2 3\n0 0 0 0\n")
 
 
-@pytest.mark.parametrize("residue", [2**63, 99999999999999999999999, -2**63 - 1])
+@pytest.mark.parametrize("residue", [
+    2**63, 99999999999999999999999, -2**63 - 1,
+    pytest.param("7" * 5000, id="5000-digits"), pytest.param("0" * 20 + "1", id="21-characters"),
+])
 def test_parse_config_rejects_residues_past_int64(residue):
     with pytest.raises(FormatError, match=r"outside \[0, 5\)"):
         parse_config(f"treeca-config 1 1 5\n1 2 3 {residue}\n")
+
+
+@pytest.mark.parametrize("head", [f"1 {'1' * 5000} 5", f"1 1 {'1' * 5000}"],
+                         ids=["level", "modulus"])
+def test_parse_config_refuses_oversized_header_numbers(head):
+    """A header token longer than 20 characters is refused before int()
+    meets it, and the process-wide digit limit (Python 3.11+) is left
+    alone; 20 characters still parse."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    with pytest.raises(FormatError, match="header numbers outside int64"):
+        parse_config(f"treeca-config {head}\n1 2 3 4\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    twenty = parse_config("treeca-config 1 1 5\n1 2 3 00000000000000000004\n")
+    assert twenty.values.tolist() == [1, 2, 3, 4]
 
 
 def test_trace_json():

@@ -13,7 +13,6 @@ from treeca.rulematrix import (
     Params,
     RuleMatrix,
     _level_recursion,
-    _level_recursion_batch,
     _level_schedule,
     _reduce,
     build_rule_matrix,
@@ -29,7 +28,7 @@ from treeca.rulematrix import (
     rref_mod,
     solve,
 )
-from treeca.tree import TreeShape
+from treeca.tree import TreeShape, ball_size
 
 # Coefficient-label grids transcribed from the published 10x10 and 22x22
 # displays; one row per line, labels space-separated.
@@ -428,6 +427,12 @@ def test_rows_match_address_route(n):
     f"treeca-matrix 1 1 5\n{2**63} 0 0 0\n" + "0 0 0 0\n" * 3,
     f"treeca-matrix 1 1 5\n{-2**63 - 1} 0 0 0\n" + "0 0 0 0\n" * 3,
     "treeca-matrix-coo 1 1 5 1\n0 0 99999999999999999999999\n",
+    # tokens that int() would refuse past its 4300-digit limit
+    pytest.param(f"treeca-matrix-coo 1 1 5 1\n0 0 {'7' * 5000}\n", id="coo-entry-5000-digits"),
+    pytest.param(f"treeca-matrix-coo 1 1 5 1\n{'1' * 5000} 0 3\n", id="coo-index-5000-digits"),
+    pytest.param(f"treeca-matrix 1 1 5\n{'7' * 5000} 0 0 0\n" + "0 0 0 0\n" * 3,
+                 id="dense-entry-5000-digits"),
+    pytest.param(f"treeca-matrix 1 1 {'1' * 5000}\n" + "0 0 0 0\n" * 4, id="header-5000-digits"),
 ])
 def test_parse_matrix_rejects_out_of_range(text, monkeypatch):
     real_zeros = np.zeros
@@ -490,15 +495,17 @@ def test_linalg_report_for_every_small_tuple(n, p):
 
 def table_recursion(n, a, b, c, d, p):
     """(det, rank) read off the full level-size table, det as a product of
-    Fermat-reduced powers prod num_l^(S_l - S_(l-1))."""
+    Fermat-reduced powers prod num_l^(S_l - S_(l-1)): a known level
+    (den == 0) adds twice its size to the rank, a pivot level its size and
+    a zero level (num == 0) nothing."""
     sizes = (1,) + tuple(3 * 2 ** (l - 1) for l in range(1, n + 1))
     det, rank, above = 1, 0, 0
-    for size, (kind, num, _) in zip(sizes, _level_schedule(n, a, b, c, d, p)):
-        if kind == "pivot":
+    for size, (num, den) in zip(sizes, _level_schedule(n, a, b, c, d, p)):
+        if not den:
+            rank += 2 * size
+        elif num:
             rank += size
             det = det * pow(num, (size - above) % (p - 1), p) % p
-        elif kind == "known":
-            rank += 2 * size
         above = size
     return (det if rank == sum(sizes) else 0), rank
 
@@ -536,36 +543,61 @@ def level_groups(draw):
     return p, n, rows
 
 
-def batch_pass(shape, rows, p):
-    det, rank = _level_recursion_batch(shape, *np.array(rows, dtype=np.int64).T, p)
-    assert all(type(r) is int for r in rank)
-    return list(zip(det.tolist(), rank))
+def batch_pass(n, rows, p):
+    """_level_recursion over int64 arrays of the rows, as (det, rank) pairs;
+    it must equal the one-tuple calls."""
+    det, rank = _level_recursion(n, *np.array(rows, dtype=np.int64).T, p)
+    pairs = list(zip(det.tolist(), rank.tolist()))
+    assert all(type(r) is int for _, r in pairs)
+    assert pairs == [_level_recursion(n, *r, p) for r in rows]
+    return pairs
+
+
+def level_oracle(n, row, p):
+    """(det, rank) by the dense reduction for n <= 4, above that by
+    continuant_det and table_recursion."""
+    if n <= 4:
+        _, pivots, det = _reduce(build_rule_matrix(TreeShape(n), params_for(p, *row)).dense(), p)
+        return det, len(pivots)
+    det, rank = table_recursion(n, *row, p)
+    assert det == continuant_det(*row, n, p)
+    return det, rank
 
 
 @settings(max_examples=200, deadline=None)
 @given(level_groups())
 def test_level_recursion_batch_matches_scalar(group):
     p, n, rows = group
-    shape = TreeShape(n)
-    assert batch_pass(shape, rows, p) == [_level_recursion(shape, *r, p) for r in rows]
+    assert batch_pass(n, rows, p) == [level_oracle(n, r, p) for r in rows]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_level_recursion_batch_restarts_after_zero_levels(p):
-    """Every tuple of (Z_p^*)^4 at n = 1..12 in one pass per n, against the
-    scalar recursion; the set includes tuples with several zero levels
+    """Every tuple of (Z_p^*)^4 at n = 1..12 in one pass per n, against
+    level_oracle; the set includes tuples with several zero levels
     (a restart above each) and with a zero level 1 under a known root.
     (Z_2^*)^4 has one tuple, whose only zero level is the root's."""
     rows = list(itertools.product(range(1, p), repeat=4))
     restarts = known_root = 0
     for n in range(1, 13):
-        shape = TreeShape(n)
-        assert batch_pass(shape, rows, p) == [_level_recursion(shape, *r, p) for r in rows]
+        assert batch_pass(n, rows, p) == [level_oracle(n, r, p) for r in rows]
         for r in rows:
-            kinds = [kind for kind, _, _ in _level_schedule(n, *r, p)]
-            restarts += kinds.count("zero") >= 2
-            known_root += kinds[0] == "known"
+            sched = _level_schedule(n, *r, p)
+            restarts += sum(not num for num, _ in sched) >= 2
+            known_root += not sched[0][1]
     assert restarts and known_root
+
+
+@pytest.mark.parametrize("n", [64, 80])
+def test_level_recursion_rank_past_int64_with_a_zero_level(n):
+    """One tuple whose rank passes 2^63, with c = d^2/(a+b): the leaves'
+    parents are a zero level."""
+    coeffs = (2, 1, C31, 3)
+    assert not _level_schedule(n, *coeffs, P31)[n - 1][0]
+    det, rank = _level_recursion(n, *coeffs, P31)
+    assert type(det) is int and type(rank) is int and 2**63 < rank < ball_size(n)
+    assert (det, rank) == table_recursion(n, *coeffs, P31)
+    assert det == continuant_det(*coeffs, n, P31) == 0
 
 
 def test_det_at_n_20000_builds_no_level_tables(capsys, monkeypatch):
