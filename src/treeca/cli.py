@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.resources
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import analysis, dynamics, rulematrix
 from .dynamics import DEFAULT_ENUMERATION_CAP
@@ -30,11 +32,14 @@ EXIT_DOMAIN = 3
 EXIT_FIXTURE = 4
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or an iterable's strings as they are made, to file out or stdout."""
+    parts = [text] if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _params(args) -> Params:
@@ -103,29 +108,23 @@ def cmd_evolve(args) -> int:
         )
     params = _params(args)
     if args.format == "text":  # the last configuration only, so no trace is kept
-        if args.steps < 0:
-            raise ValueError(f"step count must be >= 0, got {args.steps}")
-        for _ in range(args.steps):
-            cfg = dynamics.step_local(cfg, params)
-        text = dynamics.format_config(cfg)
-    else:
-        text = dynamics.trace_to_json(dynamics.evolve(cfg, params, args.steps)) + "\n"
-    _emit(text, args.out)
+        _emit(dynamics.format_config(dynamics.evolve_last(cfg, params, args.steps)), args.out)
+    else:  # the trace's text is written block by block, as it is encoded
+        trace = dynamics.evolve(cfg, params, args.steps)
+        _emit(itertools.chain(dynamics.trace_blocks(trace), ["\n"]), args.out)
     return EXIT_OK
 
 
 def cmd_garden(args) -> int:
     rep = dynamics.garden_report(_matrix(args), samples=args.samples, seed=args.seed)
-    payload = {
-        "order": rep.order,
-        "rank": rep.rank,
-        "p": rep.p,
-        "image_size": rep.image_size,
-        "garden_count": rep.garden_count,
-        "seed": args.seed,
-        "sample_garden_configs": [c.values.tolist() for c in rep.sample_garden_configs],
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
+                       "image_size": rep.image_size, "garden_count": rep.garden_count,
+                       "seed": args.seed}, indent=2)
+    # the samples as json.dumps(indent=2) lays them out, with no pure-Python encoder per cell
+    rows = ",\n    ".join("[\n      " + ",\n      ".join(map(str, c.values.tolist())) + "\n    ]"
+                          for c in rep.sample_garden_configs)
+    samples = f"[\n    {rows}\n  ]" if rows else "[]"
+    _emit(f'{head[:-2]},\n  "sample_garden_configs": {samples}\n}}\n', args.out)
     return EXIT_OK
 
 
@@ -157,8 +156,9 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(rulematrix._ints([t for t in text.split(",") if t.strip()],
+                                  f"{flag} holds a number outside int64"))
 
 
 def cmd_sweep(args) -> int:
@@ -166,7 +166,8 @@ def cmd_sweep(args) -> int:
         args.usage_error(f"--random must be >= 0, got {args.random}")
     if args.random and any(getattr(args, f"{k}_values") for k in "abcd"):
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
-    lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values")) for k in "abcdnp"}
+    lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"), f"--{k}-values")
+             for k in "abcdnp"}
     spec = analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed)
     records = analysis.sweep(spec)
     if args.format == "json":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -65,33 +65,46 @@ class EvolutionTrace:
         return [self.initial, *self.steps]
 
 
+def _local_rule(shape: TreeShape, params: Params, batch: tuple[int, ...] = ()):
+    """step(v, out): one local-rule update of uint64 configurations v (shape
+    batch + (|V_n|,)) into out, which must not overlap v, by level slices:
+    vertex v >= 1 has children 2v+2, 2v+3. A vertex sums at most four products
+    below 2^62, so one final reduction is exact. Constants and scratch are made once."""
+    a, b, c, d, p = (np.uint64(k) for k in (params.a, params.b, params.c, params.d, params.p))
+    inner = shape.level_offsets[shape.n]  # vertices 1 .. inner-1 have children
+    part = np.empty((*batch, inner), dtype=np.uint64)
+    kids = part[..., 1:]
+    quot = np.empty((*batch, shape.total_vertices), dtype=np.uint64)
+
+    def step(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(v, d, out=out)
+        np.multiply(v[..., :inner], c, out=part)  # each inner vertex's term in its children
+        out[..., 2::2] += part  # u's term in its children 2u+2, 2u+3 (the root's: 2, 3)
+        out[..., 3::2] += part
+        o, x = out.T, v.T  # vertex axis first: one configuration's cells index as scalars
+        o[1] += part.T[0]  # the root's first child
+        o[0] += a * x[1] + b * x[2] + c * x[3]  # root: three children
+        out[..., 1:inner] += np.multiply(v[..., 4::2], a, out=kids)
+        out[..., 1:inner] += np.multiply(v[..., 5::2], b, out=kids)
+        # NumPy divides by a scalar much faster than it takes a remainder
+        out -= np.multiply(np.floor_divide(out, p, out=quot), p, out=quot)
+        return out
+
+    return step
+
+
 def _apply_local(values: np.ndarray, shape: TreeShape, params: Params,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One local-rule step on an int64 or uint64 array of configurations
-    (last axis = vertex), by level slices: vertex v >= 1 has children 2v+2,
-    2v+3. A vertex sums at most four products below 2^62, so one final
-    uint64 reduction is exact. out, a uint64 array of the same shape that
-    does not overlap values, receives the step; the result is returned as
-    an int64 view."""
-    a, b, c, d, p = (np.uint64(k) for k in (params.a, params.b, params.c, params.d, params.p))
+    """One local-rule step of an int64 or uint64 array of configurations (last
+    axis = vertex), into the uint64 array out when given, as an int64 view."""
     v = np.asarray(values).view(np.uint64)
-    inner = shape.level_offsets[shape.n]  # vertices 1 .. inner-1 have children
-    out = np.multiply(d, v, out=out)
-    out[..., 0] += a * v[..., 1] + b * v[..., 2] + c * v[..., 3]  # root: three children
-    out[..., 1:4] += c * v[..., :1]
-    below = c * v[..., 1:inner]  # each inner vertex's term in both its children
-    out[..., 4::2] += below
-    out[..., 5::2] += below
-    out[..., 1:inner] += a * v[..., 4::2] + b * v[..., 5::2]
-    out -= out // p * p  # NumPy divides by a scalar much faster than it takes a remainder
-    return out.view(np.int64)
+    out = np.empty_like(v) if out is None else out
+    return _local_rule(shape, params, v.shape[:-1])(v, out).view(np.int64)
 
 
 def step_local(cfg: Configuration, params: Params) -> Configuration:
     """One synchronous update by the local rule (null boundary)."""
-    if params.p != cfg.p:
-        raise DimensionMismatch(f"params mod {params.p} vs configuration mod {cfg.p}")
-    return Configuration(cfg.shape, cfg.p, _apply_local(cfg.values, cfg.shape, params))
+    return evolve_last(cfg, params, 1)
 
 
 def step_matrix(cfg: Configuration, m: RuleMatrix) -> Configuration:
@@ -105,20 +118,33 @@ def step_matrix(cfg: Configuration, m: RuleMatrix) -> Configuration:
     return Configuration(cfg.shape, cfg.p, (prod % m.p).astype(np.int64))
 
 
-def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
-    """Trace of t local-rule steps, each written in place into the next row
-    of one array."""
+def _step_rows(cfg: Configuration, params: Params, t: int, kept: int) -> tuple[np.ndarray, int]:
+    """t local-rule steps from cfg by one stepper, state k in row k % kept of one
+    (kept, |V_n|) array; returns the array as int64 and the last state's row."""
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     if params.p != cfg.p:
         raise DimensionMismatch(f"params mod {params.p} vs configuration mod {cfg.p}")
-    rows = np.empty((t + 1, cfg.shape.total_vertices), dtype=np.uint64)
+    rows = np.empty((kept, cfg.shape.total_vertices), dtype=np.uint64)
     rows[0] = cfg.values
+    step = _local_rule(cfg.shape, params)
     for k in range(t):
-        _apply_local(rows[k], cfg.shape, params, out=rows[k + 1])
-    values = rows.view(np.int64)
+        step(rows[k % kept], rows[(k + 1) % kept])
+    return rows.view(np.int64), t % kept
+
+
+def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
+    """Trace of t local-rule steps, one row per state."""
+    values, _ = _step_rows(cfg, params, t, t + 1)
     values.setflags(write=False)
     return EvolutionTrace(initial=cfg, values=values, params=params)
+
+
+def evolve_last(cfg: Configuration, params: Params, t: int) -> Configuration:
+    """The last configuration of evolve(cfg, params, t), stepped between two
+    rows: no trace is kept."""
+    values, last = _step_rows(cfg, params, t, 2)
+    return Configuration(cfg.shape, cfg.p, values[last])
 
 
 def preimages(cfg: Configuration, m: RuleMatrix) -> SolutionSet:
@@ -267,32 +293,41 @@ def _packed(text: str, at: int) -> np.uint64:
 
 
 _PAD, _ZERO = _packed("00000", 0), _packed("0", 4)
-# separators as they sit in bytes 2..5 of a cell's second word
-_COMMA, _ROW_END, _TRACE_END = (_packed(sep, 2) for sep in (", ", "], [", "]]"))
-_BLOCK = 1 << 14  # cells per block: about 2 MB of scratch arrays, small beside the text
+_ROW_END, _TRACE_END = _packed("], [", 0), _packed("]]", 0)
+_BLOCK = 1 << 14  # cells per block of whole rows (at least one row)
+
+
+def trace_blocks(trace: EvolutionTrace) -> Iterator[str]:
+    """json.dumps(trace.values.tolist()) in blocks of whole rows, with no Python
+    int per cell: each row is its cells' slots of uint64 words, then one word
+    "], [" (or "]]"), and each block drops its NUL bytes. If every residue is
+    below 10^5, a slot is one word, the _digit_table entry then ", ". Otherwise
+    (residues lie in [0, 2^31)) it is two: v = 10^5 hi + lo writes hi unpadded
+    (nothing if 0), lo zero-padded (unpadded if hi = 0), then ", "."""
+    table = _digit_table()
+    rows, cols = trace.values.shape
+    wide = bool(trace.values.max() >= 100_000)
+    comma = _packed(", ", 2 if wide else 5)  # in the last word of a cell
+    step = max(_BLOCK // cols, 1)
+    yield "[["
+    for start in range(0, rows, step):
+        v = trace.values[start:start + step]
+        words = np.empty((len(v), cols * (1 + wide) + 1), dtype=np.uint64)
+        cells = words[:, :-1]
+        if wide:
+            hi, lo = np.divmod(v, 100_000)
+            low = table[lo] | np.where(hi > 0, _PAD, _ZERO)
+            cells[:, 0::2] = table[hi] | low << np.uint64(40)
+            cells[:, 1::2] = low >> np.uint64(24) | comma
+        else:
+            np.bitwise_or(table[v], _ZERO | comma, out=cells)
+        cells[:, -1] ^= comma  # a row's last cell has no separator
+        words[:, -1] = _ROW_END
+        if start + len(v) == rows:
+            words[-1, -1] = _TRACE_END
+        yield words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trace_to_json(trace: EvolutionTrace) -> str:
-    """json.dumps(trace.values.tolist()), byte for byte, with no Python int
-    per cell. Residues lie in [0, 2^31): a cell v = 10^5 hi + lo writes hi
-    without leading zeros (nothing when hi = 0) and lo zero-padded (lo
-    alone, unpadded, when hi = 0), then its separator, into a 16-byte slot
-    of two uint64 words; the NUL bytes left in each slot are dropped block
-    by block."""
-    table = _digit_table()
-    cols = trace.values.shape[1]
-    flat = trace.values.reshape(-1)
-    parts = ["[["]
-    for start in range(0, flat.size, _BLOCK):
-        hi, lo = np.divmod(flat[start:start + _BLOCK], 100_000)
-        low = table[lo] | np.where(hi > 0, _PAD, _ZERO)
-        sep = np.full(hi.size, _COMMA)
-        sep[(cols - 1 - start) % cols::cols] = _ROW_END
-        if start + hi.size == flat.size:
-            sep[-1] = _TRACE_END
-        slots = np.empty((hi.size, 2), dtype=np.uint64)
-        slots[:, 0] = table[hi] | low << np.uint64(40)
-        slots[:, 1] = low >> np.uint64(24) | sep
-        text = slots.view(np.uint8)
-        parts.append(text[text != 0].tobytes().decode("ascii"))
-    return "".join(parts)
+    """json.dumps(trace.values.tolist()), byte for byte: the trace_blocks joined."""
+    return "".join(trace_blocks(trace))

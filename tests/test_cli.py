@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -538,3 +539,65 @@ def test_entropy_stops_at_the_float_range(capsys, p, last, fmt):
                          "--format", fmt)
     assert (code, out) == (3, "")
     assert err.startswith(f"error invalid-level: level {last + 1}: ")
+
+
+def test_sweep_refuses_an_oversized_token(capsys, monkeypatch):
+    argv = ["sweep", "--p-values", "7" * 5000, "--a-values", "1", "--b-values", "1",
+            "--c-values", "1", "--d-values", "1"]
+    assert run_exit(capsys, monkeypatch, argv) == (
+        3, "", "error format-error: --p-values holds a number outside int64\n")
+    argv = ["sweep", "--p-values", "5", "--n-values", "2," + "9" * 21]
+    assert run_exit(capsys, monkeypatch, argv) == (
+        3, "", "error format-error: --n-values holds a number outside int64\n")
+
+
+@pytest.mark.parametrize("p", [17, 99_991, 100_003, 2**31 - 1])
+def test_evolve_out_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, p):
+    """--out and stdout get the same bytes, json.dumps of the trace; the
+    text is written in more than one block (n = 8, 60 steps: 46 726 cells)."""
+    from treeca import dynamics
+
+    shape = TreeShape(8)
+    pr = Params(a=2, b=3, c=5, d=7, field=PrimeField(p))
+    cfg = Configuration(shape, p, np.random.default_rng(p).integers(0, p, shape.total_vertices))
+    want = json.dumps(dynamics.evolve(cfg, pr, 60).values.tolist()) + "\n"
+    argv = ["evolve", "-a", "2", "-b", "3", "-c", "5", "-d", "7", "-n", "8", "-p", str(p),
+            "--steps", "60"]
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=lambda parts: writes.extend(parts)))
+    assert run_exit(capsys, monkeypatch, argv, format_config(cfg))[0] == 0
+    assert "".join(writes) == want and writes[0] == "[[" and writes[-1] == "\n"
+    assert len(writes) > 3 and max(map(len, writes)) < len(want) / 2  # block by block
+    monkeypatch.undo()
+    out = tmp_path / "trace.json"
+    assert run_exit(capsys, monkeypatch, [*argv, "--out", str(out)], format_config(cfg)) == (
+        0, "", "")
+    assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 9])
+def test_evolve_text_is_the_json_traces_last_row(capsys, monkeypatch, steps):
+    shape, p = TreeShape(4), 2**31 - 1
+    cfg = Configuration(shape, p, np.random.default_rng(steps).integers(0, p, shape.total_vertices))
+    argv = ["evolve", "-a", "2", "-b", "3", "-c", "5", "-d", "7", "-n", "4", "-p", str(p),
+            "--steps", str(steps)]
+    code, out, _ = run_exit(capsys, monkeypatch, argv, format_config(cfg))
+    last = Configuration(shape, p, np.array(json.loads(out)[-1]))
+    assert code == 0 and len(json.loads(out)) == steps + 1
+    assert run_exit(capsys, monkeypatch, [*argv, "--format", "text"], format_config(cfg)) == (
+        0, format_config(last), "")
+
+
+@pytest.mark.parametrize("samples", [0, 1, 3])
+@pytest.mark.parametrize("p,coeffs", [(2, (1, 1, 1, 1)), (101, (2, 3, 4 * pow(5, -1, 101) % 101, 2)),
+                                      (5, (1, 2, 3, 4))])
+def test_garden_payload_is_json_dumps_with_indent_2(capsys, samples, p, coeffs):
+    # singular rules at p = 2 and 101 (c = d^2 / (a+b)); (1, 2, 3, 4) is reversible mod 5,
+    # so its sample list stays empty
+    argv = ["garden", *(f for k, v in zip("abcd", coeffs) for f in (f"-{k}", str(v))),
+            "-n", "3", "-p", str(p), "--samples", str(samples), "--seed", "3"]
+    code, out, err = run(capsys, *argv)
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert len(payload["sample_garden_configs"]) == (samples if payload["garden_count"] else 0)

@@ -15,6 +15,7 @@ from treeca.dynamics import (
     bijectivity_oracle,
     enumerate_preimages,
     evolve,
+    evolve_last,
     exhaustive_image_size,
     format_config,
     garden_report,
@@ -22,6 +23,7 @@ from treeca.dynamics import (
     preimages,
     step_local,
     step_matrix,
+    trace_blocks,
     trace_to_json,
 )
 from treeca.errors import DimensionMismatch, EnumerationTooLarge, FormatError
@@ -459,16 +461,33 @@ def assert_same_text(got, want):
 DIGIT_BOUNDARIES = sorted({0, 2**31 - 1} | {10**k + e for k in range(1, 10) for e in (-1, 0, 1)})
 
 
-@settings(max_examples=100, deadline=None)
+# the largest residue picks the slot width: one word below 10^5, two from it
+WIDTH_SWITCH = [99_999, 100_000, 100_001]
+
+
+@settings(max_examples=150, deadline=None)
 @given(rows=st.integers(1, 12), cols=st.integers(4, 6000), seed=st.integers(0, 2**32 - 1),
+       top=st.sampled_from([10, 100, 100_000, 2**31]),
+       largest=st.sampled_from([None, *WIDTH_SWITCH]),
        boundary_share=st.sampled_from([0.0, 0.5, 1.0]))
-@example(rows=11, cols=3070, seed=0, boundary_share=0.5)  # rows straddle an encoder block
-def test_trace_json_matches_json_dumps(rows, cols, seed, boundary_share):
+# 11 rows of 3070 cells: three blocks of whole rows, the last one short
+@example(rows=11, cols=3070, seed=0, top=2**31, largest=None, boundary_share=0.5)
+@example(rows=11, cols=3070, seed=0, top=100_000, largest=None, boundary_share=0.5)
+@example(rows=1, cols=4, seed=0, top=100_000, largest=99_999, boundary_share=0.5)
+@example(rows=1, cols=4, seed=0, top=100_000, largest=100_000, boundary_share=0.5)
+@example(rows=1, cols=4, seed=1, top=10, largest=100_001, boundary_share=0.0)
+def test_trace_json_matches_json_dumps(rows, cols, seed, top, largest, boundary_share):
+    # residues below top, one cell raised to largest: either side of the width switch
     rng = np.random.default_rng(seed)
-    uniform = rng.integers(0, 2**31, size=(rows, cols))
-    boundary = rng.choice(DIGIT_BOUNDARIES, size=(rows, cols))
+    uniform = rng.integers(0, top, size=(rows, cols))
+    boundary = rng.choice([v for v in DIGIT_BOUNDARIES if v < top], size=(rows, cols))
     values = np.where(rng.random((rows, cols)) < boundary_share, boundary, uniform)
-    assert_same_text(trace_to_json(SimpleNamespace(values=values)), json.dumps(values.tolist()))
+    if largest is not None:
+        values[rng.integers(rows), rng.integers(cols)] = largest
+    trace = SimpleNamespace(values=values)
+    assert_same_text(trace_to_json(trace), json.dumps(values.tolist()))
+    blocks = list(trace_blocks(trace))
+    assert blocks[0] == "[[" and "".join(blocks) == trace_to_json(trace)
 
 
 @settings(max_examples=30, deadline=None)
@@ -512,3 +531,19 @@ def test_evolve_rejects_params_of_another_modulus():
     for t in (0, 2):
         with pytest.raises(DimensionMismatch):
             evolve(cfg, params_for(5, 1, 1, 1, 1), t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), p=st.sampled_from([2, 17, 2**31 - 1]), t=st.integers(0, 12),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_evolve_last_is_the_traces_last_row(n, p, t, seed, data):
+    pr = params_for(p, *(data.draw(st.integers(1, p - 1)) for _ in range(4)))
+    shape = TreeShape(n)
+    cfg = config(shape, p, np.random.default_rng(seed).integers(0, p, shape.total_vertices))
+    last = evolve_last(cfg, pr, t)
+    assert isinstance(last, Configuration)
+    assert (last.values == evolve(cfg, pr, t).values[-1]).all()
+    with pytest.raises(ValueError):
+        evolve_last(cfg, pr, -1)
+    with pytest.raises(DimensionMismatch):
+        evolve_last(cfg, params_for(5, 1, 1, 1, 1), t)
