@@ -35,7 +35,6 @@ from .rulematrix import (
     invert,
     kernel_basis,
     linalg_report,
-    linalg_report_for,
     rank_mod_p,
     solve,
 )

@@ -1,10 +1,10 @@
 """Reversibility sweeps, closed-form determinants, entropy growth, probes.
 
 The reversibility verdict for one parameter tuple comes from the exact
-leaf-to-root level recursion of rulematrix.linalg_report_for: O(n) field
-operations, no modular inverse, no rule matrix (dense elimination only when
-a zero among a, b, c is allowed). A sweep runs it as one array pass per
-(p, n) group, the same rulematrix._level_recursion over int64 arrays.
+leaf-to-root level recursion of rulematrix.linalg_report: O(n) field
+operations, no modular inverse, no rule matrix assembled (dense elimination
+only when a zero among a, b, c is allowed). A sweep runs it as one array
+pass per (p, n) group, the same rulematrix._level_recursion over int64 arrays.
 The closed-form degree-10 and degree-22 determinant polynomials are
 evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import Params, _level_recursion, _reduce, linalg_report_for
+from .rulematrix import Params, _level_recursion, _reduce, build_rule_matrix, linalg_report
 from .tree import TreeShape, ball_size
 
 
@@ -68,7 +68,7 @@ def classify(a: int, b: int, c: int, d: int, n: int, p: int,
     """Judge reversibility of one parameter tuple from det and rank of its
     rule matrix."""
     params = Params(a=a, b=b, c=c, d=d, field=PrimeField(p), allow_zero=allow_zero)
-    rep = linalg_report_for(_printable_shape(n), params)
+    rep = linalg_report(build_rule_matrix(_printable_shape(n), params))
     return ReversibilityRecord(a, b, c, d, n, p, rep.det, rep.rank, rep.invertible)
 
 

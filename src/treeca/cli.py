@@ -78,8 +78,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_det(args) -> int:
-    rep = rulematrix.linalg_report_for(TreeShape(args.n), _params(args))
-    _emit(f"{rep.det}\n", args.out)
+    _emit(f"{rulematrix.linalg_report(_matrix(args)).det}\n", args.out)
     return EXIT_OK
 
 
@@ -157,8 +156,8 @@ def cmd_probe(args) -> int:
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    return tuple(rulematrix._ints([t for t in text.split(",") if t.strip()],
-                                  f"{flag} holds a number outside int64"))
+    return tuple(rulematrix._int64s([t for t in text.split(",") if t.strip()],
+                                    f"{flag} holds a number outside int64").tolist())
 
 
 def cmd_sweep(args) -> int:
@@ -262,6 +261,9 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error invalid-input: {exc}\n")
+        return EXIT_DOMAIN
+    except MemoryError as exc:  # NumPy names the allocation; Python's own is bare
+        sys.stderr.write(f"error out-of-memory: {str(exc) or 'not enough memory'}\n")
         return EXIT_DOMAIN
 
 

@@ -8,6 +8,7 @@ construction claims, so the two paths are kept strictly separate.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -15,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
-from .rulematrix import Params, RuleMatrix, SolutionSet, _entries, _ints, linalg_report, solve
+from .rulematrix import Params, RuleMatrix, SolutionSet, _int64s, linalg_report, solve
 from .tree import TreeShape
 from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
@@ -206,8 +207,14 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
 
 
 def _check_enumeration(size: int, p: int, cap: int) -> None:
-    if p**size > cap:
-        raise EnumerationTooLarge(f"{p}^{size} = {p**size} configurations exceed cap {cap}")
+    """EnumerationTooLarge if p^size > cap, known from bit lengths (p >= 2) when
+    size >= cap.bit_length(). The message shows p^size only while Python prints
+    it (sys.get_int_max_str_digits); 2^(4 limit) > 10^limit screens huge ones."""
+    if size >= cap.bit_length() or p**size > cap:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        shown = not limit or size * (p.bit_length() - 1) < 4 * limit and p**size < 10**limit
+        total = f"{p}^{size}" + (f" = {p**size}" if shown else "")
+        raise EnumerationTooLarge(f"{total} configurations exceed cap {cap}")
 
 
 def _all_configurations(size: int, p: int, cap: int) -> np.ndarray:
@@ -260,15 +267,15 @@ def parse_config(text: str) -> Configuration:
     head = lines[0].split()
     if len(head) != 4 or head[0] != _MAGIC or head[1] != "1":
         raise FormatError(f"unrecognized configuration header {lines[0]!r}")
-    n, p = _ints(head[2:], "header numbers outside int64")
-    values = _ints(" ".join(lines[1:]).split(), f"residues outside [0, {p})")
+    n, p = _int64s(head[2:], "header numbers outside int64").tolist()
+    values = _int64s(" ".join(lines[1:]).split(), f"residues outside [0, {p})")
     # |V_n| >= 2^n: bound n by the body before TreeShape(n) forms 2^n
     if n > len(values).bit_length():
         raise FormatError(f"level {n} is too deep for {len(values)} residues")
     shape = TreeShape(n)
     if len(values) != shape.total_vertices:
         raise FormatError(f"expected {shape.total_vertices} residues, got {len(values)}")
-    return Configuration(shape, p, _entries(values, p))
+    return Configuration(shape, p, values)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ symbolically, independent of the residues a,b,c,d happen to take.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -58,21 +59,19 @@ class Params:
 
 @dataclass(frozen=True)
 class RuleMatrix:
-    """Square mod-p matrix of order 1+3(2^n-1), stored row-sparse.
+    """Square mod-p matrix of order 1+3(2^n-1), a view of (shape, params),
+    which fix it completely: its row-sparse and dense forms are built on
+    first use and cached.
 
     rows[r] lists (column, label) pairs with label in {a,b,c,d}, by
-    ascending column; iterating a row costs its nonzero count. The dense
-    matrix is built on the first dense() call.
+    ascending column; iterating a row costs its nonzero count.
     """
 
     shape: TreeShape
     params: Params
-    rows: tuple[tuple[tuple[int, str], ...], ...]
-    _dense: Optional[np.ndarray] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.rows) != self.order:
-            raise DimensionMismatch(f"expected {self.order} rows, got {len(self.rows)}")
+        """Nothing to check; perfbench/spans.py counts the views here."""
 
     @property
     def order(self) -> int:
@@ -82,55 +81,54 @@ class RuleMatrix:
     def p(self) -> int:
         return self.params.p
 
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        size = self.order
+        par, c1, c2 = (a.tolist() for a in neighbor_tables(self.shape.n))
+        rows = [((0, "d"), (1, "a"), (2, "b"), (3, "c"))]  # root: three children a, b, c
+        for v in range(1, size):
+            row = ((par[v], "c"), (v, "d"))
+            if c1[v] != size:
+                row += ((c1[v], "a"), (c2[v], "b"))
+            rows.append(row)
+        return tuple(rows)
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        dense = np.zeros((self.order, self.order), dtype=np.int64)
+        for r, row in enumerate(self.rows):
+            for col, label in row:
+                dense[r, col] = self.params.coeff(label)
+        dense.setflags(write=False)
+        return dense
+
     def dense(self) -> np.ndarray:
         """Dense residue matrix (read-only), built on first use."""
-        if self._dense is None:
-            n = self.order
-            dense = np.zeros((n, n), dtype=np.int64)
-            for r, row in enumerate(self.rows):
-                for col, label in row:
-                    dense[r, col] = self.params.coeff(label)
-            dense.setflags(write=False)
-            object.__setattr__(self, "_dense", dense)
         return self._dense
 
 
 def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
-    """Assemble the rule matrix from the tree's neighbour table."""
-    size = shape.total_vertices
-    par, c1, c2 = (a.tolist() for a in neighbor_tables(shape.n))
-    rows = [((0, "d"), (1, "a"), (2, "b"), (3, "c"))]  # root: three children a, b, c
-    for v in range(1, size):
-        row = ((par[v], "c"), (v, "d"))
-        if c1[v] != size:
-            row += ((c1[v], "a"), (c2[v], "b"))
-        rows.append(row)
-    return RuleMatrix(shape=shape, params=params, rows=tuple(rows))
+    """The rule matrix of (shape, params); nothing is assembled until read."""
+    return RuleMatrix(shape, params)
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Z_p. Whenever a*b*c != 0 mod p, no matrix is
-# built: det, rank and the reversibility verdict come from the leaf-to-root
-# level recursion (_level_recursion, O(n) field operations and no modular
-# inverse: the schedule carries each level's pivot as a fraction num/den,
-# and det telescopes to a product of powers of the nums; the same code runs
-# one tuple in Python ints or a sweep's (p, n) group in int64 arrays), and
-# solve from the same elimination schedule (_level_schedule) carried out on a
-# right-hand side (_tree_sweep, leaf to root over each level's vertices,
-# then _tree_back, one root-to-leaf pass that also picks the free vertices
-# and returns the particular solution with one kernel row per free vertex;
-# one inverse per level, den * num^-1). solve returns the canonical null
-# space of [M | -y] on both routes, and kernel_basis is the kernel of
-# solve(m, 0). Only the inverse, and solve/det/rank for a zero among
-# a, b, c, come from the dense forward reduction _reduce (pivot: first
-# nonzero residue, lowest row); rref_mod adds a single back-substitution
-# pass.
-
-
-def _as_matrix(m) -> tuple[np.ndarray, int]:
-    if isinstance(m, RuleMatrix):
-        return m.dense(), m.p
-    raise TypeError(f"expected RuleMatrix, got {type(m).__name__}")
+# Exact linear algebra over Z_p. Whenever a*b*c != 0 mod p, neither form of
+# the rule matrix is built: linalg_report's det, rank and reversibility
+# verdict come from the leaf-to-root level recursion (_level_recursion, O(n)
+# field operations and no modular inverse: the schedule carries each level's
+# pivot as a fraction num/den, and det telescopes to a product of powers of
+# the nums; the same code runs one tuple in Python ints or a sweep's (p, n)
+# group in int64 arrays), and solve from the same elimination schedule
+# (_level_schedule) carried out on a right-hand side (_tree_sweep, leaf to
+# root over each level's vertices, then _tree_back, one root-to-leaf pass
+# that also picks the free vertices and returns the particular solution with
+# one kernel row per free vertex; one inverse per level, den * num^-1).
+# solve returns the canonical null space of [M | -y] on both routes, and
+# kernel_basis is the kernel of solve(m, 0). Only the inverse, and
+# solve/det/rank for a zero among a, b, c, come from m's dense form, by the
+# forward reduction _reduce (pivot: first nonzero residue, lowest row);
+# rref_mod adds a single back-substitution pass.
 
 
 def _reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
@@ -209,13 +207,15 @@ def _nullity(sched):
     """|V_n| - rank from a _level_schedule. A zero level l adds no rank and
     its known parents add twice their number (their vertices and one child
     each), so it costs |L_l| - |L_(l-1)|: 3*2^(l-2) for l >= 2, 2 at l = 1
-    and 1 at the root. Exact past 2^63: a Python int for one tuple, an
-    object array of them for arrays."""
-    zero = np.array([num for num, _ in sched]) == 0  # one row per level
-    exact = zero.astype(object)
-    costs = (exact[l] * (3 << (l - 2) if l >= 2 else 2 if l else 1)
-             for l in set(np.nonzero(zero)[0].tolist()))
-    return sum(costs, 0 * exact[0])
+    and 1 at the root. Exact past 2^63: one tuple sums Python ints with no
+    NumPy call, and arrays sum an object array of them."""
+    def cost(l):
+        return 3 << (l - 2) if l >= 2 else 2 if l else 1
+
+    if isinstance(sched[0][0], int):
+        return sum(cost(l) for l, (num, _) in enumerate(sched) if not num)
+    zero = (np.array([num for num, _ in sched]) == 0).astype(object)  # one row per level
+    return sum((zero[l] * cost(l) for l in set(np.nonzero(zero)[0].tolist())), 0 * zero[0])
 
 
 def _level_recursion(n: int, a, b, c, d, p: int) -> tuple:
@@ -311,47 +311,40 @@ def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, i
     return x
 
 
-def linalg_report_for(shape: TreeShape, params: Params) -> "LinAlgReport":
-    """det, rank and invertibility of the rule matrix of (shape, params).
-
-    Runs the level recursion and assembles no matrix, unless a zero among
-    a, b, c breaks the vertex pairing it relies on; then the matrix is
-    built and eliminated densely.
-    """
-    a, b, c, d, p = params.a, params.b, params.c, params.d, params.p
-    if a * b * c % p:
-        det, rank = _level_recursion(shape.n, a, b, c, d, p)
-    else:
-        _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
-        rank = len(pivots)
-    return LinAlgReport(det=det, rank=rank, nullity=shape.total_vertices - rank,
-                        invertible=det != 0)
-
-
-def det_mod_p(m: RuleMatrix) -> int:
-    return linalg_report_for(m.shape, m.params).det
-
-
-def rank_mod_p(m: RuleMatrix) -> int:
-    return linalg_report_for(m.shape, m.params).rank
-
-
-def linalg_report(m: RuleMatrix) -> "LinAlgReport":
-    return linalg_report_for(m.shape, m.params)
-
-
 @dataclass(frozen=True)
 class LinAlgReport:
     det: int
     rank: int
-    nullity: int
     invertible: bool
+
+
+def linalg_report(m: RuleMatrix) -> LinAlgReport:
+    """det, rank and invertibility of m.
+
+    Runs the level recursion and reads neither form of m, unless a zero
+    among a, b, c breaks the vertex pairing it relies on; then m's dense
+    form is eliminated.
+    """
+    a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
+    if a * b * c % p:
+        det, rank = _level_recursion(m.shape.n, a, b, c, d, p)
+    else:
+        _, pivots, det = _reduce(m.dense(), p)
+        rank = len(pivots)
+    return LinAlgReport(det=det, rank=rank, invertible=det != 0)
+
+
+def det_mod_p(m: RuleMatrix) -> int:
+    return linalg_report(m).det
+
+
+def rank_mod_p(m: RuleMatrix) -> int:
+    return linalg_report(m).rank
 
 
 def invert(m: RuleMatrix) -> np.ndarray:
     """Inverse matrix over Z_p; raises SingularMatrix if det = 0."""
-    mat, p = _as_matrix(m)
-    n = mat.shape[0]
+    mat, p, n = m.dense(), m.p, m.order
     aug = np.hstack([mat, np.eye(n, dtype=np.int64)])
     red, pivots = rref_mod(aug, p)
     if pivots[:n] != list(range(n)):
@@ -409,8 +402,6 @@ class SolutionSet:
 
 def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
     """y reduced mod p, checked against the order of m."""
-    if not isinstance(m, RuleMatrix):
-        raise TypeError(f"expected RuleMatrix, got {type(m).__name__}")
     y = np.asarray(y, dtype=np.int64) % m.p
     if y.shape != (m.order,):
         raise DimensionMismatch(f"expected vector of length {m.order}, got shape {y.shape}")
@@ -498,21 +489,16 @@ def _parsed_order(n: int) -> int:
     return ball_size(n)
 
 
-def _ints(tokens: list[str], message: str) -> list[int]:
-    """int() of each token; one longer than 20 characters lies outside int64
-    (19 digits and a sign), so it is a FormatError(message) before int() meets it."""
+def _int64s(tokens: list[str], message: str) -> np.ndarray:
+    """The tokens as int64, each parsed as int() parses it. One past int64 is a
+    FormatError(message), and one longer than 20 characters (19 digits and a
+    sign) is one before int()'s digit limit meets it."""
     if max(map(len, tokens), default=0) > 20:
         raise FormatError(message)
-    return [int(t) for t in tokens]
-
-
-def _entries(values, p: int) -> np.ndarray:
-    """values as int64; one that int64 cannot hold lies outside [0, p) for
-    every modulus, so it is a FormatError, not an OverflowError."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.array(tokens, dtype=np.int64)
     except OverflowError:
-        raise FormatError(f"residues outside [0, {p})") from None
+        raise FormatError(message) from None
 
 
 def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:
@@ -527,24 +513,24 @@ def parse_matrix(text: str) -> tuple[int, int, np.ndarray]:
         raise FormatError("empty matrix text")
     head = lines[0].split()
     if len(head) == 4 and head[:2] == [_MAGIC_DENSE, "1"]:
-        n, p = _ints(head[2:], "header numbers outside int64")
+        n, p = _int64s(head[2:], "header numbers outside int64").tolist()
         order = _parsed_order(n)
         if len(lines) - 1 != order:
             raise FormatError(f"expected {order} rows, got {len(lines) - 1}")
-        mat = _entries([_ints(ln.split(), f"residues outside [0, {p})") for ln in lines[1:]], p)
+        mat = np.array([_int64s(ln.split(), f"residues outside [0, {p})") for ln in lines[1:]])
         if mat.shape != (order, order):
             raise FormatError(f"expected {order}x{order} matrix, got {mat.shape}")
     elif len(head) == 5 and head[:2] == [_MAGIC_COO, "1"]:
-        n, p, nnz = _ints(head[2:], "header numbers outside int64")
+        n, p, nnz = _int64s(head[2:], "header numbers outside int64").tolist()
         order = _parsed_order(n)
         if len(lines) - 1 != nnz:
             raise FormatError(f"expected {nnz} triples, got {len(lines) - 1}")
         mat = np.zeros((order, order), dtype=np.int64)
         for ln in lines[1:]:
-            r, c, v = _ints(ln.split(), "COO triples outside int64")
+            r, c, v = _int64s(ln.split(), "COO triples outside int64").tolist()
             if not (0 <= r < order and 0 <= c < order):
                 raise FormatError(f"entry ({r}, {c}) outside the {order}x{order} matrix")
-            mat[r, c] = _entries(v, p)
+            mat[r, c] = v
     else:
         raise FormatError(f"unrecognized matrix header {lines[0]!r}")
     if (mat < 0).any() or (mat >= p).any():

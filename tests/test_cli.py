@@ -541,6 +541,31 @@ def test_entropy_stops_at_the_float_range(capsys, p, last, fmt):
     assert err.startswith(f"error invalid-level: level {last + 1}: ")
 
 
+def test_probe_past_the_cap_is_enumeration_too_large(capsys, monkeypatch):
+    """3^|V_12| has more digits than Python prints: the cap is decided
+    without it, and the message names p^size alone."""
+    argv = ["probe", *COEFFS, "-n", "12", "-p", "3"]
+    assert run_exit(capsys, monkeypatch, argv) == (
+        3, "", "error enumeration-too-large: 3^12286 configurations exceed cap 1048576\n")
+
+
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 7.45 GiB for an array"),
+     "Unable to allocate 7.45 GiB for an array"),
+    (MemoryError(), "not enough memory"),
+])
+def test_out_of_memory_is_a_domain_error(capsys, monkeypatch, exc, message):
+    from treeca import dynamics
+
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(dynamics, "evolve", exhausted)
+    argv = ["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "1000000000"]
+    assert run_exit(capsys, monkeypatch, argv, "treeca-config 1 1 3\n0 1 2 0\n") == (
+        3, "", f"error out-of-memory: {message}\n")
+
+
 def test_sweep_refuses_an_oversized_token(capsys, monkeypatch):
     argv = ["sweep", "--p-values", "7" * 5000, "--a-values", "1", "--b-values", "1",
             "--c-values", "1", "--d-values", "1"]

@@ -242,7 +242,7 @@ def test_preimages_singular_case():
     shape = TreeShape(2)
     pr = params_for(2, 1, 1, 1, 1)
     m = build_rule_matrix(shape, pr)
-    nullity = linalg_report(m).nullity
+    nullity = m.order - linalg_report(m).rank
     x = Configuration(shape, 2, np.array([1, 1, 0, 0, 1, 0, 1, 0, 0, 1]))
     y = step_local(x, pr)
     pre = enumerate_preimages(y, m)
@@ -363,6 +363,37 @@ def test_parse_config_refuses_oversized_header_numbers(head):
     assert twenty.values.tolist() == [1, 2, 3, 4]
 
 
+def test_parse_config_reads_what_int_reads():
+    """The residues parse as int() parses each token, int()'s own messages
+    included, and reach the Configuration as int64."""
+    cfg = parse_config("treeca-config 1 +1 5\n+4 0_3 \u0663 00\n")
+    assert cfg.shape.n == 1 and cfg.values.tolist() == [4, 3, 3, 0]
+    for token in ("abc", "1.5"):
+        message = rf"^invalid literal for int\(\) with base 10: '{token}'$"
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"treeca-config 1 1 5\n1 2 3 {token}\n")
+
+
+def test_enumeration_cap_forms_no_unprintable_count():
+    """Past cap.bit_length() configurations the cap is exceeded with no p^size
+    formed, so n = 26 fails at once; the count is printed while Python prints
+    it, and p^size alone past that."""
+    from treeca.dynamics import _check_enumeration
+    from treeca.tree import ball_size
+
+    with pytest.raises(EnumerationTooLarge, match=r"^3\^201326590 configurations exceed cap 2$"):
+        _check_enumeration(ball_size(26), 3, 2)
+    with pytest.raises(EnumerationTooLarge, match=r"^5\^10 = 9765625 configurations exceed cap 2$"):
+        _check_enumeration(10, 5, 2)
+    _check_enumeration(20, 2, 2**20)  # p^size = cap passes
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # 10^(limit-1) has limit digits, the most Python prints
+        with pytest.raises(EnumerationTooLarge, match=rf"^10\^{limit - 1} = 10{{{limit - 1}}} "):
+            _check_enumeration(limit - 1, 10, 2**20)
+        with pytest.raises(EnumerationTooLarge, match=rf"^10\^{limit} configurations "):
+            _check_enumeration(limit, 10, 2**20)
+
+
 def test_trace_json():
     shape = TreeShape(1)
     pr = params_for(2, 1, 1, 1, 1)
@@ -423,7 +454,7 @@ def test_garden_and_preimages_build_no_dense_matrix(capsys, monkeypatch):
     m = build_rule_matrix(shape, pr)
     sols = preimages(y, m)
     assert sols.consistent
-    assert len(sols.kernel) == linalg_report(m).nullity
+    assert len(sols.kernel) == m.order - linalg_report(m).rank
     assert (step_local(config(shape, p, sols.particular), pr).values == y.values).all()
     kernel = np.array(sols.kernel)
     assert not _apply_local(kernel, shape, pr).any()

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from treeca.rulematrix import (
     invert,
     kernel_basis,
     linalg_report,
-    linalg_report_for,
     parse_matrix,
     rank_mod_p,
     rref_mod,
@@ -202,7 +202,7 @@ def test_solve_kernel_and_inconsistent():
     zero = np.zeros(10, dtype=np.int64)
     sols = solve(m, zero)
     rep = linalg_report(m)
-    assert sols.count() == 2**rep.nullity
+    assert sols.count() == 2**(m.order - rep.rank)
     all_sols = list(sols.enumerate())
     assert any((s == 0).all() for s in all_sols)
     for s in all_sols:
@@ -227,7 +227,7 @@ def test_kernel_basis():
     assert kernel_basis(build_rule_matrix(TreeShape(2), params_for(3, 1, 1, 1, 1))) == []
     m = build_rule_matrix(TreeShape(2), params_for(2, 1, 1, 1, 1))
     basis = kernel_basis(m)
-    assert len(basis) == linalg_report(m).nullity
+    assert len(basis) == m.order - linalg_report(m).rank
     for v in basis:
         assert ((m.dense() @ v) % 2 == 0).all()
     zero = build_rule_matrix(TreeShape(2), params_for(3, 0, 0, 0, 0, allow_zero=True))
@@ -244,7 +244,7 @@ def test_rank_plus_nullity_is_order(n, p, data):
     coeffs = [data.draw(st.integers(1, p - 1)) for _ in range(4)]
     m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs))
     rep = linalg_report(m)
-    assert rep.rank + rep.nullity == m.order
+    assert rep.rank + len(kernel_basis(m)) == m.order
     assert rep.invertible == (rep.det != 0) == (rep.rank == m.order)
 
 
@@ -415,6 +415,75 @@ def test_rows_match_address_route(n):
     assert build_rule_matrix(shape, params_for(5, 1, 2, 3, 4)).rows == address_rows(shape)
 
 
+# ---------------------------------------------------------------------------
+# The rule matrix as a view of (shape, params)
+
+
+def test_views_of_equal_shape_and_params_are_equal():
+    m, other = (build_rule_matrix(TreeShape(3), params_for(7, 1, 2, 3, 4)) for _ in range(2))
+    m.rows, m.dense()  # one view's forms are built, the other's are not
+    assert set(vars(other)) == {"shape", "params"}
+    assert m == other and hash(m) == hash(other)
+    assert m != build_rule_matrix(TreeShape(3), params_for(7, 1, 2, 3, 5))
+
+
+def test_det_rank_and_solve_build_neither_form(capsys, monkeypatch):
+    """classify, det, garden and a tree-route solve/kernel_basis read no form
+    of any view they make or are given; one at n = 60 could not be built."""
+    from treeca.analysis import classify
+    from treeca.dynamics import garden_report
+
+    views = []
+    monkeypatch.setattr(RuleMatrix, "__post_init__", lambda self: views.append(self))
+    classify(2, 1, 3, 3, 6, 17)
+    flags = ["-a", "2", "-b", "1", "-c", "3", "-d", "3", "-p", "17"]  # c = d^2/(a+b)
+    assert main(["det", "-n", "60", *flags]) == 0
+    assert main(["garden", "-n", "5", *flags, "--samples", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out.split("\n", 1)[1])["sample_garden_configs"]) == 2
+    m = build_rule_matrix(TreeShape(5), params_for(17, 2, 1, 3, 3))
+    assert garden_report(m, samples=2).rank == linalg_report(m).rank < m.order
+    assert solve(m, np.zeros(m.order, dtype=np.int64)).consistent and kernel_basis(m)
+    assert len(views) == 4
+    for view in views:
+        assert set(vars(view)) == {"shape", "params"}
+    assert linalg_report(build_rule_matrix(TreeShape(60), params_for(17, 2, 1, 3, 3))).rank > 0
+
+
+def test_linalg_report_at_n_200000():
+    m = build_rule_matrix(TreeShape(200_000), params_for(2**31 - 1, 2, 3, 5, 7))
+    assert linalg_report(m).det == 2899329  # as the det command printed it before the view
+    assert set(vars(m)) == {"shape", "params"}
+
+
+def test_zero_coefficient_garden_builds_its_dense_form_once(monkeypatch):
+    from functools import cached_property
+
+    from treeca.dynamics import garden_report
+
+    built = []
+    dense = RuleMatrix.__dict__["_dense"].func
+
+    def counting(self):
+        built.append(self)
+        return dense(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(RuleMatrix, "_dense")
+    monkeypatch.setattr(RuleMatrix, "_dense", prop)
+    m = build_rule_matrix(TreeShape(3), params_for(3, 1, 0, 1, 1, allow_zero=True))
+    rep = garden_report(m, samples=3)
+    assert rep.rank < m.order and len(rep.sample_garden_configs) == 3
+    assert built == [m]
+
+
+def test_parse_matrix_names_the_token_past_int64():
+    with pytest.raises(FormatError, match=r"^COO triples outside int64$"):
+        parse_matrix("treeca-matrix-coo 1 1 5 1\n0 0 99999999999999999999\n")
+    with pytest.raises(FormatError, match=r"^residues outside \[0, 5\)$"):
+        parse_matrix("treeca-matrix 1 1 5\n99999999999999999999 0 0 0\n" + "0 0 0 0\n" * 3)
+    assert parse_matrix("treeca-matrix-coo 1 +1 5 1\n0 0_0 +3\n")[2][0, 0] == 3
+
+
 @pytest.mark.parametrize("text", [
     "treeca-matrix-coo 1 1 5 1\n-1 -1 3\n",  # numpy would wrap round to (3, 3)
     "treeca-matrix-coo 1 1 5 1\n0 4 3\n",
@@ -472,11 +541,11 @@ def test_level_recursion_matches_dense_reduction(t):
     p, n, a, b, c, d = t
     shape = TreeShape(n)
     params = params_for(p, a, b, c, d, allow_zero=True)
-    rep = linalg_report_for(shape, params)
-    _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
+    m = build_rule_matrix(shape, params)
+    rep = linalg_report(m)
+    _, pivots, det = _reduce(m.dense(), p)
     assert (rep.det, rep.rank) == (det, len(pivots))
     assert rep.det == continuant_det(a, b, c, d, n, p)
-    assert rep.nullity == shape.total_vertices - rep.rank
     assert rep.invertible == (rep.rank == shape.total_vertices)
 
 
@@ -488,8 +557,9 @@ def test_linalg_report_for_every_small_tuple(n, p):
     shape = TreeShape(n)
     for coeffs in itertools.product(range(p), repeat=4):
         params = params_for(p, *coeffs, allow_zero=True)
-        rep = linalg_report_for(shape, params)
-        _, pivots, det = _reduce(build_rule_matrix(shape, params).dense(), p)
+        m = build_rule_matrix(shape, params)
+        rep = linalg_report(m)
+        _, pivots, det = _reduce(m.dense(), p)
         assert (rep.det, rep.rank) == (det, len(pivots)), coeffs
 
 
@@ -517,7 +587,8 @@ def test_level_recursion_matches_level_tables(p, n, data):
     d = data.draw(st.integers(0, p - 1))
     if (a + b) % p and d and data.draw(st.booleans()):
         c = d * d * pow(a + b, -1, p) % p  # a zero level at the leaves' parents
-    rep = linalg_report_for(TreeShape(n), params_for(p, a, b, c, d, allow_zero=True))
+    m = build_rule_matrix(TreeShape(n), params_for(p, a, b, c, d, allow_zero=True))
+    rep = linalg_report(m)
     assert (rep.det, rep.rank) == table_recursion(n, a, b, c, d, p)
     assert rep.det == continuant_det(a, b, c, d, n, p)
 
