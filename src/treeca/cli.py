@@ -15,6 +15,7 @@ import functools
 import importlib.resources
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -72,8 +73,7 @@ def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()
 
 
 def cmd_matrix(args) -> int:
-    m = _matrix(args)
-    _emit(rulematrix.format_matrix(m, sparse=args.sparse), args.out)
+    _emit(rulematrix.matrix_blocks(_matrix(args), sparse=args.sparse), args.out)
     return EXIT_OK
 
 
@@ -259,6 +259,9 @@ def main(argv=None) -> int:
     except TreecaError as exc:
         sys.stderr.write(f"error {exc.code}: {exc}\n")
         return EXIT_DOMAIN
+    except BrokenPipeError:  # the reader left: the end of output; the final flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error invalid-input: {exc}\n")
         return EXIT_DOMAIN

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
-from .rulematrix import Params, RuleMatrix, SolutionSet, _int64s, linalg_report, solve
+from .rulematrix import _BLOCK, Params, RuleMatrix, SolutionSet, _int64s, linalg_report, solve
 from .tree import TreeShape
 from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
@@ -108,12 +108,15 @@ def step_local(cfg: Configuration, params: Params) -> Configuration:
     return evolve_last(cfg, params, 1)
 
 
+def _check_matrix(cfg: Configuration, m: RuleMatrix) -> None:
+    if m.shape.n != cfg.shape.n or m.p != cfg.p:
+        raise DimensionMismatch(f"matrix (n={m.shape.n}, p={m.p}) vs configuration "
+                                f"(n={cfg.shape.n}, p={cfg.p})")
+
+
 def step_matrix(cfg: Configuration, m: RuleMatrix) -> Configuration:
     """One update as a matrix-vector product mod p."""
-    if m.shape.n != cfg.shape.n or m.p != cfg.p:
-        raise DimensionMismatch(
-            f"matrix (n={m.shape.n}, p={m.p}) vs configuration (n={cfg.shape.n}, p={cfg.p})"
-        )
+    _check_matrix(cfg, m)
     # a row has at most four products < 2^62, so their sum is exact in uint64
     prod = m.dense().view(np.uint64) @ cfg.values.view(np.uint64)
     return Configuration(cfg.shape, cfg.p, (prod % m.p).astype(np.int64))
@@ -150,10 +153,7 @@ def evolve_last(cfg: Configuration, params: Params, t: int) -> Configuration:
 
 def preimages(cfg: Configuration, m: RuleMatrix) -> SolutionSet:
     """All preimages of cfg under the matrix map, as a solution set."""
-    if m.shape.n != cfg.shape.n or m.p != cfg.p:
-        raise DimensionMismatch(
-            f"matrix (n={m.shape.n}, p={m.p}) vs configuration (n={cfg.shape.n}, p={cfg.p})"
-        )
+    _check_matrix(cfg, m)
     return solve(m, cfg.values)
 
 
@@ -301,7 +301,6 @@ def _packed(text: str, at: int) -> np.uint64:
 
 _PAD, _ZERO = _packed("00000", 0), _packed("0", 4)
 _ROW_END, _TRACE_END = _packed("], [", 0), _packed("]]", 0)
-_BLOCK = 1 << 14  # cells per block of whole rows (at least one row)
 
 
 def trace_blocks(trace: EvolutionTrace) -> Iterator[str]:

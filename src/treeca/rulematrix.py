@@ -9,9 +9,10 @@ symbolically, independent of the residues a,b,c,d happen to take.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -83,22 +84,15 @@ class RuleMatrix:
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        size = self.order
-        par, c1, c2 = (a.tolist() for a in neighbor_tables(self.shape.n))
-        rows = [((0, "d"), (1, "a"), (2, "b"), (3, "c"))]  # root: three children a, b, c
-        for v in range(1, size):
-            row = ((par[v], "c"), (v, "d"))
-            if c1[v] != size:
-                row += ((c1[v], "a"), (c2[v], "b"))
-            rows.append(row)
-        return tuple(rows)
+        rows, cols, labels = _positions(self.shape.n)
+        entries = zip(cols.tolist(), ("abcd"[k] for k in labels.tolist()))
+        return tuple(tuple(itertools.islice(entries, k)) for k in np.bincount(rows).tolist())
 
     @cached_property
     def _dense(self) -> np.ndarray:
+        rows, cols, labels = _positions(self.shape.n)
         dense = np.zeros((self.order, self.order), dtype=np.int64)
-        for r, row in enumerate(self.rows):
-            for col, label in row:
-                dense[r, col] = self.params.coeff(label)
+        dense[rows, cols] = np.array([self.params.coeff(k) for k in "abcd"])[labels]
         dense.setflags(write=False)
         return dense
 
@@ -110,6 +104,17 @@ class RuleMatrix:
 def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
     """The rule matrix of (shape, params); nothing is assembled until read."""
     return RuleMatrix(shape, params)
+
+
+def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, label 0-3 for a-d) of each entry, by row and column: d a b c
+    in row 0, and c d a b at par[v], v, c1[v], c2[v] in row v >= 1 (a leaf: c d)."""
+    par, c1, c2 = neighbor_tables(n)
+    cols = np.stack([par, np.arange(len(par)), c1, c2], axis=1)
+    labels = np.tile([2, 3, 0, 1], (len(par), 1))
+    cols[0], labels[0] = (0, 1, 2, 3), (3, 0, 1, 2)
+    keep = cols < len(par)  # drops the sentinel: the root's parent, a leaf's children
+    return np.nonzero(keep)[0], cols[keep], labels[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +396,6 @@ class SolutionSet:
         """Yield every solution (caller is responsible for capping)."""
         if not self.consistent:
             return
-        import itertools
-
         for coeffs in itertools.product(range(self.p), repeat=len(self.kernel)):
             x = self.particular.copy()
             for k, v in zip(coeffs, self.kernel):
@@ -451,35 +454,49 @@ def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
 
 _MAGIC_DENSE = "treeca-matrix"
 _MAGIC_COO = "treeca-matrix-coo"
+_BLOCK = 1 << 14  # cells per block of whole rows (at least one row) of matrix and trace text
 # parse_matrix builds a dense matrix: level 10 is 3070x3070 int64, 75 MB
 _MAX_PARSE_LEVEL = 10
 
 
+def matrix_blocks(m: RuleMatrix, sparse: bool = False) -> Iterator[str]:
+    """The v1 text of m (dense by default, COO if sparse): its header line, then
+    blocks of whole rows, _BLOCK cells (COO: _BLOCK // 4 rows) each. The tables
+    and the block buffer are made before the first block, so a failure writes nothing."""
+    rows, cols, labels = _positions(m.shape.n)
+    coeffs = np.array([m.params.coeff(k) for k in "abcd"])
+    keep = coeffs[labels] != 0  # a zero coefficient is a "0" cell and no COO triple
+    rows, cols, labels = rows[keep], cols[keep], labels[keep]
+    step = max(_BLOCK // (4 if sparse else m.order), 1)
+    bounds = [*range(0, m.order, step), m.order]
+    cuts = np.searchsorted(rows, bounds).tolist()
+    spans = zip(bounds, bounds[1:], cuts, cuts[1:])
+    if sparse:
+        return itertools.chain([f"{_MAGIC_COO} 1 {m.shape.n} {m.p} {len(rows)}\n"], (
+            "".join(map("{} {} {}\n".format, rows[i:j].tolist(), cols[i:j].tolist(),
+                        coeffs[labels[i:j]].tolist())) for _, _, i, j in spans if i < j))
+    block = np.full((step, m.order), 0x2030, dtype="<u2")  # "0 " in every cell, "0\n" last
+    block[:, -1] = 0x0A30
+    first = block.view(np.uint8)[:, ::2]  # the "0" of every cell
+
+    def dense() -> Iterator[str]:
+        # each entry's "0" is its marker 1-4 (a-d) while the rows are copied
+        # out; then each marker is replaced by its coefficient's digits
+        for start, stop, i, j in spans:
+            at = rows[i:j] - start, cols[i:j]
+            first[at] = labels[i:j] + 1
+            text = block[:stop - start].tobytes()
+            first[at] = ord("0")
+            for k, v in enumerate(coeffs.tolist(), 1):
+                text = text.replace(bytes([k]), str(v).encode())
+            yield text.decode("ascii")
+
+    return itertools.chain([f"{_MAGIC_DENSE} 1 {m.shape.n} {m.p}\n"], dense())
+
+
 def format_matrix(m: RuleMatrix, sparse: bool = False) -> str:
-    """Serialize in the v1 text format (dense by default, COO if sparse),
-    straight from the rows: a zero coefficient prints as 0 in a dense row
-    and is left out of the COO triples. Dense rows are cut from one run of
-    zero cells, with the row's coefficients spliced in."""
-    coeff = {label: m.params.coeff(label) for label in "abcd"}
-    if not sparse:
-        lines = [f"{_MAGIC_DENSE} 1 {m.shape.n} {m.p}"]
-        zeros = " ".join("0" * m.order)  # k zero cells: zeros[:2k - 1]
-        text = {label: str(v) for label, v in coeff.items()}
-        for row in m.rows:
-            chunks, at = [], 0
-            for col, label in row:
-                if col > at:
-                    chunks.append(zeros[:2 * (col - at) - 1])
-                chunks.append(text[label])
-                at = col + 1
-            if at < m.order:
-                chunks.append(zeros[:2 * (m.order - at) - 1])
-            lines.append(" ".join(chunks))
-    else:
-        triples = [f"{r} {col} {coeff[label]}"
-                   for r, row in enumerate(m.rows) for col, label in row if coeff[label]]
-        lines = [f"{_MAGIC_COO} 1 {m.shape.n} {m.p} {len(triples)}"] + triples
-    return "\n".join(lines) + "\n"
+    """Serialize in the v1 text format: the matrix_blocks joined."""
+    return "".join(matrix_blocks(m, sparse))
 
 
 def _parsed_order(n: int) -> int:

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -626,3 +627,100 @@ def test_garden_payload_is_json_dumps_with_indent_2(capsys, samples, p, coeffs):
     assert (code, err) == (0, "")
     assert out == json.dumps(payload, indent=2) + "\n"
     assert len(payload["sample_garden_configs"]) == (samples if payload["garden_count"] else 0)
+
+
+@pytest.mark.parametrize("n,sparse", [(10, []), (12, ["--sparse"])])
+def test_matrix_is_written_block_by_block(tmp_path, capsys, monkeypatch, n, sparse):
+    """matrix writes its header and then blocks of whole rows as they are made:
+    tracemalloc peaks far below the 18.8 MB of dense text at n = 10, and --out
+    and stdout get the bytes of format_matrix. A COO block holds 4096 rows."""
+    import tracemalloc
+
+    from treeca.rulematrix import build_rule_matrix, format_matrix
+
+    argv = ["matrix", "-a", "2", "-b", "3", "-c", "5", "-d", "16", "-n", str(n), "-p", "17", *sparse]
+    m = build_rule_matrix(TreeShape(n), Params(a=2, b=3, c=5, d=16, field=PrimeField(17)))
+    want = format_matrix(m, sparse=bool(sparse))
+    out = tmp_path / "matrix.txt"
+    tracemalloc.start()
+    try:
+        got = run_exit(capsys, monkeypatch, [*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0, "", "") and peak < 8_000_000
+    same_file = out.read_text() == want  # a bool, not a diff of 18.8 MB on failure
+    assert same_file
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=lambda parts: writes.extend(parts)))
+    assert run_exit(capsys, monkeypatch, argv)[0] == 0
+    same_stdout = "".join(writes) == want
+    assert same_stdout and writes[0] == want[:want.index("\n") + 1]
+    assert len(writes) > 3 and all(w.endswith("\n") for w in writes)
+
+
+@pytest.mark.parametrize("sparse", [[], ["--sparse"]])
+def test_matrix_past_memory_writes_nothing(tmp_path, capsys, monkeypatch, sparse):
+    """The tables of |V_40| vertices cannot be made: the failure comes before
+    --out is opened, so no file is left behind."""
+    out = tmp_path / "matrix.txt"
+    code, stdout, err = run_exit(capsys, monkeypatch,
+                                 ["matrix", *COEFFS, "-n", "40", "-p", "3", "--out", str(out), *sparse])
+    assert (code, stdout) == (3, "") and err.startswith("error out-of-memory: ")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
+@pytest.mark.parametrize("argv", [["matrix", *COEFFS, "-n", "5", "-p", "3"],
+                                  ["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "3"]])
+def test_a_failed_out_write_is_invalid_input(capsys, monkeypatch, argv):
+    code, out, err = run_exit(capsys, monkeypatch, [*argv, "--out", "/dev/full"],
+                              "treeca-config 1 1 3\n0 1 2 0\n")
+    assert (code, out) == (3, "") and err.startswith("error invalid-input: [Errno 28]")
+
+
+def _treeca_process(args, cwd):
+    """A Python process with piped stdout and stderr that imports this treeca,
+    its stdout block-buffered as in a shell pipeline (PYTHONUNBUFFERED unset)."""
+    import os
+    import subprocess
+
+    import treeca
+
+    src = str(Path(treeca.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, cwd=cwd, env=env)
+
+
+@pytest.mark.parametrize("command", [["matrix", "-n", "11"],
+                                     ["evolve", "-n", "10", "--steps", "300", "--input", "start.cfg"]])
+def test_a_closed_pipe_ends_the_output(tmp_path, command):
+    """A reader that takes 10 bytes and leaves ends the output: exit 0 and
+    nothing on stderr, not a broken-pipe error or an ignored exception."""
+    shape = TreeShape(10)
+    values = np.random.default_rng(10).integers(0, 5, shape.total_vertices)
+    (tmp_path / "start.cfg").write_text(format_config(Configuration(shape, 5, values)))
+    proc = _treeca_process(["-m", "treeca.cli", *command, *COEFFS, "-p", "5"], tmp_path)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+def test_a_closed_pipe_leaves_nothing_for_the_final_flush(tmp_path):
+    """Text still buffered when the pipe breaks goes nowhere at exit: without
+    that, the interpreter's own flush fails again and prints an ignored
+    BrokenPipeError (exit 120)."""
+    script = ("import sys\n"
+              "from treeca import cli, rulematrix\n"
+              "def blocks(m, sparse=False):\n"
+              "    yield 'treeca-matrix'\n"  # left in stdout's buffer
+              "    raise BrokenPipeError(32, 'Broken pipe')\n"
+              "rulematrix.matrix_blocks = blocks\n"
+              f"sys.exit(cli.main(['matrix', *{COEFFS!r}, '-n', '1', '-p', '3']))\n")
+    proc = _treeca_process(["-c", script], tmp_path)
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")

@@ -275,6 +275,50 @@ def test_format_matrix_matches_dense_text(n, p, coeffs):
     assert format_matrix(m, sparse=True) == "\n".join(want) + "\n"
 
 
+def first_difference(got: str, want: str):
+    """None, or the first (line number, got line, wanted line) that differ: a
+    short failure message where a diff of two long texts would take minutes."""
+    pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+    return next(((i, g, w) for i, (g, w) in enumerate(pairs) if g != w), None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), p=st.sampled_from([2, 3, 17, 99_991, 100_003, 2**31 - 1]),
+       block=st.sampled_from(["one cell", "one row", "a few rows", "default"]), data=st.data())
+def test_matrix_blocks_are_whole_rows_of_the_dense_text(n, p, block, data):
+    """The blocks, joined, are the text printed from m.dense(), which is checked
+    against the address-built rows, zero and 10-digit coefficients included;
+    after the header each block holds whole rows, as many as _BLOCK cells
+    allow (at least one), dense and COO alike."""
+    from treeca import rulematrix
+
+    coeffs = [data.draw(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)) for _ in "abcd"]
+    m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
+    cells = {"one cell": 1, "one row": m.order, "a few rows": 3 * m.order + 1,
+             "default": rulematrix._BLOCK}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rulematrix, "_BLOCK", cells)
+        dense_blocks, coo_blocks = (list(rulematrix.matrix_blocks(m, s)) for s in (False, True))
+    dense = np.zeros((m.order, m.order), dtype=np.int64)
+    for r, row in enumerate(address_rows(m.shape)):
+        for c, label in row:
+            dense[r, c] = m.params.coeff(label)
+    assert (m.dense() == dense).all()
+    want = [f"treeca-matrix 1 {n} {p}\n"] + [" ".join(map(str, row)) + "\n" for row in dense.tolist()]
+    assert dense_blocks[0] == want[0]
+    assert first_difference("".join(dense_blocks), "".join(want)) is None
+    step = max(cells // m.order, 1)
+    assert [b.count("\n") for b in dense_blocks[1:]] == [
+        min(step, m.order - start) for start in range(0, m.order, step)]
+    triples = [f"{r} {c} {v}\n" for (r, c), v in np.ndenumerate(dense) if v]
+    assert coo_blocks[0] == f"treeca-matrix-coo 1 {n} {p} {len(triples)}\n"
+    assert first_difference("".join(coo_blocks[1:]), "".join(triples)) is None
+    for blocks in dense_blocks, coo_blocks:
+        assert all(b.endswith("\n") for b in blocks[1:])
+    rows = [[int(t.split()[0]) for t in b.splitlines()] for b in coo_blocks[1:]]
+    assert all(prev[-1] < nxt[0] for prev, nxt in zip(rows, rows[1:]))  # no row is split
+
+
 # ---------------------------------------------------------------------------
 # The one elimination route against independent references
 
