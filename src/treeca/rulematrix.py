@@ -121,19 +121,20 @@ def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Exact linear algebra over Z_p. Whenever a*b*c != 0 mod p, neither form of
 # the rule matrix is built: linalg_report's det, rank and reversibility
 # verdict come from the leaf-to-root level recursion (_level_recursion, O(n)
-# field operations and no modular inverse: the schedule carries each level's
-# pivot as a fraction num/den, and det telescopes to a product of powers of
-# the nums; the same code runs one tuple in Python ints or a sweep's (p, n)
-# group in int64 arrays), and solve from the same elimination schedule
+# field operations, no modular inverse and no per-level list: _levels carries
+# each level's pivot as a fraction num/den, and det telescopes to a product of
+# powers of the nums; the same code runs one tuple in Python ints or a sweep's
+# (p, n) group in int64 arrays), and solve from the same elimination schedule
 # (_level_schedule) carried out on a right-hand side (_tree_sweep, leaf to
 # root over each level's vertices, then _tree_back, one root-to-leaf pass
 # that also picks the free vertices and returns the particular solution with
 # one kernel row per free vertex; one inverse per level, den * num^-1).
-# solve returns the canonical null space of [M | -y] on both routes, and
-# kernel_basis is the kernel of solve(m, 0). Only the inverse, and
-# solve/det/rank for a zero among a, b, c, come from m's dense form, by the
-# forward reduction _reduce (pivot: first nonzero residue, lowest row);
-# rref_mod adds a single back-substitution pass.
+# _tree_solve brings that span to the canonical null space of [M | -y] zero
+# level by zero level, deepest first, with no general elimination; solve
+# returns that basis on both routes, and kernel_basis is the kernel of
+# solve(m, 0). Only the inverse, and solve/det/rank for a zero among a, b, c,
+# come from m's dense form, by the forward reduction _reduce (pivot: first
+# nonzero residue, lowest row); rref_mod adds a single back-substitution pass.
 
 
 def _reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
@@ -179,9 +180,9 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def _level_schedule(n: int, a, b, c, d, p: int) -> list[tuple]:
+def _levels(n: int, a, b, c, d, p: int) -> Iterator[tuple]:
     """The leaf-to-root elimination of the level-n rule matrix, for
-    a*b*c != 0 mod p: one (num, den) per level, index 0 = root, in Python
+    a*b*c != 0 mod p: yields (l, num, den) for l = n, ..., 0, in Python
     ints (one tuple) or int64 arrays (one residue per tuple; every product
     of two residues stays below 2^62).
 
@@ -198,50 +199,54 @@ def _level_schedule(n: int, a, b, c, d, p: int) -> list[tuple]:
     a pivot level.
     """
     sc = (a + b) % p * c % p
-    sched = []
     num, den = 1, 0
     for l in range(n, -1, -1):
         s = (sc + c * c) % p if l == 0 else sc
         # (num != 0) and (num == 0) select the reset over a zero level
         num, den = (d * num - s * den) % p * (num != 0) + (num == 0), num
-        sched.append((num, den))
-    return sched[::-1]
+        yield l, num, den
 
 
-def _nullity(sched):
-    """|V_n| - rank from a _level_schedule. A zero level l adds no rank and
-    its known parents add twice their number (their vertices and one child
-    each), so it costs |L_l| - |L_(l-1)|: 3*2^(l-2) for l >= 2, 2 at l = 1
-    and 1 at the root. Exact past 2^63: one tuple sums Python ints with no
-    NumPy call, and arrays sum an object array of them."""
-    def cost(l):
-        return 3 << (l - 2) if l >= 2 else 2 if l else 1
+def _level_schedule(n: int, a, b, c, d, p: int) -> list[tuple]:
+    """_levels as a list of (num, den), index 0 = root, for solve."""
+    return [(num, den) for _, num, den in _levels(n, a, b, c, d, p)][::-1]
 
-    if isinstance(sched[0][0], int):
-        return sum(cost(l) for l, (num, _) in enumerate(sched) if not num)
-    zero = (np.array([num for num, _ in sched]) == 0).astype(object)  # one row per level
-    return sum((zero[l] * cost(l) for l in set(np.nonzero(zero)[0].tolist())), 0 * zero[0])
+
+def _cost(l: int) -> int:
+    """The nullity of a zero level l, |L_l| - |L_(l-1)|: its free vertices."""
+    return 3 << (l - 2) if l >= 2 else 2 if l else 1
 
 
 def _level_recursion(n: int, a, b, c, d, p: int) -> tuple:
     """(det, rank) of the level-n rule matrix over Z_p, for a*b*c != 0 mod p,
-    from _level_schedule and _nullity, as Python ints or as arrays (rank an
-    object array), like the operands. Level l >= 1 has S_l = 3*2^(l-1)
-    vertices. At full rank every level is a pivot level whose den is the num
-    below, so det = prod e_l^S_l telescopes to prod num_l^(S_l - S_(l-1)),
-    S_(-1) = 0. The exponents are 1, 2 and then 3*2^(l-2), so
-    det = num_0 num_1^2 q^3 with q = prod_(l>=2) num_l^(2^(l-2)), which
-    Horner's rule gives from the leaves in two products per level. Any zero
-    level makes det 0 through num_0, num_1 or q. Only diagonal pivots
-    multiply det, so there is no sign.
+    folded from _levels in one leaf-to-root pass with no list, as Python ints
+    or as arrays (rank an object array), like the operands. Level l >= 1 has
+    S_l = 3*2^(l-1) vertices. At full rank every level is a pivot level whose
+    den is the num below, so det = prod e_l^S_l telescopes to
+    prod num_l^(S_l - S_(l-1)), S_(-1) = 0. The exponents are 1, 2 and then
+    3*2^(l-2), so det = num_0 num_1^2 q^3 with q = prod_(l>=2) num_l^(2^(l-2)),
+    which Horner's rule gives from the leaves in two products per level; the
+    root's den is num_1. Any zero level makes det 0 through num_0, num_1 or q.
+    Only diagonal pivots multiply det, so there is no sign.
+
+    A zero level l adds no rank and its known parents add twice their number
+    (their vertices and one child each), so it costs _cost(l). With the zero
+    levels as the bits of z = sum 2^l, the nullity is 3*(z >> 2) + (z & 3).
+    One tuple sets z's bits in a bytearray, one bit per level and no big-int
+    sum; arrays add to an object array of z where some tuple has a zero level.
     """
-    sched = _level_schedule(n, a, b, c, d, p)
-    q = 1
-    for num, _ in reversed(sched[2:]):
-        q = q * q % p * num % p
-    (num_0, _), (num_1, _) = sched[:2]
-    det = num_0 * (num_1 * num_1 % p) % p * (q * q % p * q % p) % p
-    return det, ball_size(n) - _nullity(sched)
+    one = isinstance(d, int)
+    q, bits, z = 1, bytearray(n // 8 + 1), 0 if one else np.zeros(np.shape(d), dtype=object)
+    for l, num, den in _levels(n, a, b, c, d, p):
+        if l >= 2:
+            q = q * q % p * num % p
+        if one and not num:
+            bits[l >> 3] |= 1 << (l & 7)
+        elif not one and not num.all():
+            z = z + ((num == 0).astype(object) << l)
+    z = int.from_bytes(bits, "little") if one else z
+    det = num * (den * den % p) % p * (q * q % p * q % p) % p
+    return det, ball_size(n) - 3 * (z >> 2) - (z & 3)
 
 
 def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
@@ -278,26 +283,29 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
 def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, int, int, int],
                y: np.ndarray) -> np.ndarray:
     """Back-substitution of a forward sweep (sched, w) of M x = y, root to
-    leaf, in one pass. Returns a (1 + _nullity(sched)) x |V_n| array: row 0
-    is a solution that is 0 at the free vertices, and row i >= 1 is the kernel
-    vector that is 1 at the i-th free vertex and 0 at the others. Each zero
-    level chooses its free vertices as it is reached: the root when its
-    pivot is zero, the first two root children when level 1 is zero (the
-    root row then fixes the third), and the first child of each parent over
-    a deeper zero level (the parent's row fixes the second). w and y enter
-    row 0 only, and a kernel row is zero above its free vertex, so each
-    level works on the rows begun so far."""
+    leaf, in one pass. Returns a span of the null space of [M | -y]: row 0
+    is (a solution that is 0 at the free vertices, 1), and row i >= 1 is
+    (the kernel vector that is 1 at the i-th free vertex and 0 at the other
+    free vertices, 0). Each zero level chooses its free vertices as it is
+    reached: the root when its pivot is zero, the first two root children
+    when level 1 is zero (the root row then fixes the third), and the first
+    child of each parent over a deeper zero level (the parent's row fixes
+    the second). w and y enter row 0 only, and a kernel row is zero above
+    its free vertex, so each level works on the rows begun so far."""
     a, b, c, d, p = coeffs
     par, c1, c2 = neighbor_tables(shape.n)
     bounds = shape.level_offsets + (shape.total_vertices,)
-    x = np.zeros((1 + _nullity(sched), shape.total_vertices), dtype=np.int64)
+    nullity = sum(_cost(l) for l, (num, _) in enumerate(sched) if not num)
+    # zeros but row 0's 1 in the extra column: (particular, 1) is a null vector of [M | -y]
+    x = np.eye(1 + nullity, shape.total_vertices + 1, shape.total_vertices, dtype=np.int64)
     r = 1  # rows begun: the particular solution and one per free vertex so far
     for l, (num, den) in enumerate(sched):
         here = slice(bounds[l], bounds[l + 1])
         if not den or (num and l == 0):  # a known level, or the root's pivot
             x[0, here] = w[here]
-        elif num:  # a pivot level: x_v = w_v - (c/e) x_parent(v)
-            x[:r, here] = (p - c * den * pow(num, -1, p) % p) * x[:r, par[here]] % p
+        elif num:  # a pivot level: x_v = w_v - (c/e) x_parent(v), in place
+            kids = x[:r, here].reshape(r, bounds[l] - bounds[l - 1], -1)  # a view: row per parent
+            kids[:] = x[:r, bounds[l - 1]:bounds[l], None] * (p - c * den * pow(num, -1, p) % p) % p
             x[0, here] = (x[0, here] + w[here]) % p
         elif l == 0:  # a zero root
             x[r, 0] = 1
@@ -411,23 +419,46 @@ def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
+def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[list[np.ndarray]]:
     """kernel_basis_mod's basis of [M | -y] by the tree sweep, for
-    a*b*c != 0 mod p, or None when the sweep finds y outside the image.
-    _tree_back spans that null space: row 0 (the particular solution) with
-    a 1 in the extra column, and one kernel vector per free vertex with a 0
-    (_nullity of the schedule swept). A free column of
-    rref([M | -y]) is the last nonzero entry of some null vector, so the
-    RREF of the span with its columns reversed, read backwards, holds the
-    canonical vectors by ascending free column."""
+    a*b*c != 0 mod p, or None when the sweep finds y outside the image: the
+    kernel vectors by ascending free column, then (particular, 1). No general
+    elimination, and no temporary the size of the basis."""
     coeffs = a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
     sched = _level_schedule(m.shape.n, a, b, c, d, p)
     w = _tree_sweep(m.shape, sched, a, b, c, p, y)
     if w is None:
         return None
-    span = _tree_back(m.shape, sched, w, coeffs, y)
-    span = np.hstack([np.eye(len(span), 1, dtype=np.int64), span[:, ::-1]])
-    return rref_mod(span, p)[0][::-1, ::-1]
+    # A free column of rref([M | -y]) is the last nonzero entry of a null
+    # vector: the extra column (the particular row's) or a leaf, since a
+    # column above the leaves has a c in its child's row, where no earlier
+    # column has an entry. So the span is put in reduced form with its columns
+    # reversed, one group of _tree_back's rows per zero level, deepest first:
+    # each vector is scaled to 1 at its last nonzero entry, its pivot, and the
+    # group's pivots are cleared from every other row nonzero there: shallower
+    # rows, the particular one, and deeper rows too, which can be nonzero at a
+    # shallower pivot below their own. At a zero level l >= 2 the vectors lie
+    # on their parents' subtrees, which are disjoint, so the group is one
+    # vectorised step with one term per cell (exact in int64); at level 1 the
+    # two vectors share subtree(3), so they go one at a time, as the root's does.
+    x = _tree_back(m.shape, sched, w, coeffs, y)
+    bounds, piv, r = m.shape.level_offsets + (m.order,), np.full(len(x), m.order), len(x)
+    for l in (l for l in range(m.shape.n, -1, -1) if not sched[l][0]):
+        r -= _cost(l)
+        cols = np.arange(m.order)[None] if l < 2 else np.hstack([
+            np.arange(*bounds[k:k + 2]).reshape(_cost(l), -1) for k in range(l, len(sched))])
+        for rows in np.arange(r, r + _cost(l)).reshape(2 if l == 1 else 1, -1):
+            vec = x[rows[:, None], cols]
+            at = np.arange(len(rows)), cols.shape[1] - 1 - (vec[:, ::-1] != 0).argmax(axis=1)
+            inv = {v: pow(v, -1, p) for v in set(vec[at].tolist())}  # one per pivot value
+            vec = vec * np.array([inv[v] for v in vec[at].tolist()])[:, None] % p
+            x[rows[:, None], cols], piv[rows] = vec, cols[at]
+            hit, i = np.nonzero(x[:, piv[rows]])
+            chunks = 1 + (hit.size * vec.shape[1] >> 20)  # about 2^20 cells per update
+            for s in np.array_split(np.flatnonzero(hit != rows[i]), chunks):
+                cell = hit[s, None], cols[i[s]]
+                x[cell] = (x[cell] - x[hit[s], piv[rows][i[s]]][:, None] * vec[i[s]]) % p
+    return [x[i] for i in np.argsort(piv)]
 
 
 def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
@@ -436,8 +467,8 @@ def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
     image exactly when the last column is free; its vector is then
     (particular, 1), and the others are (kernel vector, 0), so the
     particular solution is 0 at the free columns of rref(M). The basis comes
-    from the tree route (_tree_solve) when a*b*c != 0 mod p, with no dense
-    matrix, otherwise from the dense reduction."""
+    from the tree route (_tree_solve: no dense matrix, no general RREF) when
+    a*b*c != 0 mod p, otherwise from the dense reduction and rref_mod."""
     y, p, n = _target(m, y), m.p, m.order
     if m.params.a * m.params.b * m.params.c % p:
         basis = _tree_solve(m, y)

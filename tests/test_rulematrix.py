@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeca.cli import main
@@ -16,6 +18,9 @@ from treeca.rulematrix import (
     _level_recursion,
     _level_schedule,
     _reduce,
+    _tree_back,
+    _tree_solve,
+    _tree_sweep,
     build_rule_matrix,
     det_mod,
     det_mod_p,
@@ -892,3 +897,150 @@ def test_tree_back_branches_match_dense_reduction(n, coeffs):
             assert (sols.particular == x).all()
             for got, want in zip(sols.kernel, kernel):
                 assert (got == want).all()
+
+
+# ---------------------------------------------------------------------------
+# The canonical basis by zero levels against the general RREF it replaced
+
+
+def rref_tree_solve(m, y):
+    """The former _tree_solve: rref_mod of _tree_back's span (with its
+    extra column of [M | -y]) with the columns reversed, read backwards."""
+    a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
+    sched = _level_schedule(m.shape.n, a, b, c, d, p)
+    w = _tree_sweep(m.shape, sched, a, b, c, p, y)
+    if w is None:
+        return None
+    span = _tree_back(m.shape, sched, w, (a, b, c, d, p), y)
+    return rref_mod(span[:, ::-1], p)[0][::-1, ::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def zero_level_tuples(p, n, level):
+    """Every (a, b, c, d) in (Z_p^*)^4 whose level-n schedule is zero at level."""
+    return [t for t in itertools.product(range(1, p), repeat=4)
+            if not _level_schedule(n, *t, p)[level][0]]
+
+
+@st.composite
+def canonical_cases(draw):
+    """(p, n, (a, b, c, d), seed, inside) with a*b*c != 0 mod p: random,
+    c = d^2/(a+b) (zero levels n-1, n-4, ...), d = 0 (zero leaves), a zero at
+    level 1 or a zero root. For p < 100 the last two are drawn from every
+    such tuple; for 2^31-1 level 1 is zero at n = 2, 5, 8 with c = d^2/(a+b),
+    and the root at n = 1 with a+b = (d^2 - c^2)/c, at n = 2 with
+    a+b = (d^2 - c^2)/(2c). y = M x if inside, else random (mostly outside
+    the image of a singular M)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, P31]))
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["random", "c = d^2/(a+b)", "d = 0", "zero level 1", "zero root"]))
+    a, c, d = (draw(st.integers(1, p - 1)) for _ in range(3))
+    b = draw(st.integers(1, p - 1).filter(lambda b: p == 2 or (a + b) % p))
+    if kind == "d = 0":
+        d = 0
+    elif kind.startswith("zero") and p < 100:
+        pool = zero_level_tuples(p, n, 1 if kind == "zero level 1" else 0)
+        a, b, c, d = draw(st.sampled_from(pool)) if pool else (a, b, c, d)
+    elif kind == "zero root":
+        n = draw(st.sampled_from([1, 2]))
+        b = ((d * d - c * c) * pow(n * c, -1, p) - a) % p or b
+    elif kind != "random" and (a + b) % p:  # c = d^2/(a+b); for level 1, n = 2, 5 or 8
+        n = draw(st.sampled_from([2, 5, 8])) if kind == "zero level 1" else n
+        c = d * d * pow(a + b, -1, p) % p
+    return p, n, (a, b, c, d), draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+def canonical_case(case):
+    """The rule matrix and target y of a canonical_cases draw."""
+    p, n, coeffs, seed, inside = case
+    m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
+    y = np.random.default_rng(seed).integers(0, p, m.order)
+    return m, _apply_local(y[None], m.shape, m.params)[0] if inside else y
+
+
+@settings(max_examples=250, deadline=None)
+@given(canonical_cases())
+@example((P31, 5, (2, 1, C31, 3), 1, True))  # zero levels 4 and 1
+@example((P31, 5, (2, 1, C31, 3), 1, False))
+@example((P31, 2, (2, B31, 5, 7), 2, True))  # only the root's pivot is zero
+@example((P31, 2, (2, B31, 5, 7), 2, False))
+@example((7, 9, (1, 1, 2, 1), 3, True))  # a zero root over zero levels 3 and 7
+@example((7, 9, (1, 1, 2, 1), 3, False))
+def test_tree_solve_matches_the_rref_route(case):
+    """The canonical basis by zero levels equals the general RREF route,
+    row for row, and both find y outside the image alike."""
+    m, y = canonical_case(case)
+    want, got = rref_tree_solve(m, y), _tree_solve(m, y)
+    assert (got is None) == (want is None)
+    assert case[4] <= (got is not None)  # y = M x is always in the image
+    if want is not None:
+        assert np.array_equal(np.array(got), want)
+
+
+def assert_canonical(m, y):
+    """solve(m, y) without a dense oracle: each kernel vector is 1 at its
+    last nonzero entry, its free column, and every other kernel vector is 0
+    there; each maps to 0, and there are |V_n| - rank of them; the
+    particular solution maps to y and is 0 at the free columns. A null space
+    basis with these properties, ordered by free column, is unique, so this
+    is kernel_basis_mod's basis of [M | -y]."""
+    sols = solve(m, y)
+    assert sols.consistent
+    kernel = np.array(sols.kernel).reshape(-1, m.order)
+    assert len(kernel) == m.order - linalg_report(m).rank > 0
+    free = m.order - 1 - (kernel[:, ::-1] != 0).argmax(axis=1)
+    assert (np.diff(free) > 0).all()
+    assert (kernel[:, free] == np.eye(len(free), dtype=np.int64)).all()
+    assert not _apply_local(kernel, m.shape, m.params).any()
+    assert (_apply_local(sols.particular[None], m.shape, m.params)[0] == y).all()
+    assert not sols.particular[free].any()
+    return free
+
+
+@pytest.mark.parametrize("n,p,coeffs", [
+    (10, P31, (2, 1, C31, 3)),  # zero levels 9, 6, 3
+    (11, P31, (2, 1, C31, 3)),  # zero levels 10, 7, 4, 1
+    (10, P31, (2, 1, 3, 0)),  # d = 0: zero levels 10, 8, ..., 2 and the root
+    (11, 11, (1, 1, 8, 5)),  # zero levels 8, 3 and the root
+    (10, 11, (1, 1, 2, 4)),  # level 1 alone
+])
+def test_tree_solve_is_canonical_at_n_10_and_11(n, p, coeffs):
+    m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
+    x = np.random.default_rng(n).integers(0, p, m.order)
+    free = assert_canonical(m, _apply_local(x[None], m.shape, m.params)[0])
+    assert (free >= m.shape.level_offsets[n]).all()  # the free columns are leaves
+
+
+def test_singular_tree_solve_runs_no_general_elimination(monkeypatch):
+    """With a*b*c != 0 mod p, solve and kernel_basis call neither rref_mod
+    nor _reduce, and build no dense matrix."""
+    from treeca import rulematrix
+
+    m = build_rule_matrix(TreeShape(8), params_for(P31, 2, 1, C31, 3))  # zero levels 7, 4, 1
+    x = np.random.default_rng(8).integers(0, P31, m.order)
+    y = _apply_local(x[None], m.shape, m.params)[0]
+
+    def refuse(*args):
+        raise AssertionError("general elimination on the tree route")
+
+    for name in ("rref_mod", "_reduce"):
+        monkeypatch.setattr(rulematrix, name, refuse)
+    monkeypatch.setattr(RuleMatrix, "dense", refuse)
+    assert_canonical(m, y)
+    assert len(kernel_basis(m)) == m.order - linalg_report(m).rank
+    assert not solve(m, np.random.default_rng(9).integers(0, P31, m.order)).consistent
+
+
+def test_level_recursion_at_n_100000_keeps_no_level_list():
+    """The recursion folds its levels as it goes: at n = 10^5 its traced
+    peak stays below 1 MB (a list of the levels' (num, den) took about 7).
+    With c = d^2/(a+b) the zero levels are 3, 6, ..., n - 1."""
+    n = 10**5
+    tracemalloc.start()
+    try:
+        det, rank = _level_recursion(n, 2, 1, C31, 3, P31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert det == 0 and rank == ball_size(n) - sum(3 << (l - 2) for l in range(3, n, 3))
