@@ -2,8 +2,8 @@
 
 The reversibility verdict for one parameter tuple comes from the exact
 leaf-to-root level recursion of rulematrix.linalg_report: O(n) field
-operations, no modular inverse, no rule matrix assembled (dense elimination
-only when a zero among a, b, c is allowed). A sweep runs it as one array
+operations, no modular inverse, no rule matrix assembled (closed forms where
+d = 0, and c = 0 or a = b = 0). A sweep runs it as one array
 pass per (p, n) group, the same rulematrix._level_recursion over int64 arrays.
 The closed-form degree-10 and degree-22 determinant polynomials are
 evaluated mod p as an independent check.

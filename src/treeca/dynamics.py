@@ -180,10 +180,10 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
     """Garden-of-Eden census via rank; optionally find sample configurations
     outside the image by deterministic seeded search.
 
-    Each seeded draw y is tested with rulematrix.solve. When a*b*c != 0
-    mod p that is a tree sweep with no matrix, which stops at its first
-    failed consistency check, so a draw outside the image costs one
-    partial sweep; otherwise it is a dense reduction of [M | y]."""
+    Each seeded draw y is tested with rulematrix.solve, which builds no
+    matrix: a tree sweep that stops at its first failed consistency check,
+    so a draw outside the image costs one partial sweep, or on the
+    degenerate set D (d = 0, and c = 0 or a = b = 0) one direct pass."""
     rep = linalg_report(m)
     p, order = m.p, m.order
     count = p**order - p**rep.rank

@@ -118,23 +118,28 @@ def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Z_p. Whenever a*b*c != 0 mod p, neither form of
-# the rule matrix is built: linalg_report's det, rank and reversibility
-# verdict come from the leaf-to-root level recursion (_level_recursion, O(n)
-# field operations, no modular inverse and no per-level list: _levels carries
-# each level's pivot as a fraction num/den, and det telescopes to a product of
-# powers of the nums; the same code runs one tuple in Python ints or a sweep's
-# (p, n) group in int64 arrays), and solve from the same elimination schedule
-# (_level_schedule) carried out on a right-hand side (_tree_sweep, leaf to
-# root over each level's vertices, then _tree_back, one root-to-leaf pass
-# that also picks the free vertices and returns the particular solution with
-# one kernel row per free vertex; one inverse per level, den * num^-1).
+# Exact linear algebra over Z_p. Neither form of the rule matrix is built for
+# det, rank or solve, at any coefficient tuple. Outside the degenerate set
+# D = {d = 0, and c = 0 or a = b = 0} (_degenerate), linalg_report's det,
+# rank and reversibility verdict come from the leaf-to-root level recursion
+# (_level_recursion, O(n) field operations, no modular inverse and no
+# per-level list: _levels carries each level's pivot as a fraction num/den,
+# and det telescopes to a product of powers of the nums; the same code runs
+# one tuple in Python ints or a sweep's (p, n) group in int64 arrays), and
+# solve from the same elimination schedule (_level_schedule) carried out on a
+# right-hand side (_tree_sweep, leaf to root over each level's vertices, then
+# _tree_back, one root-to-leaf pass that also picks the free vertices and
+# returns the particular solution with one kernel row per free vertex; one
+# inverse per level, den * num^-1).
 # _tree_solve brings that span to the canonical null space of [M | -y] zero
-# level by zero level, deepest first, with no general elimination; solve
-# returns that basis on both routes, and kernel_basis is the kernel of
-# solve(m, 0). Only the inverse, and solve/det/rank for a zero among a, b, c,
-# come from m's dense form, by the forward reduction _reduce (pivot: first
-# nonzero residue, lowest row); rref_mod adds a single back-substitution pass.
+# level by zero level, deepest first, with no general elimination. On D each
+# row of M has at most two entries, and only sibling rows share a column, so
+# det is 0, the rank a closed form, and _direct_solve reads the same
+# canonical basis off the rows in one pass. kernel_basis is the kernel of
+# solve(m, 0). Of this algebra only the inverse reads m's dense form, by the
+# forward reduction _reduce (pivot: first nonzero residue, lowest row) and
+# rref_mod's single back-substitution pass; the probe reduces its own
+# observability matrix, and the tests keep both as the dense oracle.
 
 
 def _reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
@@ -181,8 +186,8 @@ def rref_mod(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _levels(n: int, a, b, c, d, p: int) -> Iterator[tuple]:
-    """The leaf-to-root elimination of the level-n rule matrix, for
-    a*b*c != 0 mod p: yields (l, num, den) for l = n, ..., 0, in Python
+    """The leaf-to-root elimination of the level-n rule matrix, for a tuple
+    outside D (_degenerate): yields (l, num, den) for l = n, ..., 0, in Python
     ints (one tuple) or int64 arrays (one residue per tuple; every product
     of two residues stays below 2^62).
 
@@ -218,7 +223,7 @@ def _cost(l: int) -> int:
 
 
 def _level_recursion(n: int, a, b, c, d, p: int) -> tuple:
-    """(det, rank) of the level-n rule matrix over Z_p, for a*b*c != 0 mod p,
+    """(det, rank) of the level-n rule matrix over Z_p, for a tuple outside D,
     folded from _levels in one leaf-to-root pass with no list, as Python ints
     or as arrays (rank an object array), like the operands. Level l >= 1 has
     S_l = 3*2^(l-1) vertices. At full rank every level is a pivot level whose
@@ -262,7 +267,6 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
     """
     _, c1, c2 = neighbor_tables(shape.n)
     bounds = shape.level_offsets + (shape.total_vertices,)
-    ci = pow(c, -1, p)
     w = np.zeros(shape.total_vertices + 1, dtype=np.int64)
     for l in range(shape.n, -1, -1):
         num, den = sched[l]
@@ -271,7 +275,7 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
         if not den:  # known
             if any((k != kids[0]).any() for k in kids[1:]):
                 return None
-            w[here] = kids[0] * ci % p
+            w[here] = kids[0] * pow(c, -1, p) % p  # only over a zero level, so c != 0
         else:
             rhs = (y[here] - sum(wi * k % p for wi, k in zip((a, b, c), kids))) % p
             w[here] = rhs * (den * pow(num, -1, p) % p) % p if num else rhs
@@ -288,12 +292,12 @@ def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, i
     (the kernel vector that is 1 at the i-th free vertex and 0 at the other
     free vertices, 0). Each zero level chooses its free vertices as it is
     reached: the root when its pivot is zero, the first two root children
-    when level 1 is zero (the root row then fixes the third), and the first
-    child of each parent over a deeper zero level (the parent's row fixes
-    the second). w and y enter row 0 only, and a kernel row is zero above
-    its free vertex, so each level works on the rows begun so far."""
+    when level 1 is zero (the root row then fixes the third by c), and the
+    first child of each parent over a deeper zero level (the parent's row
+    fixes the second by b; when b = 0 it fixes the first by a, and the
+    second is free). w and y enter row 0 only, and a kernel row is zero
+    above its free vertex, so each level works on the rows begun so far."""
     a, b, c, d, p = coeffs
-    par, c1, c2 = neighbor_tables(shape.n)
     bounds = shape.level_offsets + (shape.total_vertices,)
     nullity = sum(_cost(l) for l, (num, _) in enumerate(sched) if not num)
     # zeros but row 0's 1 in the extra column: (particular, 1) is a null vector of [M | -y]
@@ -310,17 +314,21 @@ def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, i
         elif l == 0:  # a zero root
             x[r, 0] = 1
             r += 1
-        else:  # row of parent u: g x_fixed = y_u - (the other terms of the row)
-            u = slice(bounds[l - 1], bounds[l])
+        else:  # row of parent u: g x_fixed = y_u - d x_u - c x_parent(u) - h x_free, where
+            # x_u is nonzero in row 0 only (u is known) and x_free in the new rows only
+            u, new = slice(bounds[l - 1], bounds[l]), np.arange(r, r + _cost(l))
+            r, gi = r + _cost(l), pow(b or a if l > 1 else c, -1, p)
             if l == 1:  # root row: d x_0 + a x_1 + b x_2 + c x_3 = y_0
-                free, fixed, g, terms = [1, 2], [3], c, ((d, [0]), (a, [1]), (b, [2]))
-            else:  # a x_c1(u) + b x_c2(u) = y_u - c x_parent(u) - d x_u
-                free, fixed, g, terms = c1[u], c2[u], b, ((c, par[u]), (d, u), (a, c1[u]))
-            x[r + np.arange(len(free)), free] = 1
-            r += len(free)
-            rhs = -sum(k * x[:r, at] % p for k, at in terms) % p
-            rhs[0] = (rhs[0] + y[u]) % p
-            x[:r, fixed] = rhs * pow(g, -1, p) % p
+                free, fix, h, at = [1, 2], x[:r, 3:4], np.array([a, b]), [0, 0]
+            else:  # a x_c1(u) + b x_c2(u) + ...: b fixes c2(u), or a fixes c1(u) when b = 0
+                free = np.arange(bounds[l] + (not b), bounds[l + 1], 2)
+                fix, h, at = x[:r, bounds[l] + bool(b):bounds[l + 1]:2], a if b else 0, new - new[0]
+                gp = x[:r, bounds[l - 2]:bounds[l - 1], None]  # x_parent(u), for u's siblings alike
+                np.multiply(gp, (p - c) * gi % p, out=fix.reshape(gp.shape[:2] + (-1,)))  # in place
+                fix %= p
+            x[new, free] = 1
+            fix[0] = (fix[0] + (y[u] - d * x[0, u]) % p * gi) % p
+            fix[new, at] = (fix[new, at] - h * gi) % p
     return x
 
 
@@ -331,19 +339,21 @@ class LinAlgReport:
     invertible: bool
 
 
-def linalg_report(m: RuleMatrix) -> LinAlgReport:
-    """det, rank and invertibility of m.
+def _degenerate(q: Params) -> bool:
+    """Whether (a, b, c, d) lies in D: d = 0, and c = 0 or a = b = 0."""
+    return not q.d and not (q.c and (q.a or q.b))
 
-    Runs the level recursion and reads neither form of m, unless a zero
-    among a, b, c breaks the vertex pairing it relies on; then m's dense
-    form is eliminated.
-    """
-    a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
-    if a * b * c % p:
-        det, rank = _level_recursion(m.shape.n, a, b, c, d, p)
-    else:
-        _, pivots, det = _reduce(m.dense(), p)
-        rank = len(pivots)
+
+def linalg_report(m: RuleMatrix) -> LinAlgReport:
+    """det, rank and invertibility of m, reading neither form of m: by the
+    level recursion, or on D (_degenerate) in closed form."""
+    a, b, c, d, p, n = m.params.a, m.params.b, m.params.c, m.params.d, m.p, m.shape.n
+    if not _degenerate(m.params):
+        det, rank = _level_recursion(n, a, b, c, d, p)
+    else:  # unless M = 0, one independent row per inner vertex v: a x_c1 + b x_c2 when
+        # c = 0, and c x_v in the rows of v's children when a = b = 0, where at n = 1
+        # the root's row c x_3 adds one more, as vertex 3 is then a leaf
+        det, rank = 0, (ball_size(n - 1) + (n == 1 and c != 0) if a or b or c else 0)
     return LinAlgReport(det=det, rank=rank, invertible=det != 0)
 
 
@@ -379,7 +389,7 @@ def kernel_basis_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:
 
 def kernel_basis(m: RuleMatrix) -> list[np.ndarray]:
     """Canonical null-space basis of m (kernel_basis_mod's form), as the
-    kernel of solve(m, 0), so by the tree route when a*b*c != 0 mod p."""
+    kernel of solve(m, 0): by the tree route, or on D by the direct pass."""
     return list(solve(m, np.zeros(m.order, dtype=np.int64)).kernel)
 
 
@@ -420,8 +430,8 @@ def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
 
 
 def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[list[np.ndarray]]:
-    """kernel_basis_mod's basis of [M | -y] by the tree sweep, for
-    a*b*c != 0 mod p, or None when the sweep finds y outside the image: the
+    """kernel_basis_mod's basis of [M | -y] by the tree sweep, for a tuple
+    outside D, or None when the sweep finds y outside the image: the
     kernel vectors by ascending free column, then (particular, 1). No general
     elimination, and no temporary the size of the basis."""
     coeffs = a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
@@ -461,19 +471,41 @@ def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[list[np.ndarray]]:
     return [x[i] for i in np.argsort(piv)]
 
 
+def _direct_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
+    """kernel_basis_mod's basis of [M | -y] on D, as rows, or None when y lies
+    outside the image. Row v reads g x_u + h x_w = y_v: (a, b) at (c1(v), c2(v))
+    when c = 0, so a leaf's row is 0; c at parent(v) when a = b = 0, and column 3
+    in the root's row. Its pivot, its first nonzero column, is shared by sibling
+    rows alone, whose y must then agree."""
+    a, b, c, p, order = m.params.a, m.params.b, m.params.c, m.p, m.order
+    par, c1, c2 = neighbor_tables(m.shape.n)
+    # the first column u with its g, then the other w with its h: a = b = 0 leaves c x_parent;
+    # c = 0 leaves a x_c1 + b x_c2, which starts at c2 when a = 0 (and is 0 if b = 0, too)
+    u, g, w, h = (np.r_[3, par[1:]], c, None, 0) if c else (c1, a, c2, b) if a else (c2, b, c1, 0)
+    piv = u if g else np.full(order, order)  # order: no pivot, so y_v must be 0
+    val = np.zeros(order + 1, dtype=np.int64)
+    val[piv] = y
+    if val[order] or (val[piv] != y).any():
+        return None
+    free, gi = np.r_[np.setdiff1d(np.arange(order), piv), order], pow(g or 1, -1, p)
+    basis = np.zeros((len(free), order + 1), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[-1, :order] = val[:order] * gi % p
+    if h:  # c = 0: the free column c2(v) is -b/a at the pivot c1(v) of each inner v
+        basis[np.searchsorted(free, w[piv < order]), piv[piv < order]] = (p - h) * gi % p
+    return basis
+
+
 def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
     """Full preimage set of y under the matrix map, read off the canonical
     null-space basis of [M | -y] (kernel_basis_mod's form). y is in the
     image exactly when the last column is free; its vector is then
     (particular, 1), and the others are (kernel vector, 0), so the
     particular solution is 0 at the free columns of rref(M). The basis comes
-    from the tree route (_tree_solve: no dense matrix, no general RREF) when
-    a*b*c != 0 mod p, otherwise from the dense reduction and rref_mod."""
+    from the tree route (_tree_solve) or, on D, from _direct_solve; neither
+    builds a dense matrix or runs a general RREF."""
     y, p, n = _target(m, y), m.p, m.order
-    if m.params.a * m.params.b * m.params.c % p:
-        basis = _tree_solve(m, y)
-    else:
-        basis = kernel_basis_mod(np.hstack([m.dense(), ((-y) % p).reshape(-1, 1)]), p)
+    basis = (_direct_solve if _degenerate(m.params) else _tree_solve)(m, y)
     if basis is None or not basis[-1][n]:  # the last column is a pivot
         return SolutionSet(p=p, order=n, consistent=False)
     return SolutionSet(p=p, order=n, consistent=True, particular=basis[-1][:n],

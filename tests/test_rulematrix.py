@@ -504,7 +504,8 @@ def test_linalg_report_at_n_200000():
     assert set(vars(m)) == {"shape", "params"}
 
 
-def test_zero_coefficient_garden_builds_its_dense_form_once(monkeypatch):
+def test_zero_coefficient_garden_builds_no_dense_form(monkeypatch):
+    """With b = 0 the census and every seeded draw take the tree route."""
     from functools import cached_property
 
     from treeca.dynamics import garden_report
@@ -522,7 +523,7 @@ def test_zero_coefficient_garden_builds_its_dense_form_once(monkeypatch):
     m = build_rule_matrix(TreeShape(3), params_for(3, 1, 0, 1, 1, allow_zero=True))
     rep = garden_report(m, samples=3)
     assert rep.rank < m.order and len(rep.sample_garden_configs) == 3
-    assert built == [m]
+    assert built == []
 
 
 def test_parse_matrix_names_the_token_past_int64():
@@ -601,15 +602,16 @@ def test_level_recursion_matches_dense_reduction(t):
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_linalg_report_for_every_small_tuple(n, p):
-    """Every (a, b, c, d) in Z_p^4: the recursion where a*b*c != 0, the dense
-    reduction otherwise (the recursion is wrong there, e.g. c = d = 0)."""
+    """Every (a, b, c, d) in Z_p^4 against the dense reduction of a second
+    view: the recursion outside D, the closed form on D (the recursion is
+    wrong there, e.g. at c = d = 0), and no dense form of the view asked."""
     shape = TreeShape(n)
     for coeffs in itertools.product(range(p), repeat=4):
         params = params_for(p, *coeffs, allow_zero=True)
-        m = build_rule_matrix(shape, params)
+        m, oracle = (build_rule_matrix(shape, params) for _ in range(2))
         rep = linalg_report(m)
-        _, pivots, det = _reduce(m.dense(), p)
-        assert (rep.det, rep.rank) == (det, len(pivots)), coeffs
+        _, pivots, det = _reduce(oracle.dense(), p)
+        assert (rep.det, rep.rank) == (det, len(pivots)) and "_dense" not in vars(m), coeffs
 
 
 def table_recursion(n, a, b, c, d, p):
@@ -706,6 +708,25 @@ def test_level_recursion_batch_restarts_after_zero_levels(p):
             restarts += sum(not num for num, _ in sched) >= 2
             known_root += not sched[0][1]
     assert restarts and known_root
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_reversibility_on_the_papers_domain_at_every_n(p):
+    """README's scope note, on every tuple of (Z_p^*)^4 at n <= 2(p+2), in the
+    sweep's array pass: a + b = 0 gives det = d^(|V_n|-2) (d^2 - c^2); a + b != 0
+    is singular at every n >= p, and at no smaller n for all of them; at n >= p
+    exactly (p-3)(p-1)^2 tuples are reversible."""
+    a, b, c, d = np.array(list(itertools.product(range(1, p), repeat=4)), dtype=np.int64).T
+    opposite = (a + b) % p == 0
+    for n in range(1, 2 * (p + 2) + 1):
+        det = _level_recursion(n, a, b, c, d, p)[0]
+        dn = np.array([pow(v, ball_size(n) - 2, p) for v in range(p)])[d]
+        assert (det == dn * ((d * d - c * c) % p) % p)[opposite].all()
+        if n >= p:
+            assert not det[~opposite].any()
+            assert np.count_nonzero(det) == (p - 3) * (p - 1) ** 2
+        else:  # the bound is sharp: below it some tuple with a + b != 0 is reversible
+            assert det[~opposite].any()
 
 
 @pytest.mark.parametrize("n", [64, 80])
@@ -818,26 +839,168 @@ def test_tree_solve_matches_dense_reduction(case):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_solve_every_small_tuple(p):
-    """Every (a, b, c, d) in Z_p^4 at n = 1, 2 (the tree route where
-    a*b*c != 0, the dense reduction otherwise) for y = 0, y = M e_last and
-    y = e_0."""
-    for n, coeffs in itertools.product((1, 2), itertools.product(range(p), repeat=4)):
-        m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
-        zero_kernel = dense_solve(m, np.zeros(m.order, dtype=np.int64))[2]
-        assert [k.tolist() for k in kernel_basis(m)] == [k.tolist() for k in zero_kernel], (n, coeffs)
-        for y in (np.zeros(m.order), m.dense()[:, -1], np.eye(m.order)[0]):
-            y = np.asarray(y, dtype=np.int64)
-            consistent, x, kernel = dense_solve(m, y)
-            sols = solve(m, y)
-            assert sols.consistent == consistent, (n, coeffs)
+    """Every (a, b, c, d) in Z_p^4 at n = 1, 2, 3 (the tree route outside D,
+    the direct one on D) against the dense reduction of [M | y], for y = 0,
+    two y = M x (inside the image), and e_0 and a random y (mostly outside
+    it when M is singular); each view is solved before any dense form of it
+    is built."""
+    rng = np.random.default_rng(p)
+    for n, coeffs in itertools.product((1, 2, 3), itertools.product(range(p), repeat=4)):
+        params = params_for(p, *coeffs, allow_zero=True)
+        m, oracle = build_rule_matrix(TreeShape(n), params), build_rule_matrix(TreeShape(n), params)
+        x = rng.integers(0, p, (2, m.order))
+        ys = [np.zeros(m.order, dtype=np.int64), *_apply_local(x, m.shape, params),
+              np.eye(1, m.order, 0, dtype=np.int64)[0], rng.integers(0, p, m.order)]
+        got = [solve(m, y) for y in ys] + [kernel_basis(m)]
+        assert "_dense" not in vars(m), coeffs
+        assert [k.tolist() for k in got[-1]] == [k.tolist() for k in dense_solve(oracle, ys[0])[2]]
+        for y, sols in zip(ys, got):
+            consistent, want, kernel = dense_solve(oracle, y)
+            assert sols.consistent == consistent, (n, coeffs, y)
             if consistent:
-                assert (sols.particular == x).all()
+                assert (sols.particular == want).all()
                 assert [k.tolist() for k in sols.kernel] == [k.tolist() for k in kernel]
 
 
 P31 = 2**31 - 1
 C31 = 9 * pow(3, -1, P31) % P31  # c = d^2/(a+b) for (a, b, d) = (2, 1, 3)
 B31 = (24 * pow(10, -1, P31) - 2) % P31  # b = (d^2 - c^2)/(2c) - a for (a, c, d) = (2, 5, 7)
+
+
+# ---------------------------------------------------------------------------
+# Zero coefficients: the tree route outside D, closed forms and a direct pass on
+# D = {d = 0, and c = 0 or a = b = 0}
+
+ZERO_PATTERNS = ["b = 0", "a = 0", "c = 0, d != 0", "D: c = d = 0", "D: a = b = d = 0", "n = 1"]
+
+
+@st.composite
+def zero_pattern_cases(draw):
+    """(p, n, (a, b, c, d), seed, inside) for one zero pattern: b = 0 or a = 0
+    (a third of them with c = d^2/(a+b), a zero level at the leaves' parents,
+    and a third with d = 0, zero leaves), c = 0 with d != 0, each branch of
+    D, or n = 1 with any zeros. y = M x if inside, else random."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, P31]))
+    n = draw(st.integers(1, 6))
+    a, b, c, d = (draw(st.integers(1, p - 1)) for _ in range(4))
+    kind = draw(st.sampled_from(ZERO_PATTERNS))
+    if kind == "n = 1":
+        n, (a, b, c, d) = 1, (draw(st.sampled_from([0, v])) for v in (a, b, c, d))
+    elif kind == "D: c = d = 0":
+        c, d, a, b = 0, 0, draw(st.sampled_from([0, a])), draw(st.sampled_from([0, b]))
+    elif kind == "D: a = b = d = 0":
+        a, b, d = 0, 0, 0
+    elif kind == "c = 0, d != 0":
+        c = 0
+    else:
+        a, b = (0, b) if kind == "a = 0" else (a, 0)
+        level = draw(st.sampled_from(["any", "c = d^2/(a+b)", "d = 0"]))
+        c = d * d * pow(a + b, -1, p) % p if level == "c = d^2/(a+b)" else c
+        d = 0 if level == "d = 0" else d
+    return p, n, (a, b, c, d), draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_pattern_cases())
+@example((P31, 6, (2, 0, 3, 0), 1, True))  # b = 0, zero leaves: a fixes each c1
+@example((P31, 5, (0, 2, 9 * pow(2, -1, P31) % P31, 3), 2, True))  # a = 0, zero level 4 and 1
+@example((P31, 4, (2, 3, 0, 7), 3, False))  # c = 0, d != 0: upper triangular, invertible
+@example((P31, 5, (2, 3, 0, 0), 4, True))  # D, c = d = 0
+@example((P31, 5, (2, 3, 0, 0), 4, False))
+@example((P31, 5, (0, 0, 5, 0), 5, True))  # D, a = b = d = 0
+@example((P31, 1, (0, 0, 5, 0), 6, True))  # ... at n = 1, where column 3 is a leaf
+@example((P31, 1, (0, 0, 0, 0), 7, False))  # M = 0
+def test_zero_patterns_match_the_dense_oracle(case):
+    """det, rank and solve for every zero pattern equal the dense reduction
+    of M and of [M | y], which is read off a separate view of (shape, params)."""
+    m, y = canonical_case(case)
+    oracle = build_rule_matrix(m.shape, m.params)
+    rep = linalg_report(m)
+    _, pivots, det = _reduce(oracle.dense(), m.p)
+    assert (rep.det, rep.rank) == (det, len(pivots))
+    consistent, x, kernel = dense_solve(oracle, y)
+    sols = solve(m, y)
+    assert sols.consistent == consistent >= case[4]
+    if consistent:
+        assert (sols.particular == x).all()
+        assert [k.tolist() for k in sols.kernel] == [k.tolist() for k in kernel]
+    assert "_dense" not in vars(m)
+
+
+def test_no_zero_pattern_reads_a_dense_form_or_eliminates(monkeypatch):
+    """With RuleMatrix._dense, _reduce and rref_mod refusing, linalg_report and
+    solve answer for each of the 16 zero patterns of (a, b, c, d) at n = 1, 2, 4:
+    y = M x is in the image, each particular solution maps to its y and each
+    kernel vector to 0, and there are |V_n| - rank of them."""
+    from treeca import rulematrix
+
+    def refuse(*args):
+        raise AssertionError("dense form or general elimination")
+
+    for name in ("_reduce", "rref_mod"):
+        monkeypatch.setattr(rulematrix, name, refuse)
+    monkeypatch.setattr(RuleMatrix, "_dense", property(refuse))
+    rng = np.random.default_rng(0)
+    for n, keep in itertools.product((1, 2, 4), itertools.product((0, 1), repeat=4)):
+        coeffs = [v * k for v, k in zip((1, 1, 2, 2), keep)]  # c = d^2/(a+b): a zero level
+        m = build_rule_matrix(TreeShape(n), params_for(7, *coeffs, allow_zero=True))
+        rank = linalg_report(m).rank
+        inside = _apply_local(rng.integers(0, 7, (1, m.order)), m.shape, m.params)[0]
+        assert solve(m, inside).consistent, (n, coeffs)
+        for y in (inside, np.zeros(m.order, dtype=np.int64), rng.integers(0, 7, m.order)):
+            sols = solve(m, y)
+            if sols.consistent:
+                kernel = np.array(sols.kernel, dtype=np.int64).reshape(-1, m.order)
+                assert len(kernel) == m.order - rank, (n, coeffs)
+                assert not _apply_local(kernel, m.shape, m.params).any()
+                assert (_apply_local(sols.particular[None], m.shape, m.params)[0] == y).all()
+
+
+@pytest.mark.parametrize("coeffs,rank", [
+    ((1, 1, 0, 0), ball_size(39)),  # c = d = 0: each inner row a x_c1 + b x_c2
+    ((0, 2, 0, 0), ball_size(39)),
+    ((0, 0, 3, 0), ball_size(39)),  # a = b = d = 0: each row c x_parent, the root's c x_3
+    ((0, 0, 0, 0), 0),
+])
+def test_degenerate_det_and_rank_at_n_40_build_no_tables(coeffs, rank, capsys, monkeypatch):
+    """On D, det and rank are closed forms: no level table, no neighbour
+    table, and a traced peak below 64 kB; classify prints them at n = 40."""
+    from treeca import rulematrix
+
+    def unbuilt(*args):
+        raise AssertionError("table built")
+
+    for name in ("level_sizes", "level_offsets"):
+        monkeypatch.setattr(TreeShape, name, property(unbuilt))
+    monkeypatch.setattr(rulematrix, "neighbor_tables", unbuilt)
+    m = build_rule_matrix(TreeShape(40), params_for(5, *coeffs, allow_zero=True))
+    tracemalloc.start()
+    try:
+        rep = linalg_report(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.det, rep.rank, rep.invertible) == (0, rank, False) and peak < 1 << 16
+    flags = [f"-{k}={v}" for k, v in zip("abcd", coeffs)]
+    assert main(["classify", "-n", "40", "-p", "5", *flags, "--allow-zero-coeffs"]) == 0
+    assert capsys.readouterr().out.endswith(f"det=0 rank={rank} verdict=irreversible\n")
+
+
+def test_tree_back_sums_a_zero_level_in_place():
+    """d = 0 at n = 10 (p = 17, (1, 1, 1, 0)): zero levels 10, 8, ..., 2 and
+    the root, and 1025 kernel rows. _tree_back's traced peak is its basis
+    plus at most 2 MB: the zero levels' sums are made in the basis itself."""
+    n, coeffs = 10, (1, 1, 1, 0, 17)
+    shape, y = TreeShape(n), np.zeros(ball_size(n), dtype=np.int64)
+    sched = _level_schedule(n, *coeffs)
+    w = _tree_sweep(shape, sched, 1, 1, 1, 17, y)
+    tracemalloc.start()
+    try:
+        x = _tree_back(shape, sched, w, coeffs, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (1025, ball_size(n) + 1) and peak < x.nbytes + (2 << 20)
 
 
 def test_kernel_basis_builds_no_dense_matrix(monkeypatch):
