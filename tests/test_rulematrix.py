@@ -504,7 +504,7 @@ def test_linalg_report_at_n_200000():
     assert set(vars(m)) == {"shape", "params"}
 
 
-def test_zero_coefficient_garden_builds_no_dense_form(monkeypatch):
+def test_zero_coefficient_garden_builds_its_dense_form_once(monkeypatch):
     """With b = 0 the census and every seeded draw take the tree route."""
     from functools import cached_property
 
