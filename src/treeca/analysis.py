@@ -3,8 +3,8 @@
 The reversibility verdict for one parameter tuple comes from the exact
 leaf-to-root level recursion of rulematrix.linalg_report: O(n) field
 operations, no modular inverse, no rule matrix assembled (closed forms where
-d = 0, and c = 0 or a = b = 0). A sweep runs it as one array
-pass per (p, n) group, the same rulematrix._level_recursion over int64 arrays.
+d = 0, and c = 0 or a = b = 0). sweep and table1 run it once per level count
+over int64 arrays (p one of them), and write their records from the columns.
 The closed-form degree-10 and degree-22 determinant polynomials are
 evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
@@ -18,19 +18,18 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/spans.py patches this name
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration
+from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration, _digit_words
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import Params, _level_recursion, _reduce, build_rule_matrix, linalg_report
+from .rulematrix import _BLOCK, Params, _level_recursion, _reduce, build_rule_matrix, linalg_report
 from .tree import TreeShape, ball_size
 
 
@@ -94,62 +93,99 @@ class SweepSpec:
     seed: int = 0
 
 
-def _sweep_groups(spec: SweepSpec):
-    """Each nonempty (p, n) group of the spec in generation order, as
-    (PrimeField(p), n, rows (a, b, c, d), the values the rows are taken from):
-    seeded draws from Z_p^*, made once the field is checked, or the
-    cartesian product of the value lists."""
-    if spec.random_count:
-        rng = np.random.default_rng(spec.seed)
-        for p in spec.p_values:
-            for n in spec.n_values:
-                field = PrimeField(p)  # before the draws: rng.integers(1, p) needs p >= 2
-                yield field, n, rng.integers(1, p, size=(spec.random_count, 4)), ()
-    else:
-        lists = (spec.a_values, spec.b_values, spec.c_values, spec.d_values)
-        rows = list(itertools.product(*lists))
-        for p in spec.p_values:
-            for n in spec.n_values:
-                if rows:
-                    yield PrimeField(p), n, rows, itertools.chain(*lists)
+def _verdict_columns(cols: np.ndarray, levels: set[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(table, reversible) of checked int64 columns (a, b, c, d, n, p), n in levels,
+    with det and rank added by one array pass of the level recursion per n: int64
+    while every n <= 61 (|V_n| < 2^63), else object. The records are its columns."""
+    table = np.empty((8, cols.shape[1]), dtype=np.int64 if max(levels, default=0) < 62 else object)
+    table[:6] = cols
+    for n in levels:
+        at = cols[4] == n
+        table[6:, at] = _level_recursion(n, *cols[:4, at], cols[5, at])
+    return table, table[6] != 0
 
 
-def sweep(spec: SweepSpec) -> list[ReversibilityRecord]:
-    """classify every tuple of the spec, by one array pass of the level
-    recursion per (p, n) group. The first bad tuple in generation order
-    raises classify's error: its modulus, then its coefficients, then its
-    level; an empty group checks nothing. Output order is canonical
-    (lexicographic over (p, n, a, b, c, d))."""
-    tables, ranks = [], []
-    for field, n, rows, values in _sweep_groups(spec):
-        p = field.p
-        if not all(0 < v < p for v in values):
+def sweep(spec: SweepSpec, columns: bool = False):
+    """classify every tuple of the spec, in canonical order (ReversibilityRecord.sort_key), as
+    records, or with columns set as _verdict_columns for writers that build no record. The
+    (p, n) groups are seeded draws from Z_p^* or the cartesian product; the first bad tuple in
+    generation order raises classify's error (modulus, coefficients, level), an empty group none."""
+    lists = (spec.a_values, spec.b_values, spec.c_values, spec.d_values)
+    rng = np.random.default_rng(spec.seed) if spec.random_count else None
+    rows, parts, levels = None if rng else list(itertools.product(*lists)), [], set()
+    # an empty cartesian product makes no group, so it checks no modulus or level
+    for p, n in itertools.product(spec.p_values, spec.n_values if rows != [] else ()):
+        field = PrimeField(p)  # before the draws: rng.integers(1, p) needs p >= 2
+        if rng:
+            rows = rng.integers(1, p, size=(spec.random_count, 4))
+        elif not all(0 < v < p for v in itertools.chain(*lists)):
             first = next(t for t in rows if not all(0 < v < p for v in t))
             if first is not rows[0]:
                 _printable_shape(n)  # the group's first tuple is good, so its level comes first
             Params(*first, field=field)  # raises the coefficient's error
-        abcd = np.asarray(rows, dtype=np.int64)
-        det, rank = _level_recursion(_printable_shape(n).n, *abcd.T, p)
-        tables.append(np.column_stack([abcd, np.full((len(abcd), 2), (n, p)), det]))
-        ranks += rank.tolist()
-    if not tables:
-        return []
-    table = np.concatenate(tables)
-    order = np.lexsort(table[:, [3, 2, 1, 0, 4, 5]].T).tolist()  # ReversibilityRecord.sort_key
-    return [ReversibilityRecord(*row, ranks[i], row[6] != 0)
-            for row, i in zip(table[order].tolist(), order)]
+        levels.add(_printable_shape(n).n)
+        parts.append(np.vstack([np.asarray(rows, np.int64).T, np.full((2, len(rows)), [[n], [p]])]))
+    cols = np.hstack(parts) if parts else np.empty((6, 0), dtype=np.int64)
+    del parts  # a sweep's memory is a few copies of its columns at most
+    cols = cols[:, np.lexsort((*cols[3::-1], cols[4], cols[5]))]
+    verdicts = _verdict_columns(cols, levels)
+    return verdicts if columns else _records(*verdicts)
+
+
+def _records(table: np.ndarray, reversible: np.ndarray) -> list[ReversibilityRecord]:
+    return [ReversibilityRecord(*t, r) for t, r in zip(zip(*table.tolist()), reversible.tolist())]
+
+
+def _columns(records: Iterable[ReversibilityRecord]) -> tuple[np.ndarray, np.ndarray]:
+    # records as _verdict_columns lays them out; a rank past int64 makes the table object
+    records = list(records)
+    big = max((r.rank for r in records), default=0) >> 63
+    return (np.array([r[:8] for r in records], dtype=object if big else np.int64).reshape(-1, 8).T,
+            np.array([r.reversible for r in records], dtype=bool))
+
+
+def _row_blocks(table, reversible, heads: Sequence[str], ends: Sequence[str]) -> Iterator[str]:
+    """The text of columns (table, reversible) in blocks of whole rows, with no
+    Python object per cell: row i is heads[0], table[0, i], .., heads[7],
+    table[7, i], ends[reversible[i]], each a slot of NUL-padded uint32 words."""
+    wh, we = (max(map(len, x)) // 4 + 1 for x in (heads, ends))
+    heads, ends = (np.frombuffer("".join(t.ljust(4 * w, "\0") for t in x).encode(), np.uint32)
+                   .reshape(-1, w) for x, w in ((heads, wh), (ends, we)))
+    # a row is about 36 words, so a block is about _BLOCK words: below malloc's mmap
+    # threshold, so its memory is reused from block to block
+    for at in range(0, table.shape[1], _BLOCK // 36):
+        v, rev = table[:, at:at + _BLOCK // 36], reversible[at:at + _BLOCK // 36]
+        k = -(-len(str(v.max())) // 4)
+        slots = np.zeros((len(rev), 9, max(wh + k, we)), dtype=np.uint32)
+        slots[:, :8, :wh], slots[:, 8, :we] = heads, ends[rev.astype(np.intp)]
+        _digit_words(v.T, slots[:, :8, wh:wh + k])
+        yield slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def csv_blocks(columns) -> Iterator[str]:
+    """records_to_csv of columns (table, reversible), in blocks of whole lines."""
+    yield ",".join(ReversibilityRecord._fields) + "\n"
+    yield from _row_blocks(*columns, ("",) + (",",) * 7, (",false\n", ",true\n"))
+
+
+def json_blocks(columns, indent: str = "") -> Iterator[str]:
+    """json.dumps(records, indent=2) of columns, a list indent deep, in blocks."""
+    inner, keys = indent + "  ", ReversibilityRecord._fields
+    heads = [f',\n{inner}{{\n{inner}  "a": '] + [f',\n{inner}  "{k}": ' for k in keys[1:8]]
+    ends = [f',\n{inner}  "reversible": {v}\n{inner}}}' for v in ("false", "true")]
+    yield "["
+    for i, block in enumerate(_row_blocks(*columns, heads, ends)):
+        yield block[1:] if i == 0 else block  # no comma before the first record
+    yield f"\n{indent}]" if columns[0].shape[1] else "]"
 
 
 def records_to_csv(records: Iterable[ReversibilityRecord]) -> str:
     """One CSV line per record; ints and true/false need no quoting."""
-    lines = [",".join(ReversibilityRecord._fields)]
-    lines += [f"{a},{b},{c},{d},{n},{p},{det},{rank},{str(rev).lower()}"
-              for a, b, c, d, n, p, det, rank, rev in records]
-    return "\n".join(lines) + "\n"
+    return "".join(csv_blocks(_columns(records)))
 
 
 def records_to_json(records: Iterable[ReversibilityRecord]) -> str:
-    return json.dumps([r._asdict() for r in records], indent=2)
+    return "".join(json_blocks(_columns(records)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,24 +348,25 @@ def table1_fixture_csv() -> str:
 def table1_check(fixture_text: str) -> list[ReversibilityRecord]:
     """Recompute every fixture row and diff verdicts; raises FixtureMismatch
     with per-row diffs if anything disagrees, FormatError if a column or a
-    field is missing."""
+    field is missing. Each row is checked as classify checks it, in fixture
+    order; then the rows are answered in one pass per level count."""
     reader = csv.DictReader(io.StringIO(fixture_text))
     columns = ("a", "b", "c", "d", "n", "p", "reversibility")
     if missing := [k for k in columns if k not in (reader.fieldnames or ())]:
         raise FormatError(f"fixture has no column {', '.join(missing)}")
-    diffs = []
-    records = []
+    rows, verdicts = [], []
     for row in reader:
         if any(row[k] is None for k in columns):
             raise FormatError(f"fixture line {reader.line_num} has fewer fields than the header")
         a, b, c, d, n, p = (int(row[k]) for k in columns[:6])
-        rec = classify(a, b, c, d, n, p)
-        records.append(rec)
-        if rec.verdict != row["reversibility"]:
-            diffs.append(
-                f"(a={a},b={b},c={c},d={d},n={n},p={p}): "
-                f"computed {rec.verdict}, fixture says {row['reversibility']}"
-            )
+        Params(a=a, b=b, c=c, d=d, field=PrimeField(p))
+        rows.append((a, b, c, d, _printable_shape(n).n, p))
+        verdicts.append(row["reversibility"])
+    records = _records(*_verdict_columns(np.array(rows, dtype=np.int64).reshape(-1, 6).T,
+                                         {t[4] for t in rows}))
+    diffs = [f"(a={r.a},b={r.b},c={r.c},d={r.d},n={r.n},p={r.p}): "
+             f"computed {r.verdict}, fixture says {v}"
+             for r, v in zip(records, verdicts) if r.verdict != v]
     if diffs:
         raise FixtureMismatch(diffs)
     return records

@@ -124,6 +124,9 @@ def cmd_garden(args) -> int:
                           for c in rep.sample_garden_configs)
     samples = f"[\n    {rows}\n  ]" if rows else "[]"
     _emit(f'{head[:-2]},\n  "sample_garden_configs": {samples}\n}}\n', args.out)
+    if rep.garden_count and len(rep.sample_garden_configs) < args.samples:
+        sys.stderr.write(f"warning: found {len(rep.sample_garden_configs)} of {args.samples} "
+                         f"samples after {dynamics.GARDEN_DRAWS} draws\n")
     return EXIT_OK
 
 
@@ -167,14 +170,16 @@ def cmd_sweep(args) -> int:
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
     lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"), f"--{k}-values")
              for k in "abcdnp"}
-    spec = analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed)
-    records = analysis.sweep(spec)
-    if args.format == "json":
-        text = json.dumps({"seed": args.seed if args.random else None,
-                           "records": [r._asdict() for r in records]}, indent=2) + "\n"
+    columns = analysis.sweep(analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed),
+                             columns=True)
+    if args.format == "json":  # json.dumps({"seed": .., "records": [..]}, indent=2), in blocks
+        seed = json.dumps(args.seed if args.random else None)
+        blocks = itertools.chain([f'{{\n  "seed": {seed},\n  "records": '],
+                                 analysis.json_blocks(columns, "  "), ["\n}\n"])
     else:
-        text = (f"# seed={args.seed}\n" if args.random else "") + analysis.records_to_csv(records)
-    _emit(text, args.out)
+        blocks = itertools.chain([f"# seed={args.seed}\n"] if args.random else [],
+                                 analysis.csv_blocks(columns))
+    _emit(blocks, args.out)
     return EXIT_OK
 
 

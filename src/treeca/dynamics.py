@@ -22,6 +22,7 @@ from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it fr
 
 # Exhaustive operations refuse to run past this many configurations.
 DEFAULT_ENUMERATION_CAP = 2**20
+GARDEN_DRAWS = 10_000  # seeded draws garden_report makes at most
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
     if samples > 0 and count > 0:
         rng = np.random.default_rng(seed)
         attempts = 0
-        while len(found) < samples and attempts < 10000:
+        while len(found) < samples and attempts < GARDEN_DRAWS:
             y = rng.integers(0, p, size=order, dtype=np.int64)
             if not solve(m, y).consistent:
                 found.append(Configuration(m.shape, p, y))
@@ -280,58 +281,51 @@ def parse_config(text: str) -> Configuration:
 
 @lru_cache(maxsize=None)
 def _digit_table() -> np.ndarray:
-    """ASCII digits of 0 .. 99 999, five bytes packed into the low end of a
-    uint64, most significant digit in byte 0, leading zeros as NUL bytes
-    (0 is all NUL). Built from the ten digit bytes by broadcasting, with no
-    division. Every digit byte has the bits of "0" set, so OR-ing an entry
-    with "00000" pads it with zeros, and with "0" in byte 4 writes 0 as "0"."""
-    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
-    table = np.zeros(1, dtype=np.uint64)
-    for k in range(5):
-        table = (table[:, None] | digit << np.uint64(8 * k)).ravel()
-    for k in range(5):  # byte k is a leading zero below 10^(4-k)
-        table[: 10 ** (4 - k)] &= ~np.uint64(0xFF << (8 * k))
+    """ASCII digits of 0 .. 9999 as uint32 words, leading zeros as NUL bytes, built by
+    broadcasting with no division. A digit byte has the bits of "0" set, so OR-ing
+    "0000" pads an entry with zeros, and "0" in byte 3 writes 0 as "0"."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    table = np.zeros(1, dtype=np.uint32)
+    for k in range(4):
+        table = (table[:, None] | digit << np.uint32(8 * k)).ravel()
+    for k in range(4):  # byte k is a leading zero below 10^(3-k)
+        table[: 10 ** (3 - k)] &= ~np.uint32(0xFF << (8 * k))
     table.setflags(write=False)
     return table
 
 
-def _packed(text: str, at: int) -> np.uint64:
-    return np.uint64(int.from_bytes(text.encode(), "little") << 8 * at)
+def _digit_words(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the digits of v's ints in [0, 10^(4k)) (int64, or Python ints in an object
+    array) to out[..., :k] as k _digit_table words, most significant first, each zero-padded
+    behind a nonzero one; leading zeros stay NUL bytes for the writer to drop."""
+    pad, zero = np.frombuffer(b"0000" + b"0".rjust(4, b"\0"), dtype=np.uint32)
+    for j in range(out.shape[-1] - 1, 0, -1):
+        q = v // 10_000
+        out[..., j] = _digit_table()[(v - q * 10_000).astype(np.intp)] | (q > 0) * pad
+        v = q
+    out[..., 0] = _digit_table()[v.astype(np.intp)]
+    out[..., -1] |= zero  # 0 as "0"
 
 
-_PAD, _ZERO = _packed("00000", 0), _packed("0", 4)
-_ROW_END, _TRACE_END = _packed("], [", 0), _packed("]]", 0)
+_SEP, _ROW_END, _TRACE_END = np.frombuffer(b", \0\0], []]\0\0", dtype=np.uint32)
 
 
 def trace_blocks(trace: EvolutionTrace) -> Iterator[str]:
-    """json.dumps(trace.values.tolist()) in blocks of whole rows, with no Python
-    int per cell: each row is its cells' slots of uint64 words, then one word
-    "], [" (or "]]"), and each block drops its NUL bytes. If every residue is
-    below 10^5, a slot is one word, the _digit_table entry then ", ". Otherwise
-    (residues lie in [0, 2^31)) it is two: v = 10^5 hi + lo writes hi unpadded
-    (nothing if 0), lo zero-padded (unpadded if hi = 0), then ", "."""
-    table = _digit_table()
+    """json.dumps(trace.values.tolist()) in blocks of whole rows, no Python int per
+    cell: a cell is the word ", " (none for a row's first) and its _digit_words, a
+    row ends in the word "], [" ("]]" for the last), and NUL bytes are dropped."""
     rows, cols = trace.values.shape
-    wide = bool(trace.values.max() >= 100_000)
-    comma = _packed(", ", 2 if wide else 5)  # in the last word of a cell
+    k = -(-len(str(trace.values.max())) // 4)
     step = max(_BLOCK // cols, 1)
     yield "[["
     for start in range(0, rows, step):
         v = trace.values[start:start + step]
-        words = np.empty((len(v), cols * (1 + wide) + 1), dtype=np.uint64)
-        cells = words[:, :-1]
-        if wide:
-            hi, lo = np.divmod(v, 100_000)
-            low = table[lo] | np.where(hi > 0, _PAD, _ZERO)
-            cells[:, 0::2] = table[hi] | low << np.uint64(40)
-            cells[:, 1::2] = low >> np.uint64(24) | comma
-        else:
-            np.bitwise_or(table[v], _ZERO | comma, out=cells)
-        cells[:, -1] ^= comma  # a row's last cell has no separator
-        words[:, -1] = _ROW_END
+        cells = np.zeros((len(v), cols + 1, 1 + k), dtype=np.uint32)  # the row end last
+        cells[:, 1:-1, 0], cells[:, -1, 0] = _SEP, _ROW_END
+        _digit_words(v, cells[:, :-1, 1:])
         if start + len(v) == rows:
-            words[-1, -1] = _TRACE_END
-        yield words.tobytes().translate(None, b"\0").decode("ascii")
+            cells[-1, -1, 0] = _TRACE_END
+        yield cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trace_to_json(trace: EvolutionTrace) -> str:

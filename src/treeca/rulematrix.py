@@ -225,7 +225,7 @@ def _cost(l: int) -> int:
 def _level_recursion(n: int, a, b, c, d, p: int) -> tuple:
     """(det, rank) of the level-n rule matrix over Z_p, for a tuple outside D,
     folded from _levels in one leaf-to-root pass with no list, as Python ints
-    or as arrays (rank an object array), like the operands. Level l >= 1 has
+    or as arrays (p too, one modulus per tuple), like the operands. Level l >= 1 has
     S_l = 3*2^(l-1) vertices. At full rank every level is a pivot level whose
     den is the num below, so det = prod e_l^S_l telescopes to
     prod num_l^(S_l - S_(l-1)), S_(-1) = 0. The exponents are 1, 2 and then
@@ -238,17 +238,19 @@ def _level_recursion(n: int, a, b, c, d, p: int) -> tuple:
     (their vertices and one child each), so it costs _cost(l). With the zero
     levels as the bits of z = sum 2^l, the nullity is 3*(z >> 2) + (z & 3).
     One tuple sets z's bits in a bytearray, one bit per level and no big-int
-    sum; arrays add to an object array of z where some tuple has a zero level.
+    sum; arrays add to an array of z where some tuple has a zero level, int64
+    while |V_n| < 2^63 (n <= 61) and Python ints past that.
     """
     one = isinstance(d, int)
-    q, bits, z = 1, bytearray(n // 8 + 1), 0 if one else np.zeros(np.shape(d), dtype=object)
+    q, bits = 1, bytearray(n // 8 + 1)
+    z = 0 if one else np.zeros(np.shape(d), dtype=np.int64 if n < 62 else object)
     for l, num, den in _levels(n, a, b, c, d, p):
         if l >= 2:
             q = q * q % p * num % p
         if one and not num:
             bits[l >> 3] |= 1 << (l & 7)
         elif not one and not num.all():
-            z = z + ((num == 0).astype(object) << l)
+            z = z + ((num == 0).astype(z.dtype) << l)
     z = int.from_bytes(bits, "little") if one else z
     det = num * (den * den % p) % p * (q * q % p * q % p) % p
     return det, ball_size(n) - 3 * (z >> 2) - (z & 3)

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import itertools
+import json
 import math
 import sys
 
@@ -27,6 +31,7 @@ from treeca.analysis import (
     table1_fixture_csv,
 )
 from treeca import analysis, dynamics
+from treeca.cli import main
 from treeca.dynamics import _all_configurations, _apply_local
 from treeca.errors import (
     EnumerationTooLarge,
@@ -293,11 +298,165 @@ def test_records_serialization():
     csv_text = records_to_csv(recs)
     assert csv_text.splitlines()[0] == "a,b,c,d,n,p,det,rank,reversible"
     assert csv_text.splitlines()[1] == "1,1,1,1,2,3,2,10,true"
-    import json
-
     parsed = json.loads(records_to_json(recs))
     assert parsed[0]["det"] == 2 and parsed[0]["reversible"] is True
 
+
+# The per-record writers that the columnar ones replaced, kept as their oracles.
+def old_records_to_csv(records):
+    lines = [",".join(ReversibilityRecord._fields)]
+    lines += [f"{a},{b},{c},{d},{n},{p},{det},{rank},{str(rev).lower()}"
+              for a, b, c, d, n, p, det, rank, rev in records]
+    return "\n".join(lines) + "\n"
+
+
+def old_sweep_text(records, fmt, seed):
+    """What `treeca sweep` printed from its records: seed is None for a cartesian sweep."""
+    if fmt == "json":
+        return json.dumps({"seed": seed, "records": [r._asdict() for r in records]},
+                          indent=2) + "\n"
+    return (f"# seed={seed}\n" if seed is not None else "") + old_records_to_csv(records)
+
+
+def cli_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def spec_argv(spec):
+    flags = [(f"--{k}-values", getattr(spec, f"{k}_values")) for k in "abcdnp"]
+    return ["sweep", *(f for k, v in flags for f in (k, ",".join(map(str, v))))]
+
+
+WRITER_PRIMES = (2, 3, 17, 2**31 - 1)
+WRITER_LEVELS = (1, 2, 3, 31, 32, 61, 62, 63)  # ranks pass 10^10 from n = 32, 2^63 from n = 62
+
+
+@st.composite
+def writer_specs(draw):
+    """A cartesian spec over one or two of WRITER_PRIMES and some of WRITER_LEVELS.
+    Over p = 2 every tuple is singular (a + b = 0, c = d); otherwise c = d^2/(a+b)
+    joins the c values when it is a unit for every prime (det 0 over the first, n >= 2)."""
+    ps = draw(st.lists(st.sampled_from(WRITER_PRIMES), min_size=1, max_size=2, unique=True))
+    top = min(ps) - 1
+    a, b, d = (draw(st.integers(1, top)) for _ in range(3))
+    cs = {draw(st.integers(1, top))}
+    if (a + b) % ps[0] and 0 < (c := d * d * pow(a + b, -1, ps[0]) % ps[0]) <= top:
+        cs.add(c)
+    ns = draw(st.lists(st.sampled_from(WRITER_LEVELS), min_size=1, max_size=3, unique=True))
+    return SweepSpec(a_values=(a,), b_values=(b, a), c_values=tuple(cs), d_values=(d,),
+                     n_values=tuple(ns), p_values=tuple(ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(writer_specs())
+def test_columnar_writers_match_the_record_oracles(spec):
+    """sweep's array pass equals classify tuple by tuple, and the columnar CSV and
+    JSON writers equal the per-record writers they replaced, in the library and
+    in `treeca sweep` (both formats), at ranks past 10^10 and 2^63 and at det = 0."""
+    records = sweep(spec)
+    want = sorted((classify(a, b, c, d, n, p) for p in spec.p_values for n in spec.n_values
+                   for a in spec.a_values for b in spec.b_values for c in spec.c_values
+                   for d in spec.d_values), key=ReversibilityRecord.sort_key)
+    assert records == want
+    assert records_to_csv(records) == old_records_to_csv(records)
+    assert records_to_json(records) == json.dumps([r._asdict() for r in records], indent=2)
+    for fmt in ("csv", "json"):
+        assert cli_text([*spec_argv(spec), "--format", fmt]) == old_sweep_text(records, fmt, None)
+
+
+def test_columnar_writers_reach_their_edge_cases():
+    """The ranks of n = 31, 32, 61, 62 and 63 and det = 0 rows all occur; an object
+    rank column (n >= 62) and an int64 one give the same text."""
+    spec = SweepSpec(a_values=(1,), b_values=(1, 2), c_values=(1, 2), d_values=(1,),
+                     n_values=(1, 31, 32, 61, 62, 63), p_values=(3, 2**31 - 1))
+    records = sweep(spec)
+    ranks = {r.n: r.rank for r in records if r.det}
+    assert ranks[32] > 10**10 and ranks[61] < 2**63 <= ranks[62]
+    assert any(r.det == 0 for r in records) and any(r.det for r in records)
+    assert records_to_csv(records) == old_records_to_csv(records)
+    low = [r for r in records if r.n < 62]
+    assert records_to_csv(low) == old_records_to_csv(low)
+
+
+def near_digit_groups(top):
+    """Ints in [0, top], many at the edges of the four-digit groups the writer
+    makes (10^4k - 1, 10^4k, 10^4k + 1, 10^4k + 90, 2 * 10^4k), the rest anywhere."""
+    edges = sorted({v for k in range(1, 6) for v in (10**(4 * k) - 1, 10**(4 * k),
+                                                     10**(4 * k) + 1, 10**(4 * k) + 90,
+                                                     2 * 10**(4 * k)) if v <= top})
+    return st.one_of(st.sampled_from([0, 1, 9, 10, 999, *edges, top]), st.integers(0, top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[near_digit_groups(2**63 - 1)] * 7,
+                          st.one_of(near_digit_groups(2**63 - 1), near_digit_groups(10**40)),
+                          st.booleans()), max_size=12))
+def test_writers_at_digit_group_edges(rows):
+    """records_to_csv and records_to_json of any records (int64 fields, a rank
+    up to 10^40) against the per-record writers."""
+    records = [ReversibilityRecord(*row) for row in rows]
+    assert records_to_csv(records) == old_records_to_csv(records)
+    assert records_to_json(records) == json.dumps([r._asdict() for r in records], indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,spec,seed", [
+    (["--random", "7", "--seed", "3", "--n-values", "63,2", "--p-values", "3,2147483647"],
+     SweepSpec(n_values=(63, 2), p_values=(3, 2**31 - 1), random_count=7, seed=3), 3),
+    (["--random", "5", "--seed", "0", "--n-values", "1", "--p-values", "2,17"],
+     SweepSpec(n_values=(1,), p_values=(2, 17), random_count=5), 0),
+    (["--random", "3", "--seed", "9", "--n-values", "2", "--p-values", ""],
+     SweepSpec(n_values=(2,), p_values=(), random_count=3, seed=9), 9),
+    (["--p-values", "4", "--b-values", "1"], SweepSpec(b_values=(1,), p_values=(4,)), None),
+    (["--p-values", "5", "--a-values", "1", "--b-values", "1", "--c-values", "1",
+      "--d-values", "1", "--seed", "4"], unit_spec(), None),
+])
+def test_sweep_text_matches_the_record_oracles(fmt, argv, spec, seed):
+    """A random sweep's `# seed=` line and "seed" key, an empty sweep's header
+    and "records": [], and a cartesian sweep's null seed, as before."""
+    records = sweep(spec)
+    assert cli_text(["sweep", *argv, "--format", fmt]) == old_sweep_text(records, fmt, seed)
+
+
+BAD_PRIMES = (1, 4, 5, 7, 2**31 - 1, 2**31)
+
+
+@st.composite
+def bad_specs(draw):
+    """Cartesian specs over several (p, n) groups whose first bad modulus,
+    coefficient or level may sit in any group, or in none."""
+    values = st.lists(st.sampled_from((0, 1, 2, 3, 4, 6, 8)), min_size=1, max_size=2)
+    return SweepSpec(*(tuple(draw(values)) for _ in range(4)),
+                     n_values=tuple(draw(st.lists(st.sampled_from((-1, 0, 1, 2, 3)),
+                                                  min_size=1, max_size=3))),
+                     p_values=tuple(draw(st.lists(st.sampled_from(BAD_PRIMES),
+                                                  min_size=1, max_size=3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_specs())
+def test_sweep_raises_classifys_first_error_in_generation_order(spec):
+    """The oracle classifies the tuples one by one in generation order (p, then n,
+    then the cartesian product) and stops at the first error."""
+    first = None
+    for p, n, t in itertools.product(spec.p_values, spec.n_values, itertools.product(
+            spec.a_values, spec.b_values, spec.c_values, spec.d_values)):
+        try:
+            classify(*t, n, p)
+        except Exception as exc:
+            first = exc
+            break
+    if first is None:
+        assert len(sweep(spec)) == (len(spec.p_values) * len(spec.n_values)
+                                    * math.prod(map(len, (spec.a_values, spec.b_values,
+                                                          spec.c_values, spec.d_values))))
+    else:
+        with pytest.raises(type(first)) as got:
+            sweep(spec)
+        assert str(got.value) == str(first)
 
 def test_entropy_sequence_p2():
     seq = entropy_sequence(2, 3)

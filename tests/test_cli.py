@@ -629,6 +629,19 @@ def test_garden_payload_is_json_dumps_with_indent_2(capsys, samples, p, coeffs):
     assert len(payload["sample_garden_configs"]) == (samples if payload["garden_count"] else 0)
 
 
+def test_garden_reports_a_sample_shortfall_on_stderr(capsys):
+    """At n = 1, p = 2 the draws can hold at most 10 000 samples, fewer than
+    the 10 001 asked for: one warning line on stderr, and stdout, the exit
+    code and the payload as without it."""
+    argv = ["garden", "-a", "1", "-b", "1", "-c", "1", "-d", "1", "-n", "1", "-p", "2"]
+    code, out, err = run(capsys, *argv, "--samples", "10001")
+    found = len(json.loads(out)["sample_garden_configs"])
+    assert code == 0 and 0 < found < 10001
+    assert err == f"warning: found {found} of 10001 samples after 10000 draws\n"
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert run(capsys, *argv, "--samples", "2")[2] == ""
+
+
 @pytest.mark.parametrize("n,sparse", [(10, []), (12, ["--sparse"])])
 def test_matrix_is_written_block_by_block(tmp_path, capsys, monkeypatch, n, sparse):
     """matrix writes its header and then blocks of whole rows as they are made:

@@ -693,6 +693,33 @@ def test_level_recursion_batch_matches_scalar(group):
     assert batch_pass(n, rows, p) == [level_oracle(n, r, p) for r in rows]
 
 
+@st.composite
+def mixed_moduli(draw):
+    """(n, rows, moduli): the rows of several level_groups, each over its own
+    prime, shuffled together at one n."""
+    n, rows, moduli = draw(st.integers(1, 80)), [], []
+    for _ in range(draw(st.integers(1, 4))):
+        p, _, group = draw(level_groups())
+        rows += group
+        moduli += [p] * len(group)
+    order = draw(st.permutations(range(len(rows))))
+    return n, [rows[i] for i in order], [moduli[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_moduli())
+def test_level_recursion_over_mixed_moduli_matches_each_tuple(case):
+    """One array pass with p an array too, as sweep and table1 make one per level
+    count, against the one-tuple recursion; the ranks are int64 exactly while
+    |V_n| < 2^63 (n <= 61)."""
+    n, rows, moduli = case
+    det, rank = _level_recursion(n, *np.array(rows, dtype=np.int64).T,
+                                 np.array(moduli, dtype=np.int64))
+    assert rank.dtype == (np.int64 if n <= 61 else object)
+    assert list(zip(det.tolist(), rank.tolist())) == [
+        _level_recursion(n, *row, p) for row, p in zip(rows, moduli)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_level_recursion_batch_restarts_after_zero_levels(p):
     """Every tuple of (Z_p^*)^4 at n = 1..12 in one pass per n, against
