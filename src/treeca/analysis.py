@@ -4,14 +4,15 @@ The reversibility verdict for one parameter tuple comes from the exact
 leaf-to-root level recursion of rulematrix.linalg_report: O(n) field
 operations, no modular inverse, no rule matrix assembled (closed forms where
 d = 0, and c = 0 or a = b = 0). sweep and table1 run it once per level count
-over int64 arrays (p one of them), and write their records from the columns.
+over int64 arrays (p one of them), and return the columns (table, reversible).
 The closed-form degree-10 and degree-22 determinant polynomials are
 evaluated mod p as an independent check.
 Entropy quantities are analytic: H_n = |V_n| * log2(p) grows like 2^n,
 so H_n / n is unbounded. The partition probe counts the atoms actually
 distinguishable by repeated observation of the root cell (or the radius-1
 ball): the observation is linear, so the count is p^rank of the
-observability matrix, with no enumeration of configurations.
+observability matrix, and that rank is a closed form of the tree's levels:
+no configuration is enumerated and no matrix is built.
 """
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import DEFAULT_ENUMERATION_CAP, _apply_local, _check_enumeration, _digit_words
+from .dynamics import _digit_words
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import _BLOCK, Params, _level_recursion, _reduce, build_rule_matrix, linalg_report
+from .rulematrix import _BLOCK, Params, _level_recursion, build_rule_matrix, linalg_report
 from .tree import TreeShape, ball_size
 
 
@@ -105,9 +106,9 @@ def _verdict_columns(cols: np.ndarray, levels: set[int]) -> tuple[np.ndarray, np
     return table, table[6] != 0
 
 
-def sweep(spec: SweepSpec, columns: bool = False):
+def sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """classify every tuple of the spec, in canonical order (ReversibilityRecord.sort_key), as
-    records, or with columns set as _verdict_columns for writers that build no record. The
+    the columns (table, reversible) of _verdict_columns, which build no record. The
     (p, n) groups are seeded draws from Z_p^* or the cartesian product; the first bad tuple in
     generation order raises classify's error (modulus, coefficients, level), an empty group none."""
     lists = (spec.a_values, spec.b_values, spec.c_values, spec.d_values)
@@ -128,12 +129,7 @@ def sweep(spec: SweepSpec, columns: bool = False):
     cols = np.hstack(parts) if parts else np.empty((6, 0), dtype=np.int64)
     del parts  # a sweep's memory is a few copies of its columns at most
     cols = cols[:, np.lexsort((*cols[3::-1], cols[4], cols[5]))]
-    verdicts = _verdict_columns(cols, levels)
-    return verdicts if columns else _records(*verdicts)
-
-
-def _records(table: np.ndarray, reversible: np.ndarray) -> list[ReversibilityRecord]:
-    return [ReversibilityRecord(*t, r) for t, r in zip(zip(*table.tolist()), reversible.tolist())]
+    return _verdict_columns(cols, levels)
 
 
 def _columns(records: Iterable[ReversibilityRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -268,43 +264,49 @@ class PartitionProbe:
     claimed_atom_count: int
 
 
-def partition_atom_count(
-    params: Params,
-    steps: int,
-    truncation: TreeShape,
-    mode: str = "root",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> PartitionProbe:
+def partition_atom_count(params: Params, steps: int, truncation: TreeShape,
+                         mode: str = "root") -> PartitionProbe:
     """Count the atoms of the joined partition of all configurations on the
     truncation obtained by observing the root cell (or the radius-1 ball)
     at times 0 .. steps-1. The observation is linear, so the count is p^rank
-    of the observability map x -> (e_obs M^t x)_{t<steps}, whose columns are
-    the unit vectors stepped by the local rule; p^|V_n| must not exceed cap.
+    of the observability map x -> (e_obs M^t x)_{t<steps}: the dimension of
+    the span of the rows e_obs M^t, a closed form of the tree's levels (the
+    Krylov argument of Martin, Odlyzko and Wolfram for linear CA, on the tree).
+
+    Let rho_l = sum of w_v e_v over level l, w_v the product of the child
+    weights on the path from the root to v (a or b at each step; a, b or c at
+    the root). Then rho_0 = e_0 and rho_l M = rho_{l+1} + d rho_l + c(a+b) rho_{l-1},
+    with c(a+b+c) in place of c(a+b) at l = 1. So e_0 M^t is rho_t plus lower
+    levels, and span{rho_0 .. rho_n} is invariant: with (a, b) != (0, 0) no
+    rho_l is 0, and the rank is min(steps, n+1). In ball mode each root child's
+    subtree adds such a chain of n levels. With a = b = 0, span{e_0, e_3} and
+    span{e_0 .. e_3} are invariant, and e_0 M = d e_0 + c e_3.
 
     The claimed count p^(1+3(2^steps-1)) is reported alongside, with no
-    equality asserted; steps at which it exceeds 4300 digits are rejected.
+    equality asserted; steps at which it has more digits than Python prints
+    (sys.get_int_max_str_digits, 0: no limit) are rejected.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if mode not in ("root", "ball"):
         raise ValueError(f"mode must be 'root' or 'ball', got {mode!r}")
-    p, size = params.p, truncation.total_vertices
-    _check_enumeration(size, p, cap)
-    # min() keeps 2^steps small; every steps >= 13 is rejected anyway
-    if ball_size(min(steps, 64)) * math.log10(p) > 4300:
-        raise ValueError(f"claimed count p^|V_steps| exceeds 4300 digits at steps={steps}, p={p}")
-    observed_cols = [0] if mode == "root" else [0, 1, 2, 3]
-    stepped = [np.eye(size, dtype=np.int64)]  # row j of stepped[t]: M^t e_j
-    while len(stepped) < steps:
-        stepped.append(_apply_local(stepped[-1], truncation, params))
-    atom_count = p ** len(_reduce(np.hstack([x[:, observed_cols] for x in stepped]), p)[1])
+    p, n = params.p, truncation.n
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # min() keeps 2^steps small: at steps = 64 the count has over 10^19 digits
+    if limit and ball_size(min(steps, 64)) * math.log10(p) > limit:
+        raise ValueError(f"claimed count p^|V_steps| exceeds {limit} digits "
+                         f"at steps={steps}, p={p}")
+    if params.a or params.b:
+        rank = min(steps, n + 1) if mode == "root" else 3 * min(steps, n) + 1
+    else:
+        rank = 1 + (params.c != 0 and steps >= 2) if mode == "root" else 4
     return PartitionProbe(
         steps=steps,
-        truncation_level=truncation.n,
+        truncation_level=n,
         p=p,
         a=params.a, b=params.b, c=params.c, d=params.d,
         mode=mode,
-        atom_count=atom_count,
+        atom_count=p**rank,
         claimed_atom_count=p ** ball_size(steps),
     )
 
@@ -345,11 +347,12 @@ def table1_fixture_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
-def table1_check(fixture_text: str) -> list[ReversibilityRecord]:
+def table1_check(fixture_text: str) -> tuple[np.ndarray, np.ndarray]:
     """Recompute every fixture row and diff verdicts; raises FixtureMismatch
     with per-row diffs if anything disagrees, FormatError if a column or a
     field is missing. Each row is checked as classify checks it, in fixture
-    order; then the rows are answered in one pass per level count."""
+    order; then the rows are answered in one pass per level count, as the
+    columns (table, reversible) in fixture order."""
     reader = csv.DictReader(io.StringIO(fixture_text))
     columns = ("a", "b", "c", "d", "n", "p", "reversibility")
     if missing := [k for k in columns if k not in (reader.fieldnames or ())]:
@@ -362,11 +365,11 @@ def table1_check(fixture_text: str) -> list[ReversibilityRecord]:
         Params(a=a, b=b, c=c, d=d, field=PrimeField(p))
         rows.append((a, b, c, d, _printable_shape(n).n, p))
         verdicts.append(row["reversibility"])
-    records = _records(*_verdict_columns(np.array(rows, dtype=np.int64).reshape(-1, 6).T,
-                                         {t[4] for t in rows}))
-    diffs = [f"(a={r.a},b={r.b},c={r.c},d={r.d},n={r.n},p={r.p}): "
-             f"computed {r.verdict}, fixture says {v}"
-             for r, v in zip(records, verdicts) if r.verdict != v]
+    table, reversible = _verdict_columns(np.array(rows, dtype=np.int64).reshape(-1, 6).T,
+                                         {t[4] for t in rows})
+    computed = np.where(reversible, "reversible", "irreversible")
+    diffs = [f"(a={a},b={b},c={c},d={d},n={n},p={p}): computed {got}, fixture says {v}"
+             for (a, b, c, d, n, p), got, v in zip(rows, computed, verdicts) if got != v]
     if diffs:
         raise FixtureMismatch(diffs)
-    return records
+    return table, reversible

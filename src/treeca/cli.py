@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Iterable
 
 from . import analysis, dynamics, rulematrix
-from .dynamics import DEFAULT_ENUMERATION_CAP
 from .errors import FixtureMismatch, TreecaError
 from .field import PrimeField
 from .rulematrix import Params, build_rule_matrix
@@ -144,10 +143,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    probe = analysis.partition_atom_count(
-        _params(args), steps=args.steps, truncation=TreeShape(args.n),
-        mode=args.mode, cap=args.enumeration_cap,
-    )
+    probe = analysis.partition_atom_count(_params(args), steps=args.steps,
+                                          truncation=TreeShape(args.n), mode=args.mode)
     text = (
         f"steps={probe.steps} truncation_level={probe.truncation_level} p={probe.p} "
         f"mode={probe.mode}\n"
@@ -170,8 +167,7 @@ def cmd_sweep(args) -> int:
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
     lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"), f"--{k}-values")
              for k in "abcdnp"}
-    columns = analysis.sweep(analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed),
-                             columns=True)
+    columns = analysis.sweep(analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed))
     if args.format == "json":  # json.dumps({"seed": .., "records": [..]}, indent=2), in blocks
         seed = json.dumps(args.seed if args.random else None)
         blocks = itertools.chain([f'{{\n  "seed": {seed},\n  "records": '],
@@ -189,8 +185,7 @@ def fixture_path() -> Path:
 
 def cmd_table1(args) -> int:
     path = Path(args.fixture) if args.fixture else fixture_path()
-    records = analysis.table1_check(path.read_text())
-    _emit(analysis.records_to_csv(records), args.out)
+    _emit(analysis.csv_blocks(analysis.table1_check(path.read_text())), args.out)
     return EXIT_OK
 
 
@@ -230,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(pr)
     pr.add_argument("--steps", type=int, default=1)
     pr.add_argument("--mode", choices=["root", "ball"], default="root")
-    pr.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     sw = _subcommand(sp, "sweep", cmd_sweep, "reversibility sweep over parameter ranges",
                      ("csv", "json"))

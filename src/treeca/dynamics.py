@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -95,13 +95,11 @@ def _local_rule(shape: TreeShape, params: Params, batch: tuple[int, ...] = ()):
     return step
 
 
-def _apply_local(values: np.ndarray, shape: TreeShape, params: Params,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+def _apply_local(values: np.ndarray, shape: TreeShape, params: Params) -> np.ndarray:
     """One local-rule step of an int64 or uint64 array of configurations (last
-    axis = vertex), into the uint64 array out when given, as an int64 view."""
+    axis = vertex), as a new int64 array."""
     v = np.asarray(values).view(np.uint64)
-    out = np.empty_like(v) if out is None else out
-    return _local_rule(shape, params, v.shape[:-1])(v, out).view(np.int64)
+    return _local_rule(shape, params, v.shape[:-1])(v, np.empty_like(v)).view(np.int64)
 
 
 def step_local(cfg: Configuration, params: Params) -> Configuration:

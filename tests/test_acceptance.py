@@ -59,8 +59,8 @@ def params_for(p, a, b, c, d):
 
 @criterion("1 table reproduction")
 def test_criterion_1_table1():
-    records = table1_check(fixture_path().read_text())
-    assert len(records) == len(table1_expected()) == 38
+    table, reversible = table1_check(fixture_path().read_text())
+    assert table.shape == (8, len(reversible)) and len(reversible) == len(table1_expected()) == 38
 
 
 @criterion("2 explicit matrix reproduction")

@@ -1,9 +1,13 @@
 import contextlib
+import decimal
 import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +38,6 @@ from treeca import analysis, dynamics
 from treeca.cli import main
 from treeca.dynamics import _all_configurations, _apply_local
 from treeca.errors import (
-    EnumerationTooLarge,
     FixtureMismatch,
     FormatError,
     InvalidLevel,
@@ -48,6 +51,12 @@ from treeca.tree import TreeShape
 
 def params_for(p, a, b, c, d):
     return Params(a=a, b=b, c=c, d=d, field=PrimeField(p))
+
+
+def as_records(columns):
+    """The columns (table, reversible) of sweep or table1_check as records."""
+    table, reversible = columns
+    return [ReversibilityRecord(*t, r) for t, r in zip(zip(*table.tolist()), reversible.tolist())]
 
 
 def test_classify_reference_rows():
@@ -81,13 +90,14 @@ def test_table1_row_counts():
 
 def test_table1_check_passes_and_detects_tamper():
     fixture = table1_fixture_csv()
-    records = table1_check(fixture)
-    assert len(records) == 38
+    records = as_records(table1_check(fixture))
+    assert records == [classify(*row[:6]) for row in table1_expected()]  # in fixture order
     tampered = fixture.replace("2,1,3,2,2,17,reversible", "2,1,3,2,2,17,irreversible")
     assert tampered != fixture
     with pytest.raises(FixtureMismatch) as exc:
         table1_check(tampered)
-    assert len(exc.value.diffs) == 1
+    assert exc.value.diffs == [
+        "(a=2,b=1,c=3,d=2,n=2,p=17): computed reversible, fixture says irreversible"]
 
 
 def test_table1_check_rejects_missing_column_and_field():
@@ -136,7 +146,7 @@ def test_sweep_cartesian_row2():
         a_values=(1,), b_values=(1,), c_values=(1,), d_values=(1,),
         n_values=(2,), p_values=tuple(primes_between(3, 101)),
     )
-    records = sweep(spec)
+    records = as_records(sweep(spec))
     assert len(records) == 25
     assert all(r.reversible for r in records)
 
@@ -146,7 +156,7 @@ def test_sweep_row9():
         a_values=(2,), b_values=(2,), c_values=(3,), d_values=(3,),
         n_values=(3,), p_values=(7, 11, 13, 19, 23, 29),
     )
-    assert all(r.reversible for r in sweep(spec))
+    assert all(r.reversible for r in as_records(sweep(spec)))
 
 
 def test_sweep_canonical_order_and_thread_independence():
@@ -154,13 +164,13 @@ def test_sweep_canonical_order_and_thread_independence():
         a_values=(2, 1), b_values=(1,), c_values=(2, 1), d_values=(2,),
         n_values=(2,), p_values=(5, 3),
     )
-    records = sweep(spec)
+    records = as_records(sweep(spec))
     assert [r.sort_key() for r in records] == sorted(r.sort_key() for r in records)
 
 
 def test_sweep_random_deterministic():
     spec = SweepSpec(n_values=(2,), p_values=(7,), random_count=5, seed=11)
-    assert sweep(spec) == sweep(spec)
+    assert as_records(sweep(spec)) == as_records(sweep(spec))
 
 
 @st.composite
@@ -181,7 +191,7 @@ def test_sweep_matches_closed_forms_and_dense_rank(spec):
     """Each sweep record against oracles that share no code with the level
     recursion: det against the n = 2, 3 closed forms (dense elimination at
     n = 1, 4), rank against the pivot count of dense elimination."""
-    records = sweep(spec)
+    records = as_records(sweep(spec))
     assert len(records) == len(spec.c_values) * len(spec.n_values)
     for r in records:
         _, pivots, det = _reduce(
@@ -237,7 +247,7 @@ def test_sweep_of_every_unit_tuple_matches_classify():
     want = sorted((classify(a, b, c, d, n, 5) for n in (1, 2, 3) for a in units
                    for b in units for c in units for d in units),
                   key=ReversibilityRecord.sort_key)
-    assert sweep(spec) == want
+    assert as_records(sweep(spec)) == want
 
 
 def unit_spec(**kwargs):
@@ -279,7 +289,7 @@ def test_sweep_raises_the_first_bad_tuples_error(spec, error, match):
     pytest.param(SweepSpec(n_values=(0,), p_values=(), random_count=2), id="random-empty-p-list"),
 ])
 def test_sweep_with_an_empty_value_list_checks_nothing(spec):
-    assert sweep(spec) == []
+    assert as_records(sweep(spec)) == []
 
 
 def test_random_sweep_draws_as_before():
@@ -289,7 +299,7 @@ def test_random_sweep_draws_as_before():
     rng = np.random.default_rng(9)
     tuples = [(a, b, c, d, n, p) for p in (17, 2, 101) for n in (3, 1)
               for a, b, c, d in rng.integers(1, p, size=(7, 4)).tolist()]
-    assert [(r.a, r.b, r.c, r.d, r.n, r.p) for r in sweep(spec)] == sorted(
+    assert [(r.a, r.b, r.c, r.d, r.n, r.p) for r in as_records(sweep(spec))] == sorted(
         tuples, key=lambda t: (t[5], t[4], *t[:4]))
 
 
@@ -356,7 +366,7 @@ def test_columnar_writers_match_the_record_oracles(spec):
     """sweep's array pass equals classify tuple by tuple, and the columnar CSV and
     JSON writers equal the per-record writers they replaced, in the library and
     in `treeca sweep` (both formats), at ranks past 10^10 and 2^63 and at det = 0."""
-    records = sweep(spec)
+    records = as_records(sweep(spec))
     want = sorted((classify(a, b, c, d, n, p) for p in spec.p_values for n in spec.n_values
                    for a in spec.a_values for b in spec.b_values for c in spec.c_values
                    for d in spec.d_values), key=ReversibilityRecord.sort_key)
@@ -372,7 +382,7 @@ def test_columnar_writers_reach_their_edge_cases():
     rank column (n >= 62) and an int64 one give the same text."""
     spec = SweepSpec(a_values=(1,), b_values=(1, 2), c_values=(1, 2), d_values=(1,),
                      n_values=(1, 31, 32, 61, 62, 63), p_values=(3, 2**31 - 1))
-    records = sweep(spec)
+    records = as_records(sweep(spec))
     ranks = {r.n: r.rank for r in records if r.det}
     assert ranks[32] > 10**10 and ranks[61] < 2**63 <= ranks[62]
     assert any(r.det == 0 for r in records) and any(r.det for r in records)
@@ -417,7 +427,7 @@ def test_writers_at_digit_group_edges(rows):
 def test_sweep_text_matches_the_record_oracles(fmt, argv, spec, seed):
     """A random sweep's `# seed=` line and "seed" key, an empty sweep's header
     and "records": [], and a cartesian sweep's null seed, as before."""
-    records = sweep(spec)
+    records = as_records(sweep(spec))
     assert cli_text(["sweep", *argv, "--format", fmt]) == old_sweep_text(records, fmt, seed)
 
 
@@ -450,7 +460,7 @@ def test_sweep_raises_classifys_first_error_in_generation_order(spec):
             first = exc
             break
     if first is None:
-        assert len(sweep(spec)) == (len(spec.p_values) * len(spec.n_values)
+        assert len(as_records(sweep(spec))) == (len(spec.p_values) * len(spec.n_values)
                                     * math.prod(map(len, (spec.a_values, spec.b_values,
                                                           spec.c_values, spec.d_values))))
     else:
@@ -533,9 +543,61 @@ def test_probe_ball_mode():
     assert probe.mode == "ball"
 
 
+def stepped_rank(params, steps, shape, mode):
+    """The observability rank by the route the closed form replaced: the
+    identity stepped by the local rule (row j of stepped[t] is M^t e_j), its
+    observed columns side by side, reduced by dense elimination."""
+    stepped = [np.eye(shape.total_vertices, dtype=np.int64)]
+    while len(stepped) < steps:
+        stepped.append(_apply_local(stepped[-1], shape, params))
+    observed = [0] if mode == "root" else [0, 1, 2, 3]
+    return len(_reduce(np.hstack([x[:, observed] for x in stepped]), params.p)[1])
+
+
 def test_probe_cap():
-    with pytest.raises(EnumerationTooLarge):
-        partition_atom_count(params_for(5, 1, 1, 1, 1), 2, TreeShape(3))
+    """5^|V_3| configurations were past the old enumeration cap; the probe
+    enumerates none, so it answers."""
+    pr, shape = params_for(5, 1, 1, 1, 1), TreeShape(3)
+    assert partition_atom_count(pr, 2, shape).atom_count == 5**2 == 5 ** stepped_rank(
+        pr, 2, shape, "root")
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 6), p=st.sampled_from([2, 3, 5, 7, 65521, 2**31 - 1]),
+       mode=st.sampled_from(["root", "ball"]), ab_zero=st.booleans(), data=st.data())
+def test_probe_closed_form_matches_stepped_elimination(n, p, mode, ab_zero, data):
+    """The closed-form rank against the stepped identity and dense elimination,
+    steps up to n + 3, zero coefficients included (a = b = 0 in half the cases)."""
+    coeff = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    a, b, c, d = (0 if ab_zero and k < 2 else data.draw(coeff) for k in range(4))
+    pr = Params(a=a, b=b, c=c, d=d, field=PrimeField(p), allow_zero=True)
+    steps = data.draw(st.integers(1, n + 3))
+    shape = TreeShape(n)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # p^|V_9| has over 4300 digits at p = 2^31 - 1
+    try:
+        probe = partition_atom_count(pr, steps, shape, mode=mode)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert probe.atom_count == p ** stepped_rank(pr, steps, shape, mode)
+    assert probe.claimed_atom_count == p ** ball_size(steps)
+
+
+@pytest.mark.parametrize("n", [40, 1000])
+def test_probe_exact_answers_at_deep_levels(n):
+    """p^rank at n = 40 and n = 1000, where |V_n| is far past any dense route:
+    the rank grows by 1 (root) or 3 (ball) per step up to n steps."""
+    p = 2**31 - 1
+    pr = params_for(p, 1, 2, 3, 4)
+    shape = TreeShape(n)
+    for steps in (1, 2, 3, 7):  # p^|V_8| would have more than 4300 digits
+        assert partition_atom_count(pr, steps, shape).atom_count == p**steps
+        ball = partition_atom_count(pr, steps, shape, mode="ball")
+        assert ball.atom_count == p ** (3 * steps + 1)
+    zero = Params(a=0, b=0, c=3, d=4, field=PrimeField(p), allow_zero=True)
+    assert partition_atom_count(zero, 1, shape).atom_count == p
+    assert partition_atom_count(zero, 7, shape).atom_count == p**2
+    assert partition_atom_count(zero, 7, shape, mode="ball").atom_count == p**4
 
 
 @pytest.mark.parametrize("mode", ["root", "ball"])
@@ -563,9 +625,9 @@ def test_probe_rank_matches_exhaustive_refinement(n, p, steps, mode, kind, data)
         c = d * d * pow(a + b, -1, p) % p
     pr = Params(a=a, b=b, c=c, d=d, field=PrimeField(p), allow_zero=kind == "zero")
     shape = TreeShape(n)
-    if p**shape.total_vertices > 2**20:
-        with pytest.raises(EnumerationTooLarge):
-            partition_atom_count(pr, steps, shape, mode=mode)
+    if p**shape.total_vertices > 2**20:  # too many to refine: the stepped elimination decides
+        assert partition_atom_count(pr, steps, shape, mode=mode).atom_count == p ** stepped_rank(
+            pr, steps, shape, mode)
         return
     # refine by the rule matrix over every configuration, not by the local rule
     m = build_rule_matrix(shape, pr).dense()
@@ -587,8 +649,8 @@ def test_probe_enumerates_no_configurations(monkeypatch):
     probe = partition_atom_count(params_for(3, 1, 2, 1, 1), 3, TreeShape(2), mode="ball")
     # the ball sees each pair of leaves only through a*x_left + b*x_right
     assert probe.atom_count == 3**7
-    with pytest.raises(EnumerationTooLarge, match=r"5\^10 = 9765625 configurations exceed cap"):
-        partition_atom_count(params_for(5, 1, 1, 1, 1), 2, TreeShape(2))
+    # 5^10 configurations, past the old enumeration cap
+    assert partition_atom_count(params_for(5, 1, 1, 1, 1), 2, TreeShape(2)).atom_count == 5**2
 
 
 def test_probe_rejects_steps_past_print_limit():
@@ -596,3 +658,19 @@ def test_probe_rejects_steps_past_print_limit():
     assert partition_atom_count(pr, 12, TreeShape(1)).claimed_atom_count == 2**12286
     with pytest.raises(ValueError, match="4300 digits"):
         partition_atom_count(pr, 13, TreeShape(1))
+    # the live limit decides, in a process started with it (0: no limit)
+    argv = [sys.executable, "-m", "treeca.cli", "probe", *"-n 1 -p 2 -a 1 -b 1 -c 1 -d 1".split(),
+            "--steps"]
+    src = str(Path(analysis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    low = subprocess.run([*argv, "12"], capture_output=True, text=True,
+                         env={**env, "PYTHONINTMAXSTRDIGITS": "640"})
+    assert (low.returncode, low.stdout, low.stderr) == (3, "", (
+        "error invalid-input: claimed count p^|V_steps| exceeds 640 digits at steps=12, p=2\n"))
+    free = subprocess.run([*argv, "13"], capture_output=True, text=True,
+                          env={**env, "PYTHONINTMAXSTRDIGITS": "0"})
+    assert (free.returncode, free.stderr) == (0, "")
+    # 2^24574 has 7398 digits, more than this process prints: decimal writes it
+    claimed = decimal.Context(prec=8000).power(2, ball_size(13))
+    assert free.stdout.splitlines()[1:] == ["observed_atom_count=4",
+                                            f"claimed_atom_count={claimed}"]

@@ -342,14 +342,14 @@ VALID = {
                "--c-values", "1", "--d-values", "1"], ""),
     "table1": (["table1"], ""),
 }
-DROPPED_FLAGS = [  # (subcommand, flag and its value): 16 pairs
+DROPPED_FLAGS = [  # (subcommand, flag and its value): 17 pairs
     ("matrix", ["--format", "text"]), ("matrix", ["--enumeration-cap", "100"]),
     ("det", ["--format", "text"]), ("det", ["--enumeration-cap", "100"]),
     ("classify", ["--enumeration-cap", "100"]),
     ("evolve", ["--enumeration-cap", "100"]),
     ("garden", ["--format", "json"]), ("garden", ["--enumeration-cap", "100"]),
     ("entropy", ["--allow-zero-coeffs"]), ("entropy", ["--enumeration-cap", "100"]),
-    ("probe", ["--format", "text"]),
+    ("probe", ["--format", "text"]), ("probe", ["--enumeration-cap", "100"]),
     ("sweep", ["--allow-zero-coeffs"]), ("sweep", ["--enumeration-cap", "100"]),
     ("table1", ["--format", "csv"]), ("table1", ["--allow-zero-coeffs"]),
     ("table1", ["--enumeration-cap", "100"]),
@@ -437,7 +437,9 @@ def _kept_format_cases():
                                                   for n, h, hn in seq.terms]}, indent=2) + "\n"
     lists = dict(a_values=(1, 2), b_values=(3,), c_values=(1, 4), d_values=(2,),
                  n_values=(2, 3), p_values=(7, 5))
-    records = analysis.sweep(analysis.SweepSpec(**lists))
+    table, reversible = analysis.sweep(analysis.SweepSpec(**lists))
+    records = [analysis.ReversibilityRecord(*t, r)
+               for t, r in zip(zip(*table.tolist()), reversible.tolist())]
     sweep_argv = ["sweep", *(f for k, v in lists.items()
                              for f in (f"--{k[0]}-values", ",".join(map(str, v))))]
     sweep_json = json.dumps({"seed": None, "records": [r._asdict() for r in records]},
@@ -543,11 +545,12 @@ def test_entropy_stops_at_the_float_range(capsys, p, last, fmt):
 
 
 def test_probe_past_the_cap_is_enumeration_too_large(capsys, monkeypatch):
-    """3^|V_12| has more digits than Python prints: the cap is decided
-    without it, and the message names p^size alone."""
+    """3^|V_12| configurations, more than Python prints, were past the old
+    enumeration cap: the probe enumerates none, so it answers."""
     argv = ["probe", *COEFFS, "-n", "12", "-p", "3"]
-    assert run_exit(capsys, monkeypatch, argv) == (
-        3, "", "error enumeration-too-large: 3^12286 configurations exceed cap 1048576\n")
+    assert run_exit(capsys, monkeypatch, argv) == (0, (
+        "steps=1 truncation_level=12 p=3 mode=root\nobserved_atom_count=3\n"
+        "claimed_atom_count=81\n"), "")
 
 
 @pytest.mark.parametrize("exc,message", [

@@ -176,9 +176,7 @@ def test_apply_local_matches_exact_rule(n, p, rows, data):
     got = _apply_local(x if rows else x[0], shape, params_for(p, *coeffs))
     assert got.dtype == np.int64
     assert got.tolist() == (want if rows else want[0])
-    out = np.empty(x.shape, dtype=np.uint64)
-    into = _apply_local(x.view(np.uint64), shape, params_for(p, *coeffs), out=out)
-    assert np.shares_memory(into, out) and into.tolist() == want
+    assert _apply_local(x.view(np.uint64), shape, params_for(p, *coeffs)).tolist() == want
 
 
 def test_step_mismatched_modulus():
