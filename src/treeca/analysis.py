@@ -27,10 +27,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import _digit_words
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
-from .rulematrix import _BLOCK, Params, _level_recursion, build_rule_matrix, linalg_report
+from .rulematrix import Params, _level_recursion, _row_blocks, build_rule_matrix, linalg_report
 from .tree import TreeShape, ball_size
 
 
@@ -140,39 +139,21 @@ def _columns(records: Iterable[ReversibilityRecord]) -> tuple[np.ndarray, np.nda
             np.array([r.reversible for r in records], dtype=bool))
 
 
-def _row_blocks(table, reversible, heads: Sequence[str], ends: Sequence[str]) -> Iterator[str]:
-    """The text of columns (table, reversible) in blocks of whole rows, with no
-    Python object per cell: row i is heads[0], table[0, i], .., heads[7],
-    table[7, i], ends[reversible[i]], each a slot of NUL-padded uint32 words."""
-    wh, we = (max(map(len, x)) // 4 + 1 for x in (heads, ends))
-    heads, ends = (np.frombuffer("".join(t.ljust(4 * w, "\0") for t in x).encode(), np.uint32)
-                   .reshape(-1, w) for x, w in ((heads, wh), (ends, we)))
-    # a row is about 36 words, so a block is about _BLOCK words: below malloc's mmap
-    # threshold, so its memory is reused from block to block
-    for at in range(0, table.shape[1], _BLOCK // 36):
-        v, rev = table[:, at:at + _BLOCK // 36], reversible[at:at + _BLOCK // 36]
-        k = -(-len(str(v.max())) // 4)
-        slots = np.zeros((len(rev), 9, max(wh + k, we)), dtype=np.uint32)
-        slots[:, :8, :wh], slots[:, 8, :we] = heads, ends[rev.astype(np.intp)]
-        _digit_words(v.T, slots[:, :8, wh:wh + k])
-        yield slots.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def csv_blocks(columns) -> Iterator[str]:
     """records_to_csv of columns (table, reversible), in blocks of whole lines."""
     yield ",".join(ReversibilityRecord._fields) + "\n"
-    yield from _row_blocks(*columns, ("",) + (",",) * 7, (",false\n", ",true\n"))
+    yield from _row_blocks(columns[0], ("", ","), (",false\n", ",true\n"), columns[1])
 
 
 def json_blocks(columns, indent: str = "") -> Iterator[str]:
     """json.dumps(records, indent=2) of columns, a list indent deep, in blocks."""
-    inner, keys = indent + "  ", ReversibilityRecord._fields
+    (table, reversible), inner, keys = columns, indent + "  ", ReversibilityRecord._fields
     heads = [f',\n{inner}{{\n{inner}  "a": '] + [f',\n{inner}  "{k}": ' for k in keys[1:8]]
     ends = [f',\n{inner}  "reversible": {v}\n{inner}}}' for v in ("false", "true")]
     yield "["
-    for i, block in enumerate(_row_blocks(*columns, heads, ends)):
+    for i, block in enumerate(_row_blocks(table, heads, ends, reversible)):
         yield block[1:] if i == 0 else block  # no comma before the first record
-    yield f"\n{indent}]" if columns[0].shape[1] else "]"
+    yield f"\n{indent}]" if table.shape[1] else "]"
 
 
 def records_to_csv(records: Iterable[ReversibilityRecord]) -> str:

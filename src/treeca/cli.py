@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import analysis, dynamics, rulematrix
-from .errors import FixtureMismatch, TreecaError
+from .errors import FixtureMismatch, InvalidLevel, TreecaError
 from .field import PrimeField
 from .rulematrix import Params, build_rule_matrix
 from .tree import TreeShape
@@ -48,7 +48,9 @@ def _params(args) -> Params:
                   allow_zero=args.allow_zero_coeffs)
 
 
-def _matrix(args) -> rulematrix.RuleMatrix:
+def _matrix(args, indexed: bool = False) -> rulematrix.RuleMatrix:
+    if indexed and args.n > 61:  # every vertex has an int64 index; refused before 2^n is formed
+        raise InvalidLevel(f"level {args.n}: |V_n| = 3*2^n - 2 is past int64 indexing (n <= 61)")
     return build_rule_matrix(TreeShape(args.n), _params(args))
 
 
@@ -72,7 +74,7 @@ def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()
 
 
 def cmd_matrix(args) -> int:
-    _emit(rulematrix.matrix_blocks(_matrix(args), sparse=args.sparse), args.out)
+    _emit(rulematrix.matrix_blocks(_matrix(args, indexed=True), sparse=args.sparse), args.out)
     return EXIT_OK
 
 
@@ -114,7 +116,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_garden(args) -> int:
-    rep = dynamics.garden_report(_matrix(args), samples=args.samples, seed=args.seed)
+    rep = dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples, seed=args.seed)
     head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
                        "image_size": rep.image_size, "garden_count": rep.garden_count,
                        "seed": args.seed}, indent=2)

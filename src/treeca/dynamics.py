@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
-from .rulematrix import _BLOCK, Params, RuleMatrix, SolutionSet, _int64s, linalg_report, solve
+from .rulematrix import (_BLOCK, Params, RuleMatrix, SolutionSet, _int64s, _row_blocks,
+                          linalg_report, solve)
 from .tree import TreeShape
 from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
@@ -277,53 +277,13 @@ def parse_config(text: str) -> Configuration:
     return Configuration(shape, p, values)
 
 
-@lru_cache(maxsize=None)
-def _digit_table() -> np.ndarray:
-    """ASCII digits of 0 .. 9999 as uint32 words, leading zeros as NUL bytes, built by
-    broadcasting with no division. A digit byte has the bits of "0" set, so OR-ing
-    "0000" pads an entry with zeros, and "0" in byte 3 writes 0 as "0"."""
-    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
-    table = np.zeros(1, dtype=np.uint32)
-    for k in range(4):
-        table = (table[:, None] | digit << np.uint32(8 * k)).ravel()
-    for k in range(4):  # byte k is a leading zero below 10^(3-k)
-        table[: 10 ** (3 - k)] &= ~np.uint32(0xFF << (8 * k))
-    table.setflags(write=False)
-    return table
-
-
-def _digit_words(v: np.ndarray, out: np.ndarray) -> None:
-    """Write the digits of v's ints in [0, 10^(4k)) (int64, or Python ints in an object
-    array) to out[..., :k] as k _digit_table words, most significant first, each zero-padded
-    behind a nonzero one; leading zeros stay NUL bytes for the writer to drop."""
-    pad, zero = np.frombuffer(b"0000" + b"0".rjust(4, b"\0"), dtype=np.uint32)
-    for j in range(out.shape[-1] - 1, 0, -1):
-        q = v // 10_000
-        out[..., j] = _digit_table()[(v - q * 10_000).astype(np.intp)] | (q > 0) * pad
-        v = q
-    out[..., 0] = _digit_table()[v.astype(np.intp)]
-    out[..., -1] |= zero  # 0 as "0"
-
-
-_SEP, _ROW_END, _TRACE_END = np.frombuffer(b", \0\0], []]\0\0", dtype=np.uint32)
-
-
 def trace_blocks(trace: EvolutionTrace) -> Iterator[str]:
-    """json.dumps(trace.values.tolist()) in blocks of whole rows, no Python int per
-    cell: a cell is the word ", " (none for a row's first) and its _digit_words, a
-    row ends in the word "], [" ("]]" for the last), and NUL bytes are dropped."""
+    """json.dumps(trace.values.tolist()) by _row_blocks, in blocks of whole rows, _BLOCK
+    cells (at least one row) each: a row ends in "], [" ("]]" for the last)."""
     rows, cols = trace.values.shape
-    k = -(-len(str(trace.values.max())) // 4)
-    step = max(_BLOCK // cols, 1)
     yield "[["
-    for start in range(0, rows, step):
-        v = trace.values[start:start + step]
-        cells = np.zeros((len(v), cols + 1, 1 + k), dtype=np.uint32)  # the row end last
-        cells[:, 1:-1, 0], cells[:, -1, 0] = _SEP, _ROW_END
-        _digit_words(v, cells[:, :-1, 1:])
-        if start + len(v) == rows:
-            cells[-1, -1, 0] = _TRACE_END
-        yield cells.tobytes().translate(None, b"\0").decode("ascii")
+    yield from _row_blocks(trace.values.T, ("", ", "), ("], [", "]]"), np.arange(rows) == rows - 1,
+                           [*range(0, rows, max(_BLOCK // cols, 1)), rows])
 
 
 def trace_to_json(trace: EvolutionTrace) -> str:

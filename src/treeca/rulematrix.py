@@ -1,4 +1,4 @@
-"""Rule matrix construction and exact mod-p linear algebra.
+"""Rule matrix construction, exact mod-p linear algebra, and the text writers.
 
 The rule matrix realizes one CA time step on the flattened configuration
 vector: row 0 couples the root to itself (d) and its three children
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -524,36 +524,89 @@ _BLOCK = 1 << 14  # cells per block of whole rows (at least one row) of matrix a
 _MAX_PARSE_LEVEL = 10
 
 
+@lru_cache(maxsize=None)
+def _digit_table() -> np.ndarray:
+    """ASCII digits of 0 .. 9999 as uint32 words, leading zeros as NUL bytes, built by
+    broadcasting with no division. A digit byte has the bits of "0" set, so OR-ing
+    "0000" pads an entry with zeros, and "0" in byte 3 writes 0 as "0"."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    table = np.zeros(1, dtype=np.uint32)
+    for k in range(4):
+        table = (table[:, None] | digit << np.uint32(8 * k)).ravel()
+    for k in range(4):  # byte k is a leading zero below 10^(3-k)
+        table[: 10 ** (3 - k)] &= ~np.uint32(0xFF << (8 * k))
+    table.setflags(write=False)
+    return table
+
+
+def _digit_words(v: np.ndarray, out: np.ndarray) -> None:
+    """Write the digits of v's ints in [0, 10^(4k)) (int64, or Python ints in an object
+    array) to out[..., :k] as k _digit_table words, most significant first, each zero-padded
+    behind a nonzero one; leading zeros stay NUL bytes for the writer to drop."""
+    pad, zero = np.frombuffer(b"0000" + b"0".rjust(4, b"\0"), dtype=np.uint32)
+    for j in range(out.shape[-1] - 1, 0, -1):
+        q = v // 10_000
+        out[..., j] = _digit_table()[(v - q * 10_000).astype(np.intp)] | (q > 0) * pad
+        v = q
+    out[..., 0] = _digit_table()[v.astype(np.intp)]
+    out[..., -1] |= zero  # 0 as "0"
+
+
+def _row_blocks(table, heads: Sequence[str], ends: Sequence[str], end: Optional[np.ndarray] = None,
+                cuts: Optional[Sequence[int]] = None) -> Iterator[str]:
+    """The text of table's columns (int64, or Python ints in an object array) in blocks of
+    whole rows, no Python object per cell: row i is heads[0], table[0, i], heads[1], ..,
+    ends[end[i]] (ends[0] with no end), the last head heading every later column, each a
+    slot of uint32 words whose NUL bytes are dropped. A block ends at each of the ascending
+    cuts, by default every _BLOCK // 36 rows (a reversibility-table row is about 36 words)."""
+    wh, we = (max(map(len, x)) // 4 + 1 for x in (heads, ends))
+    heads, ends = (np.frombuffer("".join(t.ljust(4 * w, "\0") for t in x).encode(), np.uint32)
+                   .reshape(-1, w) for x, w in ((heads, wh), (ends, we)))
+    cuts = [*range(0, table.shape[1], _BLOCK // 36), table.shape[1]] if cuts is None else cuts
+    for start, stop in zip(cuts, cuts[1:]):
+        v = table[:, start:stop]
+        k = -(-len(str(v.max())) // 4)
+        slots = np.zeros((stop - start, len(v) + 1, max(wh + k, we)), dtype=np.uint32)
+        slots[:, :len(heads), :wh], slots[:, len(heads):-1, :wh] = heads, heads[-1]
+        slots[:, -1, :we] = ends[0] if end is None else ends[end[start:stop].astype(np.intp)]
+        _digit_words(v.T, slots[:, :-1, wh:wh + k])
+        yield slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def matrix_blocks(m: RuleMatrix, sparse: bool = False) -> Iterator[str]:
     """The v1 text of m (dense by default, COO if sparse): its header line, then
-    blocks of whole rows, _BLOCK cells (COO: _BLOCK // 4 rows) each. The tables
-    and the block buffer are made before the first block, so a failure writes nothing."""
+    blocks of whole rows, _BLOCK cells (COO: _BLOCK // 4 rows) each, from tables made
+    before the first block, so a failure writes nothing. COO is _row_blocks of the
+    columns (row, column, value) of the nonzero entries. Dense: while its rows are
+    copied out, a block of "<u2" cell words gets each entry's word at its flat position:
+    its low byte the coefficient's digit, or a marker 1-4 (a-d) for bytes.replace."""
     rows, cols, labels = _positions(m.shape.n)
-    coeffs = np.array([m.params.coeff(k) for k in "abcd"])
-    keep = coeffs[labels] != 0  # a zero coefficient is a "0" cell and no COO triple
-    rows, cols, labels = rows[keep], cols[keep], labels[keep]
-    step = max(_BLOCK // (4 if sparse else m.order), 1)
-    bounds = [*range(0, m.order, step), m.order]
-    cuts = np.searchsorted(rows, bounds).tolist()
-    spans = zip(bounds, bounds[1:], cuts, cuts[1:])
+    coeffs, order = np.array([m.params.coeff(k) for k in "abcd"]), m.order
+    step = max(_BLOCK // (4 if sparse else order), 1)
+    bounds = [*range(0, order, step), order]
     if sparse:
-        return itertools.chain([f"{_MAGIC_COO} 1 {m.shape.n} {m.p} {len(rows)}\n"], (
-            "".join(map("{} {} {}\n".format, rows[i:j].tolist(), cols[i:j].tolist(),
-                        coeffs[labels[i:j]].tolist())) for _, _, i, j in spans if i < j))
-    block = np.full((step, m.order), 0x2030, dtype="<u2")  # "0 " in every cell, "0\n" last
-    block[:, -1] = 0x0A30
-    first = block.view(np.uint8)[:, ::2]  # the "0" of every cell
+        # a zero coefficient is no triple
+        table = np.stack([rows, cols, coeffs[labels]]).compress(coeffs[labels] != 0, axis=1)
+        cuts = np.unique(np.searchsorted(table[0], bounds)).tolist()  # no empty block
+        return itertools.chain([f"{_MAGIC_COO} 1 {m.shape.n} {m.p} {table.shape[1]}\n"],
+                               _row_blocks(table, ("", " "), ("\n",), cuts=cuts))
+    block = np.full(step * order, 0x2030, dtype="<u2")  # "0 " in every cell, "0\n" last in a row
+    block[order - 1::order] = 0x0A30
+    at = rows % step * order + cols  # each entry's flat position in its block
+    blank = block[at]
+    # a coefficient's own digit, or for two or more digits its marker 1-4
+    low = np.where(coeffs < 10, coeffs + ord("0"), np.arange(1, 5)).astype("<u2")
+    words = blank & 0xFF00 | low[labels]
+    long = [(bytes([k]), str(v).encode()) for k, v in enumerate(coeffs.tolist(), 1) if v >= 10]
+    cuts = np.searchsorted(rows, bounds).tolist()
 
     def dense() -> Iterator[str]:
-        # each entry's "0" is its marker 1-4 (a-d) while the rows are copied
-        # out; then each marker is replaced by its coefficient's digits
-        for start, stop, i, j in spans:
-            at = rows[i:j] - start, cols[i:j]
-            first[at] = labels[i:j] + 1
-            text = block[:stop - start].tobytes()
-            first[at] = ord("0")
-            for k, v in enumerate(coeffs.tolist(), 1):
-                text = text.replace(bytes([k]), str(v).encode())
+        for start, stop, i, j in zip(bounds, bounds[1:], cuts, cuts[1:]):
+            block[at[i:j]] = words[i:j]
+            text = block[:(stop - start) * order].tobytes()
+            block[at[i:j]] = blank[i:j]
+            for marker, digits in long:
+                text = text.replace(marker, digits)
             yield text.decode("ascii")
 
     return itertools.chain([f"{_MAGIC_DENSE} 1 {m.shape.n} {m.p}\n"], dense())

@@ -686,6 +686,30 @@ def test_matrix_past_memory_writes_nothing(tmp_path, capsys, monkeypatch, sparse
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["matrix", "garden"])
+def test_a_level_past_int64_indexing_is_refused(capsys, monkeypatch, command):
+    """matrix and garden index every vertex in int64, so level 62 (|V_62| >= 2^63)
+    is refused before any table is made; det answers there."""
+    code, out, err = run_exit(capsys, monkeypatch, [command, *COEFFS, "-n", "62", "-p", "3"])
+    assert (code, out) == (3, "")
+    assert err == ("error invalid-level: level 62: |V_n| = 3*2^n - 2 is past int64 indexing"
+                   " (n <= 61)\n")
+    assert run_exit(capsys, monkeypatch, ["det", *COEFFS, "-n", "62", "-p", "3"])[:2] == (0, "0\n")
+
+
+@pytest.mark.parametrize("command", ["matrix", "garden"])
+def test_a_level_of_21_digits_is_refused_at_once(tmp_path, command):
+    """At n = 10^20 the refusal comes before TreeShape(n) forms 2^n, which would
+    not finish: exit 3 within 10 s, in a process of its own."""
+    proc = _treeca_process(["-m", "treeca.cli", command, *COEFFS, "-n", str(10**20), "-p", "5"],
+                           tmp_path)
+    try:
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out) == (3, b"") and err.startswith(b"error invalid-level: ")
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a full device")
 @pytest.mark.parametrize("argv", [["matrix", *COEFFS, "-n", "5", "-p", "3"],
                                   ["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "3"]])

@@ -288,16 +288,23 @@ def first_difference(got: str, want: str):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 6), p=st.sampled_from([2, 3, 17, 99_991, 100_003, 2**31 - 1]),
+@given(n=st.integers(1, 6), p=st.sampled_from([2, 3, 17, 101, 99_991, 100_003, 2**31 - 1]),
        block=st.sampled_from(["one cell", "one row", "a few rows", "default"]), data=st.data())
 def test_matrix_blocks_are_whole_rows_of_the_dense_text(n, p, block, data):
     """The blocks, joined, are the text printed from m.dense(), which is checked
-    against the address-built rows, zero and 10-digit coefficients included;
-    after the header each block holds whole rows, as many as _BLOCK cells
-    allow (at least one), dense and COO alike."""
+    against the address-built rows, with zero, one-digit and multi-digit (up to
+    10-digit) coefficients, often all in one matrix; no marker byte 1-4 of a
+    multi-digit coefficient survives. After the header each block holds whole
+    rows: dense, as many as _BLOCK cells allow (at least one); COO, the triples
+    of each nonempty window of _BLOCK // 4 rows (at least one)."""
     from treeca import rulematrix
 
-    coeffs = [data.draw(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)) for _ in "abcd"]
+    one, many = st.integers(1, min(p, 10) - 1), st.integers(min(10, p - 1), p - 1)
+    if p > 10 and data.draw(st.booleans()):  # a zero, a one-digit and a multi-digit coefficient
+        coeffs = data.draw(st.permutations([0, data.draw(one), data.draw(many),
+                                            data.draw(st.integers(0, p - 1))]))
+    else:
+        coeffs = [data.draw(st.sampled_from([0, 1, p - 1]) | one | many) for _ in "abcd"]
     m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
     cells = {"one cell": 1, "one row": m.order, "a few rows": 3 * m.order + 1,
              "default": rulematrix._BLOCK}[block]
@@ -311,6 +318,7 @@ def test_matrix_blocks_are_whole_rows_of_the_dense_text(n, p, block, data):
     assert (m.dense() == dense).all()
     want = [f"treeca-matrix 1 {n} {p}\n"] + [" ".join(map(str, row)) + "\n" for row in dense.tolist()]
     assert dense_blocks[0] == want[0]
+    assert not set("".join(dense_blocks)) & set("\x01\x02\x03\x04")
     assert first_difference("".join(dense_blocks), "".join(want)) is None
     step = max(cells // m.order, 1)
     assert [b.count("\n") for b in dense_blocks[1:]] == [
@@ -321,7 +329,10 @@ def test_matrix_blocks_are_whole_rows_of_the_dense_text(n, p, block, data):
     for blocks in dense_blocks, coo_blocks:
         assert all(b.endswith("\n") for b in blocks[1:])
     rows = [[int(t.split()[0]) for t in b.splitlines()] for b in coo_blocks[1:]]
-    assert all(prev[-1] < nxt[0] for prev, nxt in zip(rows, rows[1:]))  # no row is split
+    step = max(cells // 4, 1)
+    windows = [{r // step for r in block_rows} for block_rows in rows]
+    assert all(len(w) == 1 for w in windows)  # no block spans two windows of step rows
+    assert [w.pop() for w in windows] == sorted({int(t.split()[0]) // step for t in triples})
 
 
 # ---------------------------------------------------------------------------
