@@ -109,9 +109,8 @@ def cmd_evolve(args) -> int:
     params = _params(args)
     if args.format == "text":  # the last configuration only, so no trace is kept
         _emit(dynamics.format_config(dynamics.evolve_last(cfg, params, args.steps)), args.out)
-    else:  # the trace's text is written block by block, as it is encoded
-        trace = dynamics.evolve(cfg, params, args.steps)
-        _emit(itertools.chain(dynamics.trace_blocks(trace), ["\n"]), args.out)
+    else:  # the trace's text is written block by block, as its states are stepped
+        _emit(itertools.chain(dynamics.evolve_blocks(cfg, params, args.steps), ["\n"]), args.out)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -121,24 +121,32 @@ def step_matrix(cfg: Configuration, m: RuleMatrix) -> Configuration:
     return Configuration(cfg.shape, cfg.p, (prod % m.p).astype(np.int64))
 
 
-def _step_rows(cfg: Configuration, params: Params, t: int, kept: int) -> tuple[np.ndarray, int]:
-    """t local-rule steps from cfg by one stepper, state k in row k % kept of one
-    (kept, |V_n|) array; returns the array as int64 and the last state's row."""
+def _state_blocks(cfg: Configuration, params: Params, t: int, rows: int) -> Iterator[np.ndarray]:
+    """States 0 .. t of cfg, stepped by one stepper into one reused (min(rows, t+1), |V_n|)
+    uint64 array and yielded in blocks of up to rows states, each an int64 view that the next
+    block overwrites. Past one block rows must be >= 2, as a block's row 0 is stepped from
+    the row above it, row -1. Inputs are checked and the array made before the first block."""
     if t < 0:
         raise ValueError(f"step count must be >= 0, got {t}")
     if params.p != cfg.p:
         raise DimensionMismatch(f"params mod {params.p} vs configuration mod {cfg.p}")
-    rows = np.empty((kept, cfg.shape.total_vertices), dtype=np.uint64)
-    rows[0] = cfg.values
+    buf = np.empty((min(rows, t + 1), cfg.shape.total_vertices), dtype=np.uint64)
+    buf[0] = cfg.values
     step = _local_rule(cfg.shape, params)
-    for k in range(t):
-        step(rows[k % kept], rows[(k + 1) % kept])
-    return rows.view(np.int64), t % kept
+
+    def blocks() -> Iterator[np.ndarray]:
+        for start in range(0, t + 1, len(buf)):
+            count = min(len(buf), t + 1 - start)
+            for k in range(start == 0, count):
+                step(buf[k - 1], buf[k])
+            yield buf[:count].view(np.int64)
+
+    return blocks()
 
 
 def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
-    """Trace of t local-rule steps, one row per state."""
-    values, _ = _step_rows(cfg, params, t, t + 1)
+    """Trace of t local-rule steps, one row per state: one block of t+1 rows."""
+    values = next(_state_blocks(cfg, params, t, t + 1))
     values.setflags(write=False)
     return EvolutionTrace(initial=cfg, values=values, params=params)
 
@@ -146,8 +154,9 @@ def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
 def evolve_last(cfg: Configuration, params: Params, t: int) -> Configuration:
     """The last configuration of evolve(cfg, params, t), stepped between two
     rows: no trace is kept."""
-    values, last = _step_rows(cfg, params, t, 2)
-    return Configuration(cfg.shape, cfg.p, values[last])
+    for block in _state_blocks(cfg, params, t, 2):
+        pass
+    return Configuration(cfg.shape, cfg.p, block[-1])
 
 
 def preimages(cfg: Configuration, m: RuleMatrix) -> SolutionSet:
@@ -277,13 +286,35 @@ def parse_config(text: str) -> Configuration:
     return Configuration(shape, p, values)
 
 
-def trace_blocks(trace: EvolutionTrace) -> Iterator[str]:
-    """json.dumps(trace.values.tolist()) by _row_blocks, in blocks of whole rows, _BLOCK
-    cells (at least one row) each: a row ends in "], [" ("]]" for the last)."""
-    rows, cols = trace.values.shape
+def _trace_rows(size: int) -> int:
+    """States per block of trace text: _BLOCK cells, and at least 2 (see _state_blocks)."""
+    return max(_BLOCK // size, 2)
+
+
+def _json_blocks(blocks: Iterable[np.ndarray], total: int) -> Iterator[str]:
+    """json.dumps of the total rows that the int blocks hold between them, one _row_blocks
+    block of text per block of rows: a row ends in "], [" ("]]" for the last)."""
     yield "[["
-    yield from _row_blocks(trace.values.T, ("", ", "), ("], [", "]]"), np.arange(rows) == rows - 1,
-                           [*range(0, rows, max(_BLOCK // cols, 1)), rows])
+    done = 0
+    for block in blocks:
+        done += len(block)
+        yield from _row_blocks(block.T, ("", ", "), ("], [", "]]"),
+                               np.arange(done - len(block), done) == total - 1, [0, len(block)])
+
+
+def evolve_blocks(cfg: Configuration, params: Params, t: int) -> Iterator[str]:
+    """json.dumps(evolve(cfg, params, t).values.tolist()) in blocks of text, each
+    encoded as soon as its states are stepped: no (t+1) x |V_n| array is made, so the
+    memory does not grow with t. The inputs are checked before the first block."""
+    blocks = _state_blocks(cfg, params, t, _trace_rows(cfg.shape.total_vertices))
+    return _json_blocks(blocks, t + 1)
+
+
+def trace_blocks(trace: EvolutionTrace) -> Iterator[str]:
+    """json.dumps(trace.values.tolist()) by _json_blocks, in blocks of _trace_rows rows."""
+    values = trace.values
+    rows = _trace_rows(values.shape[1])
+    return _json_blocks((values[k:k + rows] for k in range(0, len(values), rows)), len(values))
 
 
 def trace_to_json(trace: EvolutionTrace) -> str:

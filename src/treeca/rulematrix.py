@@ -106,15 +106,19 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
     return RuleMatrix(shape, params)
 
 
+@lru_cache(maxsize=None)
 def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, label 0-3 for a-d) of each entry, by row and column: d a b c
+    """Read-only (row, column, label 0-3 for a-d) of each entry, by row and column: d a b c
     in row 0, and c d a b at par[v], v, c1[v], c2[v] in row v >= 1 (a leaf: c d)."""
     par, c1, c2 = neighbor_tables(n)
     cols = np.stack([par, np.arange(len(par)), c1, c2], axis=1)
     labels = np.tile([2, 3, 0, 1], (len(par), 1))
     cols[0], labels[0] = (0, 1, 2, 3), (3, 0, 1, 2)
     keep = cols < len(par)  # drops the sentinel: the root's parent, a leaf's children
-    return np.nonzero(keep)[0], cols[keep], labels[keep]
+    tables = np.nonzero(keep)[0], cols[keep], labels[keep]
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +523,7 @@ def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
 
 _MAGIC_DENSE = "treeca-matrix"
 _MAGIC_COO = "treeca-matrix-coo"
-_BLOCK = 1 << 14  # cells per block of whole rows (at least one row) of matrix and trace text
+_BLOCK = 1 << 14  # cells per block of whole rows of matrix text (at least one) and trace text
 # parse_matrix builds a dense matrix: level 10 is 3070x3070 int64, 75 MB
 _MAX_PARSE_LEVEL = 10
 

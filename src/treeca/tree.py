@@ -132,6 +132,9 @@ def neighbor_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     shape = TreeShape(n)
     size = shape.total_vertices
+    if size > np.iinfo(np.intp).max // 8:  # np.full would refuse it as a ValueError
+        raise MemoryError(f"Unable to allocate the level-{n} neighbour tables: 3 arrays of "
+                          f"{size} int64 values are past the address range")
     par, c1, c2 = (np.full(size, size, dtype=np.int64) for _ in range(3))
     par[1:4] = 0
     par[4:] = (np.arange(4, size) - 2) // 2

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 from treeca import cli
 from treeca.cli import build_parser, fixture_path, main
-from treeca.dynamics import Configuration, format_config, step_local
+from treeca.dynamics import Configuration, evolve, format_config, step_local
 from treeca.field import PrimeField
 from treeca.rulematrix import Params
 from treeca.tree import TreeShape
@@ -530,6 +531,37 @@ def test_evolve_text_keeps_no_trace(capsys, monkeypatch):
     assert err == "error invalid-input: step count must be >= 0, got -1\n"
 
 
+def test_evolve_json_keeps_no_trace(capsys, monkeypatch):
+    """The JSON route steps and writes one block of rows at a time: its peak
+    allocation stays far below the (t+1) x |V_n| trace (2001 x 190 x 8 bytes = 3 MB)
+    and its text (about 2.1 MB here), and the bytes are json.dumps of the trace."""
+    import tracemalloc
+
+    shape, p = TreeShape(6), 2**31 - 1
+    pr = Params(a=2, b=3, c=5, d=7, field=PrimeField(p))
+    cfg = Configuration(shape, p, np.random.default_rng(6).integers(0, p, shape.total_vertices))
+    argv = ["evolve", "-a", "2", "-b", "3", "-c", "5", "-d", "7", "-n", "6", "-p", str(p),
+            "--steps", "2000"]
+    digest, size = hashlib.sha256(), [0]
+
+    def writelines(parts):  # keeps no text: a digest and a byte count
+        for part in parts:
+            digest.update(part.encode())
+            size[0] += len(part)
+
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=writelines))
+    tracemalloc.start()
+    try:
+        code = run_exit(capsys, monkeypatch, argv, format_config(cfg))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = (json.dumps(evolve(cfg, pr, 2000).values.tolist()) + "\n").encode()
+    assert code == 0 and (digest.hexdigest(), size[0]) == (hashlib.sha256(want).hexdigest(),
+                                                           len(want))
+    assert peak < 2_000_000  # one block's text and slots, about 1.2 MB
+
+
 @pytest.mark.parametrize("p,last", [(2, 1022), (2**31 - 1, 1017)])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_entropy_stops_at_the_float_range(capsys, p, last, fmt):
@@ -564,7 +596,7 @@ def test_out_of_memory_is_a_domain_error(capsys, monkeypatch, exc, message):
     def exhausted(*args):
         raise exc
 
-    monkeypatch.setattr(dynamics, "evolve", exhausted)
+    monkeypatch.setattr(dynamics, "evolve_blocks", exhausted)  # what evolve --format json calls
     argv = ["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "1000000000"]
     assert run_exit(capsys, monkeypatch, argv, "treeca-config 1 1 3\n0 1 2 0\n") == (
         3, "", f"error out-of-memory: {message}\n")
@@ -602,6 +634,64 @@ def test_evolve_out_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, p
     assert run_exit(capsys, monkeypatch, [*argv, "--out", str(out)], format_config(cfg)) == (
         0, "", "")
     assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["-p", "3", "--steps", "-1"], "invalid-input: step count must be >= 0, got -1\n"),
+    (["-p", "5", "--steps", "2"], "input configuration (n=1, p=3) does not match flags (n=1, p=5)\n"),
+], ids=["negative-steps", "modulus-mismatch"])
+def test_evolve_refusal_writes_nothing(tmp_path, capsys, monkeypatch, flags, message):
+    """A negative step count and a modulus mismatch are refused before --out is
+    opened: nothing is written and no file is left."""
+    out = tmp_path / "trace.json"
+    argv = ["evolve", *COEFFS, "-n", "1", *flags, "--out", str(out)]
+    code, stdout, err = run_exit(capsys, monkeypatch, argv, "treeca-config 1 1 3\n0 1 2 0\n")
+    assert (code, stdout) == (3, "") and err.startswith("error ") and err.endswith(message)
+    assert not out.exists()
+
+
+def test_a_closed_stdout_stops_the_stepping(tmp_path, capsys, monkeypatch):
+    """evolve steps only the states it writes: a reader that leaves after the first
+    block of the trace ends a 10^9-step evolve at once, with exit 0, after at most
+    one block of steps."""
+    import os
+    import time
+
+    from treeca import dynamics
+
+    steps, rule = [], dynamics._local_rule
+    rows = dynamics._trace_rows(TreeShape(1).total_vertices)
+
+    def counted(*args):
+        step = rule(*args)
+
+        def counting(v, out):
+            steps.append(1)
+            if len(steps) > rows:  # fails fast where the whole trace would be stepped first
+                raise AssertionError("stepped past the first block")
+            return step(v, out)
+        return counting
+
+    writes = []
+
+    def writelines(parts):
+        for part in parts:
+            writes.append(part)
+            if len(writes) == 2:  # "[[" and the first block of rows
+                raise BrokenPipeError(32, "Broken pipe")
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)  # main points it at devnull
+    try:
+        monkeypatch.setattr(dynamics, "_local_rule", counted)
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(writelines=writelines, fileno=lambda: fd))
+        argv = ["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", str(10**9)]
+        start = time.perf_counter()
+        code = run_exit(capsys, monkeypatch, argv, "treeca-config 1 1 3\n0 1 2 0\n")[0]
+        elapsed = time.perf_counter() - start
+    finally:
+        os.close(fd)
+    assert code == 0 and len(writes) == 2 and writes[1].startswith("0, 1, 2, 0], [")
+    assert len(steps) <= rows and elapsed < 5
 
 
 @pytest.mark.parametrize("steps", [0, 1, 9])
@@ -683,6 +773,18 @@ def test_matrix_past_memory_writes_nothing(tmp_path, capsys, monkeypatch, sparse
     code, stdout, err = run_exit(capsys, monkeypatch,
                                  ["matrix", *COEFFS, "-n", "40", "-p", "3", "--out", str(out), *sparse])
     assert (code, stdout) == (3, "") and err.startswith("error out-of-memory: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [59, 61])
+def test_matrix_past_the_address_range_is_out_of_memory(tmp_path, capsys, monkeypatch, n):
+    """From n = 59 the tables' 3*2^n int64 values pass what NumPy can address: that is
+    out-of-memory too, as at n = 58, not NumPy's "array is too big" ValueError."""
+    out = tmp_path / "matrix.txt"
+    code, stdout, err = run_exit(capsys, monkeypatch,
+                                 ["matrix", *COEFFS, "-n", str(n), "-p", "5", "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"error out-of-memory: Unable to allocate the level-{n} neighbour tables")
     assert not out.exists()
 
 

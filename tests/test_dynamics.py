@@ -12,9 +12,11 @@ from treeca.dynamics import (
     Configuration,
     _all_configurations,
     _apply_local,
+    _trace_rows,
     bijectivity_oracle,
     enumerate_preimages,
     evolve,
+    evolve_blocks,
     evolve_last,
     exhaustive_image_size,
     format_config,
@@ -529,6 +531,36 @@ def test_evolve_trace_json_matches_json_dumps(n, p, t, seed, data):
     x = np.random.default_rng(seed).integers(0, p, shape.total_vertices)
     trace = evolve(config(shape, p, x), pr, t)
     assert_same_text(trace_to_json(trace), json.dumps(trace.values.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 13), p=st.sampled_from([7, 17, 65_521, 2**31 - 1]),
+       which=st.integers(0, 4), seed=st.integers(0, 2**16), data=st.data())
+# |V_13| = 24 574 cells pass _BLOCK: a block holds the two rows a step needs
+@example(n=13, p=2**31 - 1, which=3, seed=0, data=None)
+@example(n=13, p=7, which=4, seed=1, data=None)
+def test_streamed_trace_is_json_dumps_of_evolve(n, p, which, seed, data):
+    """evolve_blocks, stepped and encoded one block of rows at a time, is the text of
+    the whole trace, byte for byte, at 1-, 2-, 5- and 10-digit moduli and at step counts
+    t = 0, 1, rows - 1, rows and rows + 1, rows being the states per block."""
+    shape = TreeShape(n)
+    rows = _trace_rows(shape.total_vertices)
+    t = [0, 1, rows - 1, rows, rows + 1][which]
+    coeffs = (data.draw(st.integers(1, p - 1)) for _ in range(4)) if data else (2, 3, 5, 6)
+    pr = params_for(p, *coeffs)
+    cfg = config(shape, p, np.random.default_rng(seed).integers(0, p, shape.total_vertices))
+    blocks = list(evolve_blocks(cfg, pr, t))
+    assert_same_text("".join(blocks), json.dumps(evolve(cfg, pr, t).values.tolist()))
+    assert blocks[0] == "[[" and len(blocks) == 1 + -(-(t + 1) // rows)  # one per block of rows
+
+
+def test_streamed_trace_refuses_before_any_block():
+    """evolve_blocks checks the step count and the modulus when called, before a block."""
+    cfg = Configuration.zero(TreeShape(1), 3)
+    with pytest.raises(ValueError, match="step count must be >= 0"):
+        evolve_blocks(cfg, params_for(3, 1, 1, 1, 1), -1)
+    with pytest.raises(DimensionMismatch):
+        evolve_blocks(cfg, params_for(5, 1, 1, 1, 1), 2)
 
 
 @settings(max_examples=60, deadline=None)
