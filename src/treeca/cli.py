@@ -7,6 +7,11 @@ are stable: 0 success, 2 usage error, 3 domain error, 4 fixture mismatch.
 main reuses one parser per process: build_parser is cached, so each
 subcommand's cmd_* function is bound when the parser is first built. To
 stub a subcommand, patch the library function it calls, not cmd_*.
+
+main reads a well-formed argv, `<subcommand> (flag value | bare-flag)*` with
+exact option strings, no value starting with "-", every type and choice good
+and every required flag given, from the subcommand's flag table. Any other
+argv (help, `--samp`, `--seed=4`, `-n2`, every usage error) goes to argparse.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import analysis, dynamics, rulematrix
-from .errors import FixtureMismatch, InvalidLevel, TreecaError
+from .errors import DimensionMismatch, FixtureMismatch, InvalidLevel, TreecaError
 from .field import PrimeField
 from .rulematrix import Params, build_rule_matrix
 from .tree import TreeShape
@@ -60,6 +65,56 @@ def _add_param_flags(sub):
     sub.add_argument("-n", type=int, required=True, help="tree level count")
     sub.add_argument("-p", type=int, required=True, help="prime modulus")
     sub.add_argument("--allow-zero-coeffs", action="store_true")
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser with the flag table main reads well-formed argv
+    from: each option string's Action, what argparse sets for each flag not
+    given (set_defaults values included), and the dests that must be given."""
+
+    def __init__(self, **kwargs):
+        self.options, self.defaults, self.required = {}, {}, set()
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        act = super().add_argument(*args, **kwargs)
+        if act.default is argparse.SUPPRESS:  # -h/--help stay argparse's alone
+            return act
+        self.options.update(dict.fromkeys(act.option_strings, act))
+        if act.required:
+            self.required.add(act.dest)
+        else:  # a string default goes through type, as argparse sends it
+            convert = isinstance(act.default, str)
+            self.defaults[act.dest] = (act.type or str)(act.default) if convert else act.default
+        return act
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self.defaults.update(kwargs)
+
+
+def _from_table(subcommands, argv) -> argparse.Namespace | None:
+    """The Namespace argparse would return for argv, read from argv[0]'s flag
+    table, or None unless argv is well-formed (see the module docstring)."""
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return None
+    ns, tokens = dict(sub.defaults, command=argv[0]), iter(argv[1:])
+    for flag in tokens:
+        act = sub.options.get(flag)
+        if act is not None and act.nargs == 0:  # store_true
+            ns[act.dest] = act.const
+            continue
+        value = next(tokens, "-")  # a missing value is left to argparse, as a dash is
+        if act is None or value.startswith("-"):
+            return None
+        try:
+            ns[act.dest] = value = (act.type or str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if act.choices is not None and value not in act.choices:
+            return None
+    return argparse.Namespace(**ns) if sub.required <= ns.keys() else None
 
 
 def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()):
@@ -102,7 +157,7 @@ def cmd_classify(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = dynamics.parse_config(Path(args.input).read_text() if args.input else sys.stdin.read())
     if cfg.shape.n != args.n or cfg.p != args.p:
-        raise TreecaError(
+        raise DimensionMismatch(
             f"input configuration (n={cfg.shape.n}, p={cfg.p}) does not match "
             f"flags (n={args.n}, p={args.p})"
         )
@@ -115,7 +170,14 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_garden(args) -> int:
-    rep = dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples, seed=args.seed)
+    m = _matrix(args, indexed=True)
+    # image_size = p^rank or garden_count >= p^(|V_n|-1) >= 2^(4 limit) > 10^limit would not
+    # print: refused as str() refuses it, before p^|V_n| is formed or a sample drawn
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (m.order - 1) * (args.p.bit_length() - 1) >= 4 * limit:
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion; "
+                         "use sys.set_int_max_str_digits() to increase the limit")
+    rep = dynamics.garden_report(m, samples=args.samples, seed=args.seed)
     head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
                        "image_size": rep.image_size, "garden_count": rep.garden_count,
                        "seed": args.seed}, indent=2)
@@ -194,7 +256,8 @@ def cmd_table1(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="treeca",
                                  description="Linear CA on the order-2 Cayley tree over Z_p")
-    sp = ap.add_subparsers(dest="command", required=True)
+    sp = ap.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    ap.subcommands = sp.choices  # name -> _Subcommand, each with its flag table
 
     m = _subcommand(sp, "matrix", cmd_matrix, "print the rule matrix")
     _add_param_flags(m)
@@ -246,9 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unread = build_parser().parse_known_args(argv)
-    if unread:  # argparse hands them back to the top-level parser, whose usage line lists all nine
-        args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
+    parser = build_parser()
+    args = _from_table(parser.subcommands, sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args, unread = parser.parse_known_args(argv)
+        if unread:  # argparse hands them back to the top-level parser, whose usage line lists all nine
+            args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except FixtureMismatch as exc:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeca import cli
 from treeca.cli import build_parser, fixture_path, main
@@ -416,6 +419,84 @@ def test_format_offers_exactly_the_written_formats(capsys, command, formats):
     assert f"[--format {{{formats}}}]" in capsys.readouterr().out
 
 
+def _argparse_reads(argv):
+    """(Namespace, unread) from argparse's own parse of argv, or None where it
+    prints help or a usage error and exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return build_parser().parse_known_args(argv)
+    except SystemExit:
+        return None
+
+
+JUNK = st.sampled_from(["", "-", "--", "-4", "-1", "x", "1.5", " 3", "1_0", "0x10", "-n",
+                        "--out", "json", "root", "1,2"]) | st.text(max_size=3)
+
+
+@st.composite
+def spelled_argv(draw):
+    """A subcommand and its flags, each written exactly with a good value or, at
+    a drawn rate, dropped, abbreviated, written as --x=v or -n2, left without
+    its value or given an int, negative, empty, "--" or junk one; at a nonzero
+    rate, -h, --help, "--" or an unknown token may join them."""
+    subs = build_parser().subcommands
+    name = draw(st.sampled_from([*subs, "-h", "bogus"]))
+    noise = draw(st.integers(0, 3))  # the chance in 10 that a flag is not written well
+    argv = [name]
+    for flag in draw(st.permutations(sorted(subs[name].options) if name in subs else [])):
+        act = subs[name].options[flag]
+        good = (st.sampled_from(sorted(act.choices)) if act.choices else
+                st.integers(0, 40).map(str) if act.type else st.sampled_from(["2", "1,2", "x"]))
+        form = "exact"
+        if draw(st.integers(0, 9)) < noise:
+            form = draw(st.sampled_from(["drop", "junk", "abbrev", "eq", "joined", "bare"]))
+        value = draw(JUNK if form == "junk" else good)
+        if form == "abbrev" and flag.startswith("--"):
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        if form == "drop":
+            continue
+        if form == "eq" or form == "joined" and flag.startswith("--"):
+            argv.append(f"{flag}={value}")
+        elif form == "joined":
+            argv.append(flag + value)
+        else:
+            argv += [flag] if form == "bare" or act.nargs == 0 else [flag, value]
+    for token in draw(st.lists(st.sampled_from(["-h", "--help", "--", "--bogus", "junk"]),
+                               max_size=1 if noise else 0)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(spelled_argv())
+@example(["table1", "--out", "--"])  # a value argparse refuses, though its table is good
+@example(["table1", "--fixture", "--out"])
+@example(["probe", *COEFFS, "-n", "1", "-p", "3", "--mode", "json"])  # a value past its choices
+@example(["classify", "-a", "1", "-b", "1", "-c", "1", "-n", "1", "-p", "3"])  # -d missing
+def test_table_route_reads_as_argparse_or_not_at_all(argv):
+    """cli._from_table returns None, or the Namespace argparse returns for argv
+    with nothing unread, so main answers every argv as argparse alone would."""
+    got = cli._from_table(build_parser().subcommands, argv)
+    if got is not None:
+        want = _argparse_reads(argv)
+        assert want is not None and want[1] == [] and vars(got) == vars(want[0])
+
+
+def test_canonical_spellings_take_the_table_route():
+    """Each VALID invocation, alone and with each of its subcommand's flags added
+    in its own spelling with a good value, is read from the table, as argparse
+    reads it."""
+    subs = build_parser().subcommands
+    for command, (argv, _) in VALID.items():
+        for flag, act in [(None, None), *subs[command].options.items()]:
+            value = [] if act is None or act.nargs == 0 else [
+                sorted(act.choices)[0] if act.choices else "1"]
+            full = [*argv, *([flag] if flag else []), *value]
+            got = cli._from_table(subs, full)
+            assert got is not None and got == _argparse_reads(full)[0], full
+
+
 def _classify_line(rec):
     return (f"a={rec.a} b={rec.b} c={rec.c} d={rec.d} n={rec.n} p={rec.p} "
             f"det={rec.det} rank={rec.rank} verdict={rec.verdict}\n")
@@ -638,11 +719,12 @@ def test_evolve_out_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, p
 
 @pytest.mark.parametrize("flags,message", [
     (["-p", "3", "--steps", "-1"], "invalid-input: step count must be >= 0, got -1\n"),
-    (["-p", "5", "--steps", "2"], "input configuration (n=1, p=3) does not match flags (n=1, p=5)\n"),
+    (["-p", "5", "--steps", "2"],
+     "dimension-mismatch: input configuration (n=1, p=3) does not match flags (n=1, p=5)\n"),
 ], ids=["negative-steps", "modulus-mismatch"])
 def test_evolve_refusal_writes_nothing(tmp_path, capsys, monkeypatch, flags, message):
-    """A negative step count and a modulus mismatch are refused before --out is
-    opened: nothing is written and no file is left."""
+    """A negative step count and a modulus mismatch are refused, each with its
+    error code, before --out is opened: nothing is written and no file is left."""
     out = tmp_path / "trace.json"
     argv = ["evolve", *COEFFS, "-n", "1", *flags, "--out", str(out)]
     code, stdout, err = run_exit(capsys, monkeypatch, argv, "treeca-config 1 1 3\n0 1 2 0\n")
@@ -866,3 +948,32 @@ def test_a_closed_pipe_leaves_nothing_for_the_final_flush(tmp_path):
     proc.stdout.close()  # the reader is gone before the first write
     err = proc.stderr.read()
     assert (proc.wait(timeout=120), err) == (0, b"")
+
+
+DIGIT_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                reason="no int-to-str digit limit in this run")
+
+
+@DIGIT_LIMIT
+@pytest.mark.parametrize("n,p", [(8, 2**31 - 1), (12, 3)])
+def test_garden_past_the_print_limit_is_refused_as_str_refuses_it(capsys, n, p):
+    """p^(|V_n|-1) past 2^(4 limit) is refused before it is formed (n = 8), with
+    the line that str() gives where the screen lets a count through (n = 12)."""
+    with pytest.raises(ValueError) as exc:
+        str(10 ** sys.get_int_max_str_digits())
+    argv = ["garden", *COEFFS, "-n", str(n), "-p", str(p), "--samples", "2"]
+    assert run(capsys, *argv) == (3, "", f"error invalid-input: {exc.value}\n")
+
+
+@DIGIT_LIMIT
+def test_garden_refuses_an_unprintable_count_at_once(tmp_path):
+    """garden -n 40 (|V_40| = 3.3e12) exits 3 at once, where forming p^|V_n|
+    used to hang."""
+    proc = _treeca_process(["-m", "treeca.cli", "garden", "-n", "40", "-p", "5", *COEFFS,
+                            "--samples", "2"], tmp_path)
+    try:
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert (proc.returncode, out) == (3, b"")
+    assert err.startswith(b"error invalid-input: Exceeds the limit (")

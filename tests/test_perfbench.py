@@ -43,3 +43,24 @@ def test_setup_code_runs(monkeypatch):
     """The code whose run time is setup_s, in this interpreter."""
     monkeypatch.setattr(sys, "argv", ["-c", "2", "3"])
     exec(compile(_load("run").SETUP_CODE, "perfbench-setup", "exec"), {})
+
+
+def test_every_workload_argv_takes_the_table_route(monkeypatch):
+    """The 27 CLI calls of the three seed-0 workloads are read from the flag
+    table, as argparse reads them, so the benchmark times that route."""
+    monkeypatch.setitem(sys.modules, "checks", _load("checks"))  # workloads imports it by name
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    calls = []
+    monkeypatch.setattr(workloads, "run_cli", lambda argv, stdin=None: calls.append(argv))
+    for make in workloads.WORKLOADS.values():
+        for q in make(0).questions:
+            if q.op != "preimages":  # the one question that calls the library directly
+                q.run()
+    parser = cli.build_parser()
+    assert len(calls) == 27
+    for argv in calls:
+        args, unread = parser.parse_known_args(argv)
+        assert unread == [] and cli._from_table(parser.subcommands, argv) == args, argv
