@@ -20,7 +20,6 @@ import csv
 import io
 import itertools
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/spans.py patches this name
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
 from .field import PrimeField, is_prime
 from .rulematrix import Params, _level_recursion, _row_blocks, build_rule_matrix, linalg_report
-from .tree import TreeShape, ball_size
+from .tree import TreeShape, ball_size, digit_budget, printable
 
 
 class ReversibilityRecord(NamedTuple):
@@ -53,12 +52,9 @@ class ReversibilityRecord(NamedTuple):
 
 
 def _printable_shape(n: int) -> TreeShape:
-    """TreeShape(n), or InvalidLevel if |V_n| = 3*2^n - 2, the largest rank, has
-    more digits than Python prints (sys.get_int_max_str_digits, 0: no limit).
-    2^(n+2) <= 2^(3.32 limit) < 10^limit < 2^(4 limit) < 2^n decide most n."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and n + 2 > 3.32 * limit and (n > 4 * limit or ball_size(n) >= 10**limit):
-        raise InvalidLevel(f"level {n}: |V_n| = 3*2^n - 2 has more than {limit} digits")
+    """TreeShape(n), or InvalidLevel if |V_n| = 3*2^n - 2, the largest rank, is not printable."""
+    if printable(2, n, lambda: ball_size(n)) is None:
+        raise InvalidLevel(f"level {n}: |V_n| = 3*2^n - 2 has more than {digit_budget()} digits")
     return TreeShape(n)
 
 
@@ -263,19 +259,18 @@ def partition_atom_count(params: Params, steps: int, truncation: TreeShape,
     subtree adds such a chain of n levels. With a = b = 0, span{e_0, e_3} and
     span{e_0 .. e_3} are invariant, and e_0 M = d e_0 + c e_3.
 
-    The claimed count p^(1+3(2^steps-1)) is reported alongside, with no
-    equality asserted; steps at which it has more digits than Python prints
-    (sys.get_int_max_str_digits, 0: no limit) are rejected.
+    The claimed count p^(1+3(2^steps-1)) is reported alongside, with no equality
+    asserted; steps at which it is not printable (tree.printable) are rejected.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if mode not in ("root", "ball"):
         raise ValueError(f"mode must be 'root' or 'ball', got {mode!r}")
     p, n = params.p, truncation.n
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # min() keeps 2^steps small: at steps = 64 the count has over 10^19 digits
-    if limit and ball_size(min(steps, 64)) * math.log10(p) > limit:
-        raise ValueError(f"claimed count p^|V_steps| exceeds {limit} digits "
+    # min() keeps 2^steps small: from steps = 32 on, |V_steps| > 4 budget (a C int), so
+    # printable refuses on the bit bound alone and never forms p^|V_64| for p^|V_steps|
+    if (claimed := printable(p, ball_size(min(steps, 64)))) is None:
+        raise ValueError(f"claimed count p^|V_steps| exceeds {digit_budget()} digits "
                          f"at steps={steps}, p={p}")
     if params.a or params.b:
         rank = min(steps, n + 1) if mode == "root" else 3 * min(steps, n) + 1
@@ -288,7 +283,7 @@ def partition_atom_count(params: Params, steps: int, truncation: TreeShape,
         a=params.a, b=params.b, c=params.c, d=params.d,
         mode=mode,
         atom_count=p**rank,
-        claimed_atom_count=p ** ball_size(steps),
+        claimed_atom_count=claimed,
     )
 
 

@@ -170,14 +170,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_garden(args) -> int:
-    m = _matrix(args, indexed=True)
-    # image_size = p^rank or garden_count >= p^(|V_n|-1) >= 2^(4 limit) > 10^limit would not
-    # print: refused as str() refuses it, before p^|V_n| is formed or a sample drawn
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and (m.order - 1) * (args.p.bit_length() - 1) >= 4 * limit:
-        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion; "
-                         "use sys.set_int_max_str_digits() to increase the limit")
-    rep = dynamics.garden_report(m, samples=args.samples, seed=args.seed)
+    rep = dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples, seed=args.seed)
     head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
                        "image_size": rep.image_size, "garden_count": rep.garden_count,
                        "seed": args.seed}, indent=2)

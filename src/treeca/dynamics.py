@@ -8,7 +8,6 @@ construction claims, so the two paths are kept strictly separate.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -17,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
 from .rulematrix import (_BLOCK, Params, RuleMatrix, SolutionSet, _int64s, _row_blocks,
                           linalg_report, solve)
-from .tree import TreeShape
+from .tree import TreeShape, digit_budget, printable
 from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
 # Exhaustive operations refuse to run past this many configurations.
@@ -170,7 +169,10 @@ def enumerate_preimages(
 ) -> list[Configuration]:
     sols = preimages(cfg, m)
     if sols.count() > cap:
-        raise EnumerationTooLarge(f"{sols.count()} preimages exceed cap {cap}")
+        k = len(sols.kernel)  # the count is p^k, or 0 if inconsistent: written out if printable
+        shown = printable(cfg.p, k, sols.count)
+        total = f"{cfg.p}^{k}" if shown is None else shown
+        raise EnumerationTooLarge(f"{total} preimages exceed cap {cap}")
     return [Configuration(cfg.shape, cfg.p, x) for x in sols.enumerate()]
 
 
@@ -194,7 +196,12 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
     degenerate set D (d = 0, and c = 0 or a = b = 0) one direct pass."""
     rep = linalg_report(m)
     p, order = m.p, m.order
-    count = p**order - p**rep.rank
+    # before any draw, ValueError as str() words it if image_size or garden_count would not
+    # print; the larger is garden_count >= p^(order-1), or image_size = p^order if that is 0
+    if (top := printable(p, order - 1, lambda: p**order - p**rep.rank or p**order)) is None:
+        raise ValueError(f"Exceeds the limit ({digit_budget()} digits) for integer string "
+                         "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    count = top if rep.rank < order else 0
     found: list[Configuration] = []
     if samples > 0 and count > 0:
         rng = np.random.default_rng(seed)
@@ -216,12 +223,10 @@ def garden_report(m: RuleMatrix, samples: int = 0, seed: int = 0) -> GardenRepor
 
 def _check_enumeration(size: int, p: int, cap: int) -> None:
     """EnumerationTooLarge if p^size > cap, known from bit lengths (p >= 2) when
-    size >= cap.bit_length(). The message shows p^size only while Python prints
-    it (sys.get_int_max_str_digits); 2^(4 limit) > 10^limit screens huge ones."""
+    size >= cap.bit_length(). The message shows p^size only if it is printable."""
     if size >= cap.bit_length() or p**size > cap:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        shown = not limit or size * (p.bit_length() - 1) < 4 * limit and p**size < 10**limit
-        total = f"{p}^{size}" + (f" = {p**size}" if shown else "")
+        shown = printable(p, size)
+        total = f"{p}^{size}" + ("" if shown is None else f" = {shown}")
         raise EnumerationTooLarge(f"{total} configurations exceed cap {cap}")
 
 

@@ -13,9 +13,10 @@ reference that the tests check it against.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,6 +46,26 @@ def parent(addr: Address) -> Optional[Address]:
 
 def ball_size(n: int) -> int:
     return 3 * 2**n - 2  # |V_n| = 1 + 3(2^n - 1), the vertex count up to level n
+
+
+def digit_budget() -> int:
+    """Python's int-to-str digit limit, or 100 000 where it is 0 (none): str() is quadratic."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 100_000
+
+
+def printable(p: int, n: int, make: Optional[Callable[[], int]] = None) -> Optional[int]:
+    """make(), by default p^n, if it has at most digit_budget() digits, else None. make() >= p^n
+    is not called once n (bit_length(p) - 1) >= 4 budget: p^n >= 2^(4 budget) > 10^budget."""
+    budget = digit_budget()
+    if n * (p.bit_length() - 1) >= 4 * budget:
+        return None
+    x = make() if make else p**n
+    return x if x < _power_of_ten(budget) else None
+
+
+@lru_cache(maxsize=4)
+def _power_of_ten(k: int) -> int:
+    return 10**k  # 10^4300 alone takes longer than a classify
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from treeca import cli
 from treeca.cli import build_parser, fixture_path, main
 from treeca.dynamics import Configuration, evolve, format_config, step_local
 from treeca.field import PrimeField
-from treeca.rulematrix import Params
+from treeca.rulematrix import Params, build_rule_matrix, linalg_report
 from treeca.tree import TreeShape
 
 
@@ -903,9 +903,10 @@ def test_a_failed_out_write_is_invalid_input(capsys, monkeypatch, argv):
     assert (code, out) == (3, "") and err.startswith("error invalid-input: [Errno 28]")
 
 
-def _treeca_process(args, cwd):
+def _treeca_process(args, cwd, **environ):
     """A Python process with piped stdout and stderr that imports this treeca,
-    its stdout block-buffered as in a shell pipeline (PYTHONUNBUFFERED unset)."""
+    its stdout block-buffered as in a shell pipeline (PYTHONUNBUFFERED unset),
+    with the environment variables environ added."""
     import os
     import subprocess
 
@@ -914,6 +915,7 @@ def _treeca_process(args, cwd):
     src = str(Path(treeca.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env.update(environ)
     return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, cwd=cwd, env=env)
 
@@ -977,3 +979,52 @@ def test_garden_refuses_an_unprintable_count_at_once(tmp_path):
         proc.kill()
     assert (proc.returncode, out) == (3, b"")
     assert err.startswith(b"error invalid-input: Exceeds the limit (")
+
+
+def _answer(args, tmp_path, **environ):
+    """(exit code, stdout, stderr) of a treeca process that must end within 10 s."""
+    proc = _treeca_process(args, tmp_path, **environ)
+    try:
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    return proc.returncode, out.decode(), err.decode()
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["garden", *COEFFS, "-n", "24", "-p", "5"],
+     "error invalid-input: Exceeds the limit (100000 digits) for integer string conversion; "
+     "use sys.set_int_max_str_digits() to increase the limit\n"),
+    (["probe", *COEFFS, "-n", "1", "-p", "2", "--steps", "24"],
+     "error invalid-input: claimed count p^|V_steps| exceeds 100000 digits at steps=24, p=2\n"),
+])
+def test_with_no_digit_limit_a_count_past_the_budget_is_refused_at_once(tmp_path, argv, line):
+    """PYTHONINTMAXSTRDIGITS=0 lifts Python's limit but not treeca's budget of 100 000
+    digits: 5^|V_24| and 2^|V_24| are refused at once, where str() ran past any timeout."""
+    assert _answer(["-m", "treeca.cli", *argv], tmp_path, PYTHONINTMAXSTRDIGITS="0") == (3, "", line)
+
+
+def test_with_no_digit_limit_a_count_within_the_budget_prints(tmp_path):
+    """garden -n 12 -p 3 prints its 5862-digit counts, as json.dumps writes them."""
+    argv = ["garden", *COEFFS, "-n", "12", "-p", "3"]
+    rank = linalg_report(build_rule_matrix(TreeShape(12), Params(1, 1, 1, 1, PrimeField(3)))).rank
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = json.dumps({"order": 12286, "rank": rank, "p": 3, "image_size": 3**rank,
+                           "garden_count": 3**12286 - 3**rank, "seed": 0,
+                           "sample_garden_configs": []}, indent=2) + "\n"
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert _answer(["-m", "treeca.cli", *argv], tmp_path, PYTHONINTMAXSTRDIGITS="0") == (0, want, "")
+
+
+def test_with_no_digit_limit_an_enumeration_count_is_not_formed(tmp_path):
+    """3^|V_26| configurations exceed the cap with no 3^|V_26| formed or printed."""
+    script = ("import sys; sys.set_int_max_str_digits(0)\n"
+              "from treeca.dynamics import _check_enumeration\n"
+              "from treeca.tree import ball_size\n"
+              "_check_enumeration(ball_size(26), 3, 2)\n")
+    code, out, err = _answer(["-c", script], tmp_path)
+    assert (code, out) == (1, "")
+    assert err.endswith("EnumerationTooLarge: 3^201326590 configurations exceed cap 2\n")
