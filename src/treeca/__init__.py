@@ -14,7 +14,6 @@ from .analysis import (
 )
 from .dynamics import (
     Configuration,
-    EvolutionTrace,
     GardenReport,
     bijectivity_oracle,
     enumerate_preimages,

@@ -22,7 +22,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/spans.py patches this name
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -215,14 +215,6 @@ def entropy_csv(seq: EntropySequence) -> str:
     return "\n".join(lines) + "\n"
 
 
-def partition_entropy(pi: Sequence[float]) -> float:
-    """Shannon entropy (base 2) of a probability vector; 0*log0 = 0."""
-    total = sum(pi)
-    if not math.isclose(total, 1.0, abs_tol=1e-9):
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return -sum(q * math.log2(q) for q in pi if q > 0)
-
-
 # ---------------------------------------------------------------------------
 # Partition probe
 
@@ -315,12 +307,6 @@ def table1_expected() -> list[tuple[int, int, int, int, int, int, str]]:
     for a, b, c, d, n, ps, verdict in TABLE1_ROWS:
         out += [(a, b, c, d, n, p, verdict) for p in ps]
     return out
-
-
-def table1_fixture_csv() -> str:
-    lines = ["a,b,c,d,n,p,reversibility"]
-    lines += [f"{a},{b},{c},{d},{n},{p},{v}" for a, b, c, d, n, p, v in table1_expected()]
-    return "\n".join(lines) + "\n"
 
 
 def table1_check(fixture_text: str) -> tuple[np.ndarray, np.ndarray]:

@@ -128,6 +128,13 @@ def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()
     return sub
 
 
+def _nonnegative(args, *dests: str) -> None:
+    """A usage error (exit 2) for the first of these flags given a negative value."""
+    for dest in dests:
+        if getattr(args, dest) < 0:
+            args.usage_error(f"--{dest} must be >= 0, got {getattr(args, dest)}")
+
+
 def cmd_matrix(args) -> int:
     _emit(rulematrix.matrix_blocks(_matrix(args, indexed=True), sparse=args.sparse), args.out)
     return EXIT_OK
@@ -170,6 +177,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_garden(args) -> int:
+    _nonnegative(args, "samples", "seed")
     rep = dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples, seed=args.seed)
     head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
                        "image_size": rep.image_size, "garden_count": rep.garden_count,
@@ -217,8 +225,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    if args.random < 0:
-        args.usage_error(f"--random must be >= 0, got {args.random}")
+    _nonnegative(args, "random", "seed")
     if args.random and any(getattr(args, f"{k}_values") for k in "abcd"):
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
     lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"), f"--{k}-values")

@@ -48,24 +48,6 @@ class Configuration:
         return Configuration(shape, p, np.zeros(shape.total_vertices, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class EvolutionTrace:
-    """values[k], row k of a read-only (t+1, |V_n|) int64 array, is the state
-    after k steps; steps and configurations wrap rows as Configurations."""
-
-    initial: Configuration
-    values: np.ndarray
-    params: Params
-
-    @property
-    def steps(self) -> tuple[Configuration, ...]:
-        return tuple(Configuration(self.initial.shape, self.initial.p, r) for r in self.values[1:])
-
-    @property
-    def configurations(self) -> list[Configuration]:
-        return [self.initial, *self.steps]
-
-
 def _local_rule(shape: TreeShape, params: Params, batch: tuple[int, ...] = ()):
     """step(v, out): one local-rule update of uint64 configurations v (shape
     batch + (|V_n|,)) into out, which must not overlap v, by level slices:
@@ -143,11 +125,12 @@ def _state_blocks(cfg: Configuration, params: Params, t: int, rows: int) -> Iter
     return blocks()
 
 
-def evolve(cfg: Configuration, params: Params, t: int) -> EvolutionTrace:
-    """Trace of t local-rule steps, one row per state: one block of t+1 rows."""
+def evolve(cfg: Configuration, params: Params, t: int) -> np.ndarray:
+    """Trace of t local-rule steps: a read-only (t+1, |V_n|) int64 array whose
+    row k is the state after k steps, stepped as one block of t+1 rows."""
     values = next(_state_blocks(cfg, params, t, t + 1))
     values.setflags(write=False)
-    return EvolutionTrace(initial=cfg, values=values, params=params)
+    return values
 
 
 def evolve_last(cfg: Configuration, params: Params, t: int) -> Configuration:
@@ -308,20 +291,16 @@ def _json_blocks(blocks: Iterable[np.ndarray], total: int) -> Iterator[str]:
 
 
 def evolve_blocks(cfg: Configuration, params: Params, t: int) -> Iterator[str]:
-    """json.dumps(evolve(cfg, params, t).values.tolist()) in blocks of text, each
+    """json.dumps(evolve(cfg, params, t).tolist()) in blocks of text, each
     encoded as soon as its states are stepped: no (t+1) x |V_n| array is made, so the
     memory does not grow with t. The inputs are checked before the first block."""
     blocks = _state_blocks(cfg, params, t, _trace_rows(cfg.shape.total_vertices))
     return _json_blocks(blocks, t + 1)
 
 
-def trace_blocks(trace: EvolutionTrace) -> Iterator[str]:
-    """json.dumps(trace.values.tolist()) by _json_blocks, in blocks of _trace_rows rows."""
-    values = trace.values
+def trace_to_json(values: np.ndarray) -> str:
+    """json.dumps(values.tolist()) of a trace as evolve returns it, byte for byte:
+    _json_blocks of its blocks of _trace_rows rows, joined."""
     rows = _trace_rows(values.shape[1])
-    return _json_blocks((values[k:k + rows] for k in range(0, len(values), rows)), len(values))
-
-
-def trace_to_json(trace: EvolutionTrace) -> str:
-    """json.dumps(trace.values.tolist()), byte for byte: the trace_blocks joined."""
-    return "".join(trace_blocks(trace))
+    return "".join(_json_blocks((values[k:k + rows] for k in range(0, len(values), rows)),
+                                len(values)))

@@ -16,11 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    FormatError,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, FormatError, SingularMatrix
 from .field import PrimeField
 from .tree import TreeShape, ball_size, neighbor_tables
 
@@ -61,11 +57,9 @@ class Params:
 @dataclass(frozen=True)
 class RuleMatrix:
     """Square mod-p matrix of order 1+3(2^n-1), a view of (shape, params),
-    which fix it completely: its row-sparse and dense forms are built on
-    first use and cached.
-
-    rows[r] lists (column, label) pairs with label in {a,b,c,d}, by
-    ascending column; iterating a row costs its nonzero count.
+    which fix it completely: its entries are _positions(n) with their
+    labels' coefficients, and its dense form, the oracle that step_matrix
+    multiplies by, is built on first use and cached.
     """
 
     shape: TreeShape
@@ -81,12 +75,6 @@ class RuleMatrix:
     @property
     def p(self) -> int:
         return self.params.p
-
-    @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, str], ...], ...]:
-        rows, cols, labels = _positions(self.shape.n)
-        entries = zip(cols.tolist(), ("abcd"[k] for k in labels.tolist()))
-        return tuple(tuple(itertools.islice(entries, k)) for k in np.bincount(rows).tolist())
 
     @cached_property
     def _dense(self) -> np.ndarray:
@@ -122,8 +110,8 @@ def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Z_p. Neither form of the rule matrix is built for
-# det, rank or solve, at any coefficient tuple. Outside the degenerate set
+# Exact linear algebra over Z_p. The dense form of the rule matrix is built for
+# neither det, rank, solve nor invert, at any coefficient tuple. Outside the degenerate set
 # D = {d = 0, and c = 0 or a = b = 0} (_degenerate), linalg_report's det,
 # rank and reversibility verdict come from the leaf-to-root level recursion
 # (_level_recursion, O(n) field operations, no modular inverse and no
@@ -140,10 +128,11 @@ def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # row of M has at most two entries, and only sibling rows share a column, so
 # det is 0, the rank a closed form, and _direct_solve reads the same
 # canonical basis off the rows in one pass. kernel_basis is the kernel of
-# solve(m, 0). Of this algebra only the inverse reads m's dense form, by the
-# forward reduction _reduce (pivot: first nonzero residue, lowest row) and
-# rref_mod's single back-substitution pass; the probe reduces its own
-# observability matrix, and the tests keep both as the dense oracle.
+# solve(m, 0), and invert stacks solve's particular solutions of the unit
+# columns. The forward reduction _reduce (pivot: first nonzero residue,
+# lowest row), rref_mod's single back-substitution pass, det_mod and
+# kernel_basis_mod are the dense oracle that the tests check these routes
+# against; no route here calls them.
 
 
 def _reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
@@ -351,7 +340,7 @@ def _degenerate(q: Params) -> bool:
 
 
 def linalg_report(m: RuleMatrix) -> LinAlgReport:
-    """det, rank and invertibility of m, reading neither form of m: by the
+    """det, rank and invertibility of m, reading no entry of m: by the
     level recursion, or on D (_degenerate) in closed form."""
     a, b, c, d, p, n = m.params.a, m.params.b, m.params.c, m.params.d, m.p, m.shape.n
     if not _degenerate(m.params):
@@ -372,13 +361,11 @@ def rank_mod_p(m: RuleMatrix) -> int:
 
 
 def invert(m: RuleMatrix) -> np.ndarray:
-    """Inverse matrix over Z_p; raises SingularMatrix if det = 0."""
-    mat, p, n = m.dense(), m.p, m.order
-    aug = np.hstack([mat, np.eye(n, dtype=np.int64)])
-    red, pivots = rref_mod(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrix(f"rule matrix is singular mod {p}")
-    return red[:, n:]
+    """Inverse matrix over Z_p; raises SingularMatrix if det = 0. Column j is
+    solve(m, e_j).particular: |V_n| tree sweeps of O(|V_n|) each, no dense form."""
+    if not linalg_report(m).invertible:
+        raise SingularMatrix(f"rule matrix is singular mod {m.p}")
+    return np.stack([solve(m, e).particular for e in np.eye(m.order, dtype=np.int64)], axis=1)
 
 
 def kernel_basis_mod(mat: np.ndarray, p: int) -> list[np.ndarray]:

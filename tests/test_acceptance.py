@@ -132,7 +132,7 @@ def test_criterion_6_inverse_round_trip():
         pr = params_for(p, a, b, c, d)
         for _ in range(100):
             cfg = Configuration(shape, p, rng.integers(0, p, shape.total_vertices))
-            forward = evolve(cfg, pr, 5).configurations[-1].values
+            forward = evolve(cfg, pr, 5)[-1]
             back = forward
             for _ in range(5):
                 back = (inv @ back) % p

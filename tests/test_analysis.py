@@ -25,14 +25,12 @@ from treeca.analysis import (
     entropy_csv,
     entropy_sequence,
     partition_atom_count,
-    partition_entropy,
     primes_between,
     records_to_csv,
     records_to_json,
     sweep,
     table1_check,
     table1_expected,
-    table1_fixture_csv,
 )
 from treeca import analysis, dynamics
 from treeca.cli import main
@@ -57,6 +55,13 @@ def as_records(columns):
     """The columns (table, reversible) of sweep or table1_check as records."""
     table, reversible = columns
     return [ReversibilityRecord(*t, r) for t, r in zip(zip(*table.tolist()), reversible.tolist())]
+
+
+def table1_fixture_csv() -> str:
+    """The reference table's expanded rows as fixture text."""
+    lines = ["a,b,c,d,n,p,reversibility"]
+    lines += [f"{a},{b},{c},{d},{n},{p},{v}" for a, b, c, d, n, p, v in table1_expected()]
+    return "\n".join(lines) + "\n"
 
 
 def test_classify_reference_rows():
@@ -511,12 +516,6 @@ def test_entropy_refuses_levels_past_the_float_range(p, last):
 def test_entropy_nonprime():
     with pytest.raises(NonPrimeModulus):
         entropy_sequence(4, 3)
-
-
-def test_partition_entropy():
-    assert partition_entropy([1.0] + [0.0] * 4) == 0.0
-    assert math.isclose(partition_entropy([0.5, 0.5]), 1.0)
-    assert math.isclose(partition_entropy([1 / 8] * 8), 3.0)
 
 
 def test_ball_size():

@@ -251,6 +251,25 @@ def test_negative_random_count_is_a_usage_error(capsys, monkeypatch):
     assert err.endswith("treeca sweep: error: --random must be >= 0, got -1\n")
 
 
+GARDEN_UNIT = ["garden", "-n", "2", "-a", "1", "-b", "1", "-c", "1", "-d", "1"]
+UNIT_SWEEP = ["sweep", "--p-values", "5", *(f for k in "abcd" for f in (f"--{k}-values", "1"))]
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    ([*GARDEN_UNIT, "-p", "2", "--samples", "-3"], "samples", -3),  # exited 0 with no sample
+    ([*GARDEN_UNIT, "-p", "3", "--seed", "-5"], "seed", -5),  # full rank: exited 0
+    ([*GARDEN_UNIT, "-p", "2", "--samples", "2", "--seed", "-5"], "seed", -5),  # NumPy's exit 3
+    ([*GARDEN_UNIT, "-p", "2", "--seed=-5"], "seed", -5),
+    (["sweep", "--p-values", "5", "--random", "2", "--seed", "-1"], "seed", -1),  # NumPy's exit 3
+    ([*UNIT_SWEEP, "--seed", "-1"], "seed", -1),
+])
+def test_negative_samples_and_seeds_are_usage_errors(capsys, monkeypatch, argv, flag, value):
+    code, out, err = run_exit(capsys, monkeypatch, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: treeca {argv[0]} ")
+    assert err.endswith(f"treeca {argv[0]}: error: --{flag} must be >= 0, got {value}\n")
+
+
 def test_empty_sweep_checks_no_modulus(capsys):
     code, out, err = run(capsys, "sweep", "--p-values", "4", "--b-values", "1")
     assert (code, out, err) == (0, "a,b,c,d,n,p,det,rank,reversible\n", "")
@@ -532,7 +551,7 @@ def _kept_format_cases():
         ("classify", "json"): (classify_argv, "", analysis.records_to_json([rec]) + "\n"),
         ("evolve", "json"): (evolve_argv, format_config(cfg), dynamics.trace_to_json(trace) + "\n"),
         ("evolve", "text"): (evolve_argv, format_config(cfg),
-                             format_config(Configuration(shape, p, trace.values[-1]))),
+                             format_config(Configuration(shape, p, trace[-1]))),
         ("entropy", "csv"): (["entropy", "-p", "17", "--max-n", "9"], "", analysis.entropy_csv(seq)),
         ("entropy", "json"): (["entropy", "-p", "17", "--max-n", "9"], "", entropy_json),
         ("sweep", "csv"): (sweep_argv, "", analysis.records_to_csv(records)),
@@ -637,7 +656,7 @@ def test_evolve_json_keeps_no_trace(capsys, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    want = (json.dumps(evolve(cfg, pr, 2000).values.tolist()) + "\n").encode()
+    want = (json.dumps(evolve(cfg, pr, 2000).tolist()) + "\n").encode()
     assert code == 0 and (digest.hexdigest(), size[0]) == (hashlib.sha256(want).hexdigest(),
                                                            len(want))
     assert peak < 2_000_000  # one block's text and slots, about 1.2 MB
@@ -702,7 +721,7 @@ def test_evolve_out_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, p
     shape = TreeShape(8)
     pr = Params(a=2, b=3, c=5, d=7, field=PrimeField(p))
     cfg = Configuration(shape, p, np.random.default_rng(p).integers(0, p, shape.total_vertices))
-    want = json.dumps(dynamics.evolve(cfg, pr, 60).values.tolist()) + "\n"
+    want = json.dumps(dynamics.evolve(cfg, pr, 60).tolist()) + "\n"
     argv = ["evolve", "-a", "2", "-b", "3", "-c", "5", "-d", "7", "-n", "8", "-p", str(p),
             "--steps", "60"]
     writes = []

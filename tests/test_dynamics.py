@@ -1,7 +1,6 @@
 import itertools
 import json
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from treeca.dynamics import (
     Configuration,
     _all_configurations,
     _apply_local,
+    _json_blocks,
     _trace_rows,
     bijectivity_oracle,
     enumerate_preimages,
@@ -25,7 +25,6 @@ from treeca.dynamics import (
     preimages,
     step_local,
     step_matrix,
-    trace_blocks,
     trace_to_json,
 )
 from treeca.errors import DimensionMismatch, EnumerationTooLarge, FormatError
@@ -194,7 +193,7 @@ def test_evolve_zero_steps():
     shape = TreeShape(2)
     cfg = Configuration.zero(shape, 3)
     trace = evolve(cfg, params_for(3, 1, 1, 1, 1), 0)
-    assert trace.configurations == [cfg]
+    assert trace.shape == (1, shape.total_vertices) and (trace[0] == cfg.values).all()
 
 
 def test_evolve_reversible_round_trip():
@@ -204,8 +203,7 @@ def test_evolve_reversible_round_trip():
     inv = invert(m)
     rng = np.random.default_rng(1)
     cfg = Configuration(shape, 3, rng.integers(0, 3, 10))
-    trace = evolve(cfg, pr, 5)
-    back = trace.configurations[-1].values
+    back = evolve(cfg, pr, 5)[-1]
     for _ in range(5):
         back = (inv @ back) % 3
     assert (back == cfg.values).all()
@@ -217,8 +215,8 @@ def test_evolve_eventually_cycles():
     cfg = Configuration(shape, 2, np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0]))
     trace = evolve(cfg, pr, 2**10)
     seen = {}
-    for t, c in enumerate(trace.configurations):
-        key = tuple(int(v) for v in c.values)
+    for t, row in enumerate(trace):
+        key = tuple(row.tolist())
         if key in seen:
             assert t - seen[key] <= 2**10
             break
@@ -472,8 +470,7 @@ def test_trace_json_text_unchanged():
         shape = TreeShape(n)
         x = np.random.default_rng(1).integers(0, p, size=shape.total_vertices)
         trace = evolve(config(shape, p, x), params_for(p, 3, 5, 7, 11), t)
-        assert trace_to_json(trace) == json.dumps(
-            [[int(v) for v in c.values] for c in trace.configurations])
+        assert trace_to_json(trace) == json.dumps([[int(v) for v in row] for row in trace])
 
 
 def assert_same_text(got, want):
@@ -515,10 +512,10 @@ def test_trace_json_matches_json_dumps(rows, cols, seed, top, largest, boundary_
     values = np.where(rng.random((rows, cols)) < boundary_share, boundary, uniform)
     if largest is not None:
         values[rng.integers(rows), rng.integers(cols)] = largest
-    trace = SimpleNamespace(values=values)
-    assert_same_text(trace_to_json(trace), json.dumps(values.tolist()))
-    blocks = list(trace_blocks(trace))
-    assert blocks[0] == "[[" and "".join(blocks) == trace_to_json(trace)
+    assert_same_text(trace_to_json(values), json.dumps(values.tolist()))
+    step = _trace_rows(cols)
+    blocks = list(_json_blocks((values[k:k + step] for k in range(0, rows, step)), rows))
+    assert blocks[0] == "[[" and "".join(blocks) == trace_to_json(values)
 
 
 @settings(max_examples=30, deadline=None)
@@ -530,7 +527,7 @@ def test_evolve_trace_json_matches_json_dumps(n, p, t, seed, data):
     shape = TreeShape(n)
     x = np.random.default_rng(seed).integers(0, p, shape.total_vertices)
     trace = evolve(config(shape, p, x), pr, t)
-    assert_same_text(trace_to_json(trace), json.dumps(trace.values.tolist()))
+    assert_same_text(trace_to_json(trace), json.dumps(trace.tolist()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -550,7 +547,7 @@ def test_streamed_trace_is_json_dumps_of_evolve(n, p, which, seed, data):
     pr = params_for(p, *coeffs)
     cfg = config(shape, p, np.random.default_rng(seed).integers(0, p, shape.total_vertices))
     blocks = list(evolve_blocks(cfg, pr, t))
-    assert_same_text("".join(blocks), json.dumps(evolve(cfg, pr, t).values.tolist()))
+    assert_same_text("".join(blocks), json.dumps(evolve(cfg, pr, t).tolist()))
     assert blocks[0] == "[[" and len(blocks) == 1 + -(-(t + 1) // rows)  # one per block of rows
 
 
@@ -572,19 +569,14 @@ def test_evolve_rows_are_repeated_local_steps(n, p, t, seed, data):
     shape = TreeShape(n)
     cur = config(shape, p, np.random.default_rng(seed).integers(0, p, shape.total_vertices))
     trace = evolve(cur, pr, t)
-    assert trace.values.shape == (t + 1, shape.total_vertices)
-    assert not trace.values.flags.writeable
+    assert trace.shape == (t + 1, shape.total_vertices) and trace.dtype == np.int64
+    assert not trace.flags.writeable
     want = [cur]
     for _ in range(t):
         cur = step_local(cur, pr)
         want.append(cur)
-    assert (trace.values == np.array([w.values for w in want])).all()
-    steps, configurations = trace.steps, trace.configurations
-    assert len(steps) == t and configurations[0] is want[0]
-    for got, w in zip((*steps, configurations[-1]), (*want[1:], want[-1])):
-        assert isinstance(got, Configuration) and (got.values == w.values).all()
-    assert trace_to_json(trace) == json.dumps(
-        [[int(v) for v in c.values] for c in configurations])
+    assert (trace == np.array([w.values for w in want])).all()
+    assert trace_to_json(trace) == json.dumps([[int(v) for v in w.values] for w in want])
 
 
 def test_evolve_rejects_params_of_another_modulus():
@@ -603,7 +595,7 @@ def test_evolve_last_is_the_traces_last_row(n, p, t, seed, data):
     cfg = config(shape, p, np.random.default_rng(seed).integers(0, p, shape.total_vertices))
     last = evolve_last(cfg, pr, t)
     assert isinstance(last, Configuration)
-    assert (last.values == evolve(cfg, pr, t).values[-1]).all()
+    assert (last.values == evolve(cfg, pr, t)[-1]).all()
     with pytest.raises(ValueError):
         evolve_last(cfg, pr, -1)
     with pytest.raises(DimensionMismatch):

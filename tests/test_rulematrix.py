@@ -17,6 +17,7 @@ from treeca.rulematrix import (
     RuleMatrix,
     _level_recursion,
     _level_schedule,
+    _positions,
     _reduce,
     _tree_back,
     _tree_solve,
@@ -80,10 +81,19 @@ def parse_grid(text):
     return [line.split() for line in text.strip().splitlines()]
 
 
+def position_rows(n):
+    """The rule matrix's rows as _positions places them: rows[r] lists
+    (column, label) pairs, label in {a, b, c, d}, in the table's order."""
+    rows = [[] for _ in range(ball_size(n))]
+    for r, col, k in zip(*(a.tolist() for a in _positions(n))):
+        rows[r].append((col, "abcd"[k]))
+    return tuple(map(tuple, rows))
+
+
 def label_grid(m):
     """The coefficient label of every entry of m: '0', 'a', 'b', 'c' or 'd'."""
     grid = [["0"] * m.order for _ in range(m.order)]
-    for r, row in enumerate(m.rows):
+    for r, row in enumerate(position_rows(m.shape.n)):
         for col, label in row:
             grid[r][col] = label
     return grid
@@ -133,7 +143,7 @@ def test_row_sparsity_and_diagonal():
     for n in (1, 2, 3, 4):
         m = build_rule_matrix(TreeShape(n), params_for(5, 1, 2, 3, 4))
         shape = m.shape
-        for r, row in enumerate(m.rows):
+        for r, row in enumerate(position_rows(n)):
             assert len(row) <= 4
             if shape.level_offsets[n] <= r:  # boundary level: parent + self only
                 assert len(row) == 2
@@ -143,13 +153,13 @@ def test_row_sparsity_and_diagonal():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_nonzero_pattern_matches_tree_maps(n):
     shape = TreeShape(n)
-    m = build_rule_matrix(shape, params_for(11, 3, 5, 7, 9))
+    rows = position_rows(n)
     for u in range(shape.total_vertices):
         allowed = {u, *shape.child_indices(u)}
         pi = shape.parent_index(u)
         if pi is not None:
             allowed.add(pi)
-        assert {col for col, _ in m.rows[u]} <= allowed
+        assert {col for col, _ in rows[u]} <= allowed
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -191,6 +201,48 @@ def test_invert_n3():
     m = build_rule_matrix(TreeShape(3), params_for(5, 2, 1, 1, 3))
     inv = invert(m)
     assert ((m.dense() @ inv) % 5 == np.eye(22, dtype=np.int64)).all()
+
+
+def dense_invert(m):
+    """The former invert, kept as its oracle: rref_mod of the dense [M | I]."""
+    mat, p, n = m.dense(), m.p, m.order
+    aug = np.hstack([mat, np.eye(n, dtype=np.int64)])
+    red, pivots = rref_mod(aug, p)
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix(f"rule matrix is singular mod {p}")
+    return red[:, n:]
+
+
+@st.composite
+def invert_cases(draw):
+    """(p, n, coeffs), each coefficient 0 about a third of the time, so D is drawn too."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 101]))
+    zero_or_any = st.one_of(st.just(0), st.integers(1, p - 1), st.integers(1, p - 1))
+    return p, draw(st.integers(1, 4)), tuple(draw(zero_or_any) for _ in range(4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(invert_cases())
+@example((5, 3, (1, 2, 0, 0)))  # D: d = 0 and c = 0
+@example((7, 2, (0, 0, 3, 0)))  # D: d = 0 and a = b = 0
+@example((7, 1, (0, 0, 0, 0)))  # M = 0
+@example((101, 4, (2, 3, 0, 7)))  # c = 0, d != 0: triangular, invertible
+@example((17, 4, (2, 1, 3, 3)))  # c = d^2/(a+b): zero levels
+@example((17, 4, (1, 16, 3, 2)))  # full rank
+def test_invert_matches_the_dense_oracle(case):
+    """invert, by solve over the unit columns, returns the dense oracle's array,
+    or raises SingularMatrix with its message, zero coefficients and D included."""
+    p, n, coeffs = case
+    m = build_rule_matrix(TreeShape(n), params_for(p, *coeffs, allow_zero=True))
+    try:
+        want = dense_invert(m)
+    except SingularMatrix as exc:
+        with pytest.raises(SingularMatrix) as got:
+            invert(m)
+        assert str(got.value) == str(exc) == f"rule matrix is singular mod {p}"
+        return
+    got = invert(m)
+    assert got.dtype == np.int64 and got.shape == want.shape and (got == want).all()
 
 
 def test_solve_unique():
@@ -275,7 +327,7 @@ def test_format_matrix_matches_dense_text(n, p, coeffs):
     want = [f"treeca-matrix 1 {n} {p}"] + [" ".join(str(int(v)) for v in row) for row in dense]
     assert format_matrix(m) == "\n".join(want) + "\n"
     triples = [f"{r} {c} {int(dense[r, c])}"
-               for r in range(m.order) for c, _ in m.rows[r] if dense[r, c]]
+               for r, row in enumerate(position_rows(n)) for c, _ in row if dense[r, c]]
     want = [f"treeca-matrix-coo 1 {n} {p} {len(triples)}"] + triples
     assert format_matrix(m, sparse=True) == "\n".join(want) + "\n"
 
@@ -472,7 +524,7 @@ def address_rows(shape):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_rows_match_address_route(n):
     shape = TreeShape(n)
-    assert build_rule_matrix(shape, params_for(5, 1, 2, 3, 4)).rows == address_rows(shape)
+    assert position_rows(n) == address_rows(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +533,7 @@ def test_rows_match_address_route(n):
 
 def test_views_of_equal_shape_and_params_are_equal():
     m, other = (build_rule_matrix(TreeShape(3), params_for(7, 1, 2, 3, 4)) for _ in range(2))
-    m.rows, m.dense()  # one view's forms are built, the other's are not
+    m.dense()  # one view's dense form is built, the other's is not
     assert set(vars(other)) == {"shape", "params"}
     assert m == other and hash(m) == hash(other)
     assert m != build_rule_matrix(TreeShape(3), params_for(7, 1, 2, 3, 5))
@@ -1230,6 +1282,47 @@ def test_singular_tree_solve_runs_no_general_elimination(monkeypatch):
     assert_canonical(m, y)
     assert len(kernel_basis(m)) == m.order - linalg_report(m).rank
     assert not solve(m, np.random.default_rng(9).integers(0, P31, m.order)).consistent
+
+
+def test_no_route_reaches_the_dense_oracle(monkeypatch):
+    """With rref_mod, _reduce, det_mod, kernel_basis_mod and the dense form
+    raising, invert, solve, garden_report and preimages answer, on a full-rank
+    tuple, one with zero levels and two on D, and so do the commands that build
+    a rule matrix: only step_matrix, the dense oracle, reads the dense form."""
+    from treeca import rulematrix
+    from treeca.dynamics import Configuration, garden_report, preimages
+
+    def refuse(*args):
+        raise AssertionError("the dense oracle on a production route")
+
+    for name in ("rref_mod", "_reduce", "det_mod", "kernel_basis_mod"):
+        monkeypatch.setattr(rulematrix, name, refuse)
+    monkeypatch.setattr(RuleMatrix, "dense", refuse)
+    monkeypatch.setattr(RuleMatrix, "_dense", property(refuse))
+    rng = np.random.default_rng(4)
+    for coeffs, invertible in (((1, 16, 3, 2), True), ((2, 1, 3, 3), False),
+                               ((1, 2, 0, 0), False), ((0, 0, 3, 0), False)):
+        m = build_rule_matrix(TreeShape(4), params_for(17, *coeffs, allow_zero=True))
+        if invertible:
+            inv = invert(m)
+            assert (_apply_local(inv.T, m.shape, m.params) == np.eye(m.order)).all()
+        else:
+            with pytest.raises(SingularMatrix):
+                invert(m)
+        x = rng.integers(0, 17, m.order)
+        y = _apply_local(x[None], m.shape, m.params)[0]
+        assert solve(m, y).consistent
+        sols = preimages(Configuration(m.shape, 17, y), m)
+        assert (_apply_local(sols.particular[None], m.shape, m.params)[0] == y).all()
+        rep = garden_report(m, samples=2)
+        assert rep.rank == linalg_report(m).rank
+        assert len(rep.sample_garden_configs) == (0 if invertible else 2)
+    flags = ["-n", "4", "-p", "17", "-a", "2", "-b", "1", "-c", "3", "-d", "3"]
+    for argv in (["det", *flags], ["classify", *flags], ["garden", *flags, "--samples", "2"],
+                 ["matrix", *flags], ["matrix", *flags, "--sparse"], ["probe", *flags],
+                 ["sweep", "--p-values", "17", "--n-values", "2,3", "--random", "5"],
+                 ["table1"]):
+        assert main(argv) == 0, argv
 
 
 def test_level_recursion_at_n_100000_keeps_no_level_list():
