@@ -128,11 +128,12 @@ def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()
     return sub
 
 
-def _nonnegative(args, *dests: str) -> None:
-    """A usage error (exit 2) for the first of these flags given a negative value."""
+def _at_least(args, low: int, *dests: str) -> None:
+    """A usage error (exit 2) for the first of these flags given a value below low."""
     for dest in dests:
-        if getattr(args, dest) < 0:
-            args.usage_error(f"--{dest} must be >= 0, got {getattr(args, dest)}")
+        if getattr(args, dest) < low:
+            flag = dest.replace("_", "-")
+            args.usage_error(f"--{flag} must be >= {low}, got {getattr(args, dest)}")
 
 
 def cmd_matrix(args) -> int:
@@ -162,6 +163,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _at_least(args, 0, "steps")
     cfg = dynamics.parse_config(Path(args.input).read_text() if args.input else sys.stdin.read())
     if cfg.shape.n != args.n or cfg.p != args.p:
         raise DimensionMismatch(
@@ -177,7 +179,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_garden(args) -> int:
-    _nonnegative(args, "samples", "seed")
+    _at_least(args, 0, "samples", "seed")
     rep = dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples, seed=args.seed)
     head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
                        "image_size": rep.image_size, "garden_count": rep.garden_count,
@@ -194,6 +196,7 @@ def cmd_garden(args) -> int:
 
 
 def cmd_entropy(args) -> int:
+    _at_least(args, 1, "max_n")
     seq = analysis.entropy_sequence(args.p, args.max_n)
     if args.format == "json":
         text = json.dumps(
@@ -207,6 +210,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    _at_least(args, 1, "steps")
     probe = analysis.partition_atom_count(_params(args), steps=args.steps,
                                           truncation=TreeShape(args.n), mode=args.mode)
     text = (
@@ -225,7 +229,7 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    _nonnegative(args, "random", "seed")
+    _at_least(args, 0, "random", "seed")
     if args.random and any(getattr(args, f"{k}_values") for k in "abcd"):
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
     lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"), f"--{k}-values")

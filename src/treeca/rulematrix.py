@@ -123,10 +123,10 @@ def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # _tree_back, one root-to-leaf pass that also picks the free vertices and
 # returns the particular solution with one kernel row per free vertex; one
 # inverse per level, den * num^-1).
-# _tree_solve brings that span to the canonical null space of [M | -y] zero
-# level by zero level, deepest first, with no general elimination. On D each
-# row of M has at most two entries, and only sibling rows share a column, so
-# det is 0, the rank a closed form, and _direct_solve reads the same
+# _tree_solve brings those rows to the canonical particular solution and kernel
+# basis zero level by zero level, deepest first, with no general elimination.
+# On D each row of M has at most two entries, and only sibling rows share a
+# column, so det is 0, the rank a closed form, and _direct_solve reads the same
 # canonical basis off the rows in one pass. kernel_basis is the kernel of
 # solve(m, 0), and invert stacks solve's particular solutions of the unit
 # columns. The forward reduction _reduce (pivot: first nonzero residue,
@@ -252,27 +252,28 @@ def _level_recursion(n: int, a, b, c, d, p: int) -> tuple:
 def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
                 y: np.ndarray) -> Optional[np.ndarray]:
     """Forward sweep of M x = y, leaf to root, along the schedule of
-    _level_schedule. Returns w over the vertices, plus neighbor_tables'
-    zero sentinel slot, or None at the first failed consistency check,
-    that is when y lies outside the image. On a level that is
+    _level_schedule. Returns w over the vertices, or None at the first failed
+    consistency check, that is when y lies outside the image. On a level that is
       pivot  x_v = w_v - (c/e) x_parent(v);
       zero   the rows read c x_parent(v) = w_v, so sibling w's must agree,
              and at the root 0 = w_0;
       known  x_v = w_v, fixed by the zero level below.
+    A level's children are the next level, one row of them per vertex: the
+    root's three, weighted a, b, c, two per inner vertex, and none at the leaves.
     """
-    _, c1, c2 = neighbor_tables(shape.n)
-    bounds = shape.level_offsets + (shape.total_vertices,)
-    w = np.zeros(shape.total_vertices + 1, dtype=np.int64)
+    bounds = shape.level_offsets + (shape.total_vertices,) * 2  # leaves: an empty slice of kids
+    w = np.zeros(shape.total_vertices, dtype=np.int64)
     for l in range(shape.n, -1, -1):
         num, den = sched[l]
         here = slice(bounds[l], bounds[l + 1])
-        kids = [w[c1[here]], w[c2[here]]] + ([w[3:4]] if l == 0 else [])
+        kids = w[bounds[l + 1]:bounds[l + 2]].reshape(bounds[l + 1] - bounds[l], -1)
         if not den:  # known
-            if any((k != kids[0]).any() for k in kids[1:]):
+            if (kids != kids[:, :1]).any():
                 return None
-            w[here] = kids[0] * pow(c, -1, p) % p  # only over a zero level, so c != 0
+            w[here] = kids[:, 0] * pow(c, -1, p) % p  # only over a zero level, so c != 0
         else:
-            rhs = (y[here] - sum(wi * k % p for wi, k in zip((a, b, c), kids))) % p
+            weights = np.array([a, b, c][:kids.shape[1]], dtype=np.int64)
+            rhs = (y[here] - (kids * weights % p).sum(axis=1)) % p
             w[here] = rhs * (den * pow(num, -1, p) % p) % p if num else rhs
     if not sched[0][0] and w[0]:
         return None
@@ -282,10 +283,10 @@ def _tree_sweep(shape: TreeShape, sched, a: int, b: int, c: int, p: int,
 def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, int, int, int],
                y: np.ndarray) -> np.ndarray:
     """Back-substitution of a forward sweep (sched, w) of M x = y, root to
-    leaf, in one pass. Returns a span of the null space of [M | -y]: row 0
-    is (a solution that is 0 at the free vertices, 1), and row i >= 1 is
-    (the kernel vector that is 1 at the i-th free vertex and 0 at the other
-    free vertices, 0). Each zero level chooses its free vertices as it is
+    leaf, in one pass. Returns 1 + nullity rows over the vertices: row 0 is a
+    solution that is 0 at the free vertices, and row i >= 1 is the kernel
+    vector that is 1 at the i-th free vertex and 0 at the other free
+    vertices. Each zero level chooses its free vertices as it is
     reached: the root when its pivot is zero, the first two root children
     when level 1 is zero (the root row then fixes the third by c), and the
     first child of each parent over a deeper zero level (the parent's row
@@ -295,8 +296,7 @@ def _tree_back(shape: TreeShape, sched, w: np.ndarray, coeffs: tuple[int, int, i
     a, b, c, d, p = coeffs
     bounds = shape.level_offsets + (shape.total_vertices,)
     nullity = sum(_cost(l) for l, (num, _) in enumerate(sched) if not num)
-    # zeros but row 0's 1 in the extra column: (particular, 1) is a null vector of [M | -y]
-    x = np.eye(1 + nullity, shape.total_vertices + 1, shape.total_vertices, dtype=np.int64)
+    x = np.zeros((1 + nullity, shape.total_vertices), dtype=np.int64)
     r = 1  # rows begun: the particular solution and one per free vertex so far
     for l, (num, den) in enumerate(sched):
         here = slice(bounds[l], bounds[l + 1])
@@ -414,38 +414,32 @@ class SolutionSet:
             yield x
 
 
-def _target(m: RuleMatrix, y: np.ndarray) -> np.ndarray:
-    """y reduced mod p, checked against the order of m."""
-    y = np.asarray(y, dtype=np.int64) % m.p
-    if y.shape != (m.order,):
-        raise DimensionMismatch(f"expected vector of length {m.order}, got shape {y.shape}")
-    return y
+Solution = tuple[np.ndarray, tuple[np.ndarray, ...]]  # (particular, kernel)
 
 
-def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[list[np.ndarray]]:
-    """kernel_basis_mod's basis of [M | -y] by the tree sweep, for a tuple
-    outside D, or None when the sweep finds y outside the image: the
-    kernel vectors by ascending free column, then (particular, 1). No general
-    elimination, and no temporary the size of the basis."""
+def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[Solution]:
+    """The particular solution and kernel basis that kernel_basis_mod reads off
+    [M | -y], by the tree sweep, for a tuple outside D, or None when the sweep
+    finds y outside the image: the kernel vectors by ascending free column. No
+    general elimination, and no temporary the size of the basis."""
     coeffs = a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
     sched = _level_schedule(m.shape.n, a, b, c, d, p)
     w = _tree_sweep(m.shape, sched, a, b, c, p, y)
     if w is None:
         return None
-    # A free column of rref([M | -y]) is the last nonzero entry of a null
-    # vector: the extra column (the particular row's) or a leaf, since a
-    # column above the leaves has a c in its child's row, where no earlier
-    # column has an entry. So the span is put in reduced form with its columns
-    # reversed, one group of _tree_back's rows per zero level, deepest first:
-    # each vector is scaled to 1 at its last nonzero entry, its pivot, and the
-    # group's pivots are cleared from every other row nonzero there: shallower
+    # A free column of rref(M) is the last nonzero entry of a kernel vector: a
+    # leaf, since a column above the leaves has a c in its child's row, where no
+    # earlier column has an entry. So the kernel is put in reduced form with its
+    # columns reversed, one group of _tree_back's rows per zero level, deepest
+    # first: each vector is scaled to 1 at its last nonzero entry, its pivot, and
+    # the group's pivots are cleared from every other row nonzero there: shallower
     # rows, the particular one, and deeper rows too, which can be nonzero at a
     # shallower pivot below their own. At a zero level l >= 2 the vectors lie
     # on their parents' subtrees, which are disjoint, so the group is one
     # vectorised step with one term per cell (exact in int64); at level 1 the
     # two vectors share subtree(3), so they go one at a time, as the root's does.
     x = _tree_back(m.shape, sched, w, coeffs, y)
-    bounds, piv, r = m.shape.level_offsets + (m.order,), np.full(len(x), m.order), len(x)
+    bounds, piv, r = m.shape.level_offsets + (m.order,), np.zeros(len(x), dtype=np.intp), len(x)
     for l in (l for l in range(m.shape.n, -1, -1) if not sched[l][0]):
         r -= _cost(l)
         cols = np.arange(m.order)[None] if l < 2 else np.hstack([
@@ -461,12 +455,12 @@ def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[list[np.ndarray]]:
             for s in np.array_split(np.flatnonzero(hit != rows[i]), chunks):
                 cell = hit[s, None], cols[i[s]]
                 x[cell] = (x[cell] - x[hit[s], piv[rows][i[s]]][:, None] * vec[i[s]]) % p
-    return [x[i] for i in np.argsort(piv)]
+    return x[0], tuple(x[i] for i in 1 + np.argsort(piv[1:]))
 
 
-def _direct_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
-    """kernel_basis_mod's basis of [M | -y] on D, as rows, or None when y lies
-    outside the image. Row v reads g x_u + h x_w = y_v: (a, b) at (c1(v), c2(v))
+def _direct_solve(m: RuleMatrix, y: np.ndarray) -> Optional[Solution]:
+    """_tree_solve's (particular, kernel) on D, or None when y lies outside
+    the image. Row v reads g x_u + h x_w = y_v: (a, b) at (c1(v), c2(v))
     when c = 0, so a leaf's row is 0; c at parent(v) when a = b = 0, and column 3
     in the root's row. Its pivot, its first nonzero column, is shared by sibling
     rows alone, whose y must then agree."""
@@ -480,29 +474,28 @@ def _direct_solve(m: RuleMatrix, y: np.ndarray) -> Optional[np.ndarray]:
     val[piv] = y
     if val[order] or (val[piv] != y).any():
         return None
-    free, gi = np.r_[np.setdiff1d(np.arange(order), piv), order], pow(g or 1, -1, p)
-    basis = np.zeros((len(free), order + 1), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[-1, :order] = val[:order] * gi % p
+    free, gi = np.setdiff1d(np.arange(order), piv), pow(g or 1, -1, p)
+    kernel = np.zeros((len(free), order), dtype=np.int64)
+    kernel[np.arange(len(free)), free] = 1
     if h:  # c = 0: the free column c2(v) is -b/a at the pivot c1(v) of each inner v
-        basis[np.searchsorted(free, w[piv < order]), piv[piv < order]] = (p - h) * gi % p
-    return basis
+        kernel[np.searchsorted(free, w[piv < order]), piv[piv < order]] = (p - h) * gi % p
+    return val[:order] * gi % p, tuple(kernel)
 
 
 def solve(m: RuleMatrix, y: np.ndarray) -> SolutionSet:
-    """Full preimage set of y under the matrix map, read off the canonical
-    null-space basis of [M | -y] (kernel_basis_mod's form). y is in the
-    image exactly when the last column is free; its vector is then
-    (particular, 1), and the others are (kernel vector, 0), so the
-    particular solution is 0 at the free columns of rref(M). The basis comes
-    from the tree route (_tree_solve) or, on D, from _direct_solve; neither
-    builds a dense matrix or runs a general RREF."""
-    y, p, n = _target(m, y), m.p, m.order
-    basis = (_direct_solve if _degenerate(m.params) else _tree_solve)(m, y)
-    if basis is None or not basis[-1][n]:  # the last column is a pivot
-        return SolutionSet(p=p, order=n, consistent=False)
-    return SolutionSet(p=p, order=n, consistent=True, particular=basis[-1][:n],
-                       kernel=tuple(k[:n] for k in basis[:-1]))
+    """Full preimage set of y under the matrix map, as read off the canonical
+    null-space basis of [M | -y] (kernel_basis_mod's form), where y is in the
+    image exactly when the last column is free: the particular solution is 0
+    at the free columns of rref(M), and the kernel is kernel_basis_mod(M).
+    They come from the tree route (_tree_solve) or, on D, from _direct_solve;
+    neither builds a dense matrix or runs a general RREF."""
+    y = np.asarray(y, dtype=np.int64) % m.p
+    if y.shape != (m.order,):
+        raise DimensionMismatch(f"expected vector of length {m.order}, got shape {y.shape}")
+    found = (_direct_solve if _degenerate(m.params) else _tree_solve)(m, y)
+    if found is None:
+        return SolutionSet(p=m.p, order=m.order, consistent=False)
+    return SolutionSet(p=m.p, order=m.order, consistent=True, particular=found[0], kernel=found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ reference that the tests check it against.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -73,18 +73,16 @@ class TreeShape:
     """Combinatorics of the tree truncated at level n."""
 
     n: int
-    total_vertices: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidLevel(f"level count must be >= 1, got {self.n}")
-        object.__setattr__(self, "total_vertices", ball_size(self.n))
 
-    # The level tables hold O(n^2) bits, so they are built on first use:
-    # det and rank at large n never read them.
+    # |V_n| holds n bits and the level table O(n^2), so they are built on first
+    # use: det, rank and the probe at large n never read them.
     @cached_property
-    def level_sizes(self) -> tuple[int, ...]:
-        return (1,) + tuple(3 << (l - 1) for l in range(1, self.n + 1))
+    def total_vertices(self) -> int:
+        return ball_size(self.n)
 
     @cached_property
     def level_offsets(self) -> tuple[int, ...]:

@@ -349,6 +349,32 @@ def test_main_builds_at_most_one_parser_tree(capsys, monkeypatch):
     assert tree > 1 and len(built) == tree
 
 
+@pytest.mark.parametrize("argv,flag,low,value", [
+    (["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "-1"], "--steps", 0, -1),
+    (["probe", *COEFFS, "-n", "2", "-p", "3", "--steps", "0"], "--steps", 1, 0),
+    (["probe", *COEFFS, "-n", "2", "-p", "3", "--steps", "-4"], "--steps", 1, -4),
+    (["entropy", "-p", "2", "--max-n", "0"], "--max-n", 1, 0),
+    (["entropy", "-p", "2", "--max-n", "-2"], "--max-n", 1, -2),
+])
+def test_counts_below_their_bound_are_usage_errors(capsys, monkeypatch, argv, flag, low, value):
+    """evolve's step count (>= 0), probe's (>= 1) and entropy's --max-n (>= 1)
+    follow the rule of garden's and sweep's counts: exit 2 under the subcommand's
+    usage line (they exited 3 with the library's ValueError). evolve refuses
+    before it reads its input."""
+    def unread():
+        raise AssertionError("stdin read")
+
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(read=unread))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    usage = build_parser().subcommands[argv[0]].format_usage()
+    assert (code, out) == (2, "")
+    assert err == f"{usage}treeca {argv[0]}: error: {flag} must be >= {low}, got {value}\n"
+
+
 # Each subcommand accepts only the flags it reads. VALID holds one accepted
 # invocation per subcommand (argv, stdin); a flag or --format value that the
 # subcommand would not read must turn it into a usage error.
@@ -627,8 +653,8 @@ def test_evolve_text_keeps_no_trace(capsys, monkeypatch):
     assert got == (0, format_config(cfg), "")
     assert peak < 500_000
     code, out, err = run_exit(capsys, monkeypatch, [*argv, "--steps", "-1"], format_config(cfg))
-    assert (code, out) == (3, "")
-    assert err == "error invalid-input: step count must be >= 0, got -1\n"
+    assert (code, out) == (2, "")
+    assert err.endswith("treeca evolve: error: --steps must be >= 0, got -1\n")
 
 
 def test_evolve_json_keeps_no_trace(capsys, monkeypatch):
@@ -736,18 +762,20 @@ def test_evolve_out_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, p
     assert out.read_bytes() == want.encode()
 
 
-@pytest.mark.parametrize("flags,message", [
-    (["-p", "3", "--steps", "-1"], "invalid-input: step count must be >= 0, got -1\n"),
-    (["-p", "5", "--steps", "2"],
+@pytest.mark.parametrize("flags,code,head,message", [
+    (["-p", "3", "--steps", "-1"], 2, "usage: treeca evolve ",
+     "treeca evolve: error: --steps must be >= 0, got -1\n"),
+    (["-p", "5", "--steps", "2"], 3, "error ",
      "dimension-mismatch: input configuration (n=1, p=3) does not match flags (n=1, p=5)\n"),
 ], ids=["negative-steps", "modulus-mismatch"])
-def test_evolve_refusal_writes_nothing(tmp_path, capsys, monkeypatch, flags, message):
-    """A negative step count and a modulus mismatch are refused, each with its
-    error code, before --out is opened: nothing is written and no file is left."""
+def test_evolve_refusal_writes_nothing(tmp_path, capsys, monkeypatch, flags, code, head, message):
+    """A negative step count (a usage error) and a modulus mismatch are refused,
+    each with its exit code, before --out is opened: nothing is written and no
+    file is left."""
     out = tmp_path / "trace.json"
     argv = ["evolve", *COEFFS, "-n", "1", *flags, "--out", str(out)]
-    code, stdout, err = run_exit(capsys, monkeypatch, argv, "treeca-config 1 1 3\n0 1 2 0\n")
-    assert (code, stdout) == (3, "") and err.startswith("error ") and err.endswith(message)
+    got = run_exit(capsys, monkeypatch, argv, "treeca-config 1 1 3\n0 1 2 0\n")
+    assert got[:2] == (code, "") and got[2].startswith(head) and got[2].endswith(message)
     assert not out.exists()
 
 

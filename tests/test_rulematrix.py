@@ -835,11 +835,57 @@ def test_det_at_n_20000_builds_no_level_tables(capsys, monkeypatch):
     def unbuilt(self):
         raise AssertionError("level table built")
 
-    for name in ("level_sizes", "level_offsets"):
-        monkeypatch.setattr(TreeShape, name, property(unbuilt))
+    monkeypatch.setattr(TreeShape, "level_offsets", property(unbuilt))
     flags = ["-a", "2", "-b", "3", "-c", "5", "-d", "7"]
     assert main(["det", "-n", "20000", "-p", str(2**31 - 1), *flags]) == 0
     assert capsys.readouterr().out == "1014424148\n"  # as read off the level tables
+
+
+def test_large_levels_never_form_the_vertex_count(capsys, monkeypatch):
+    """TreeShape forms |V_n| only when it is read: det at n = 20000 (whose
+    rank still forms it once), classify at n = 2000 and the probe at n = 10^12
+    answer without reading it."""
+    def unread(self):
+        raise AssertionError("TreeShape.total_vertices read")
+
+    monkeypatch.setattr(TreeShape, "total_vertices", property(unread))
+    flags = ["-a", "2", "-b", "3", "-c", "5", "-d", "7"]
+    assert main(["det", "-n", "20000", "-p", str(2**31 - 1), *flags]) == 0
+    assert capsys.readouterr().out == "1014424148\n"
+    assert main(["classify", "-n", "2000", "-p", "17", *flags]) == 0
+    assert capsys.readouterr().out.startswith("a=2 b=3 c=5 d=7 n=2000 p=17 det=")
+    units = ["-a", "1", "-b", "1", "-c", "1", "-d", "1"]
+    assert main(["probe", "-n", str(10**12), "-p", "3", *units, "--steps", "3"]) == 0
+    assert capsys.readouterr().out == (f"steps=3 truncation_level={10**12} p=3 mode=root\n"
+                                       "observed_atom_count=27\nclaimed_atom_count=31381059609\n")
+
+
+def test_tree_route_reads_no_neighbour_table(monkeypatch):
+    """Outside D, solve, kernel_basis, garden_report and invert read each level's
+    children as the next level's rows: no neighbour table is built. Each answer
+    is checked by the local rule."""
+    from treeca import rulematrix
+    from treeca.dynamics import garden_report
+
+    def unbuilt(*args):
+        raise AssertionError("neighbour table built")
+
+    monkeypatch.setattr(rulematrix, "neighbor_tables", unbuilt)
+    rng = np.random.default_rng(5)
+    for coeffs in ((1, 16, 3, 2), (2, 1, 3, 3), (1, 1, 1, 0)):  # full rank, zero levels, d = 0
+        m = build_rule_matrix(TreeShape(5), params_for(17, *coeffs, allow_zero=True))
+        rank = linalg_report(m).rank
+        y = _apply_local(rng.integers(0, 17, m.order)[None], m.shape, m.params)[0]
+        sols = solve(m, y)
+        assert (_apply_local(sols.particular[None], m.shape, m.params)[0] == y).all()
+        kernel = np.array(kernel_basis(m), dtype=np.int64).reshape(-1, m.order)
+        assert len(kernel) == m.order - rank and not _apply_local(kernel, m.shape, m.params).any()
+        rep = garden_report(m, samples=2)
+        assert rep.rank == rank
+        assert len(rep.sample_garden_configs) == (0 if rank == m.order else 2)
+        if rank == m.order:
+            inv = invert(m)
+            assert (_apply_local(inv.T, m.shape, m.params) == np.eye(m.order)).all()
 
 
 def test_level_recursion_rank_with_zero_pivot_level():
@@ -1060,8 +1106,7 @@ def test_degenerate_det_and_rank_at_n_40_build_no_tables(coeffs, rank, capsys, m
     def unbuilt(*args):
         raise AssertionError("table built")
 
-    for name in ("level_sizes", "level_offsets"):
-        monkeypatch.setattr(TreeShape, name, property(unbuilt))
+    monkeypatch.setattr(TreeShape, "level_offsets", property(unbuilt))
     monkeypatch.setattr(rulematrix, "neighbor_tables", unbuilt)
     m = build_rule_matrix(TreeShape(40), params_for(5, *coeffs, allow_zero=True))
     tracemalloc.start()
@@ -1090,7 +1135,7 @@ def test_tree_back_sums_a_zero_level_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert x.shape == (1025, ball_size(n) + 1) and peak < x.nbytes + (2 << 20)
+    assert x.shape == (1025, ball_size(n)) and peak < x.nbytes + (2 << 20)
 
 
 def test_kernel_basis_builds_no_dense_matrix(monkeypatch):
@@ -1157,14 +1202,16 @@ def test_tree_back_branches_match_dense_reduction(n, coeffs):
 
 
 def rref_tree_solve(m, y):
-    """The former _tree_solve: rref_mod of _tree_back's span (with its
-    extra column of [M | -y]) with the columns reversed, read backwards."""
+    """The former _tree_solve: rref_mod of _tree_back's rows, with the unit
+    column of [M | -y] appended ((particular, 1), then (kernel vector, 0)), with
+    the columns reversed, read backwards."""
     a, b, c, d, p = m.params.a, m.params.b, m.params.c, m.params.d, m.p
     sched = _level_schedule(m.shape.n, a, b, c, d, p)
     w = _tree_sweep(m.shape, sched, a, b, c, p, y)
     if w is None:
         return None
-    span = _tree_back(m.shape, sched, w, (a, b, c, d, p), y)
+    rows = _tree_back(m.shape, sched, w, (a, b, c, d, p), y)
+    span = np.hstack([rows, np.eye(len(rows), 1, dtype=np.int64)])
     return rref_mod(span[:, ::-1], p)[0][::-1, ::-1]
 
 
@@ -1227,7 +1274,9 @@ def test_tree_solve_matches_the_rref_route(case):
     assert (got is None) == (want is None)
     assert case[4] <= (got is not None)  # y = M x is always in the image
     if want is not None:
-        assert np.array_equal(np.array(got), want)
+        particular, kernel = got
+        basis = [np.r_[k, 0] for k in kernel] + [np.r_[particular, 1]]
+        assert np.array_equal(np.array(basis), want)
 
 
 def assert_canonical(m, y):

@@ -33,10 +33,11 @@ def test_invalid_level():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_level_counts(n):
     shape = TreeShape(n)
-    assert shape.level_sizes[0] == 1
+    sizes = np.diff(shape.level_offsets + (shape.total_vertices,))
+    assert sizes[0] == 1
     for l in range(1, n + 1):
-        assert shape.level_sizes[l] == 3 * 2 ** (l - 1)
-    assert sum(shape.level_sizes) == 1 + 3 * (2**n - 1)
+        assert sizes[l] == 3 * 2 ** (l - 1)
+    assert sum(sizes) == 1 + 3 * (2**n - 1)
     assert shape.level_offsets[0] == 0
     for l in range(1, n + 1):
         assert shape.level_offsets[l] == 1 + 3 * (2 ** (l - 1) - 1)
@@ -68,7 +69,7 @@ def test_lexicographic_order_within_levels():
     shape = TreeShape(3)
     for l in range(1, 4):
         start = shape.level_offsets[l]
-        addrs = [shape.address_of(start + k) for k in range(shape.level_sizes[l])]
+        addrs = [shape.address_of(start + k) for k in range(3 * 2 ** (l - 1))]
         assert addrs == sorted(addrs)
 
 
