@@ -6,8 +6,6 @@ from .analysis import (
     ReversibilityRecord,
     SweepSpec,
     classify,
-    det_formula_n2,
-    det_formula_n3,
     entropy_sequence,
     partition_atom_count,
     sweep,
@@ -15,13 +13,10 @@ from .analysis import (
 from .dynamics import (
     Configuration,
     GardenReport,
-    bijectivity_oracle,
-    enumerate_preimages,
     evolve,
     garden_report,
     preimages,
     step_local,
-    step_matrix,
 )
 from .field import PrimeField, is_prime
 from .rulematrix import (
@@ -30,13 +25,11 @@ from .rulematrix import (
     RuleMatrix,
     SolutionSet,
     build_rule_matrix,
-    det_mod_p,
     invert,
     kernel_basis,
     linalg_report,
-    rank_mod_p,
     solve,
 )
-from .tree import TreeShape, parent
+from .tree import TreeShape
 
 __version__ = "0.1.0"

@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import FixtureMismatch, FormatError, InvalidLevel, NonPrimeModulus
-from .field import PrimeField, is_prime
+from .errors import FixtureMismatch, FormatError, InvalidLevel, ModulusOutOfRange, NonPrimeModulus
+from .field import MR_EXACT_BELOW, PrimeField, is_prime
 from .rulematrix import Params, _level_recursion, _row_blocks, build_rule_matrix, linalg_report
 from .tree import TreeShape, ball_size, digit_budget, printable
 
@@ -53,9 +53,10 @@ class ReversibilityRecord(NamedTuple):
 
 def _printable_shape(n: int) -> TreeShape:
     """TreeShape(n), or InvalidLevel if |V_n| = 3*2^n - 2, the largest rank, is not printable."""
+    shape = TreeShape(n)  # first: it refuses n < 1, where 3 << n has no meaning
     if printable(2, n, lambda: ball_size(n)) is None:
         raise InvalidLevel(f"level {n}: |V_n| = 3*2^n - 2 has more than {digit_budget()} digits")
-    return TreeShape(n)
+    return shape
 
 
 def classify(a: int, b: int, c: int, d: int, n: int, p: int,
@@ -89,13 +90,13 @@ class SweepSpec:
     seed: int = 0
 
 
-def _verdict_columns(cols: np.ndarray, levels: set[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(table, reversible) of checked int64 columns (a, b, c, d, n, p), n in levels,
-    with det and rank added by one array pass of the level recursion per n: int64
-    while every n <= 61 (|V_n| < 2^63), else object. The records are its columns."""
-    table = np.empty((8, cols.shape[1]), dtype=np.int64 if max(levels, default=0) < 62 else object)
+def _verdict_columns(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, reversible) of checked int64 columns (a, b, c, d, n, p), with det and
+    rank added by one array pass of the level recursion per n: int64 while every
+    n <= 61 (|V_n| < 2^63), else object. The records are its columns."""
+    table = np.empty((8, cols.shape[1]), dtype=np.int64 if cols[4].max(initial=0) < 62 else object)
     table[:6] = cols
-    for n in levels:
+    for n in set(cols[4].tolist()):  # np.unique would load more of NumPy: 1.6 MB of RSS
         at = cols[4] == n
         table[6:, at] = _level_recursion(n, *cols[:4, at], cols[5, at])
     return table, table[6] != 0
@@ -108,7 +109,7 @@ def sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     generation order raises classify's error (modulus, coefficients, level), an empty group none."""
     lists = (spec.a_values, spec.b_values, spec.c_values, spec.d_values)
     rng = np.random.default_rng(spec.seed) if spec.random_count else None
-    rows, parts, levels = None if rng else list(itertools.product(*lists)), [], set()
+    rows, parts = None if rng else list(itertools.product(*lists)), []
     # an empty cartesian product makes no group, so it checks no modulus or level
     for p, n in itertools.product(spec.p_values, spec.n_values if rows != [] else ()):
         field = PrimeField(p)  # before the draws: rng.integers(1, p) needs p >= 2
@@ -119,12 +120,12 @@ def sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
             if first is not rows[0]:
                 _printable_shape(n)  # the group's first tuple is good, so its level comes first
             Params(*first, field=field)  # raises the coefficient's error
-        levels.add(_printable_shape(n).n)
+        _printable_shape(n)
         parts.append(np.vstack([np.asarray(rows, np.int64).T, np.full((2, len(rows)), [[n], [p]])]))
     cols = np.hstack(parts) if parts else np.empty((6, 0), dtype=np.int64)
     del parts  # a sweep's memory is a few copies of its columns at most
     cols = cols[:, np.lexsort((*cols[3::-1], cols[4], cols[5]))]
-    return _verdict_columns(cols, levels)
+    return _verdict_columns(cols)
 
 
 def _columns(records: Iterable[ReversibilityRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -197,9 +198,12 @@ def entropy_sequence(p: int, max_n: int) -> EntropySequence:
     """H_n = |V_n| * log2(p): the entropy of the n-step refinement of the
     root partition under the uniform Bernoulli measure, and its growth
     rate H_n / n. InvalidLevel if H_max_n is not a finite float; 2^n is formed
-    only for n <= 1022, since |V_1023| alone passes the float range."""
+    only for n <= 1022, since |V_1023| alone passes the float range. p must be
+    below MR_EXACT_BELOW, where is_prime stops being exact (ModulusOutOfRange)."""
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if p >= MR_EXACT_BELOW:
+        raise ModulusOutOfRange(f"modulus {p} is not below psi_13 = {MR_EXACT_BELOW}")
     if not is_prime(p):
         raise NonPrimeModulus(f"modulus {p} is not prime")
     log2p = math.log2(p)
@@ -327,8 +331,7 @@ def table1_check(fixture_text: str) -> tuple[np.ndarray, np.ndarray]:
         Params(a=a, b=b, c=c, d=d, field=PrimeField(p))
         rows.append((a, b, c, d, _printable_shape(n).n, p))
         verdicts.append(row["reversibility"])
-    table, reversible = _verdict_columns(np.array(rows, dtype=np.int64).reshape(-1, 6).T,
-                                         {t[4] for t in rows})
+    table, reversible = _verdict_columns(np.array(rows, dtype=np.int64).reshape(-1, 6).T)
     computed = np.where(reversible, "reversible", "irreversible")
     diffs = [f"(a={a},b={b},c={c},d={d},n={n},p={p}): computed {got}, fixture says {v}"
              for (a, b, c, d, n, p), got, v in zip(rows, computed, verdicts) if got != v]

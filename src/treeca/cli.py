@@ -67,30 +67,17 @@ def _add_param_flags(sub):
     sub.add_argument("--allow-zero-coeffs", action="store_true")
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser with the flag table main reads well-formed argv
-    from: each option string's Action, what argparse sets for each flag not
-    given (set_defaults values included), and the dests that must be given."""
-
-    def __init__(self, **kwargs):
-        self.options, self.defaults, self.required = {}, {}, set()
-        super().__init__(**kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        act = super().add_argument(*args, **kwargs)
-        if act.default is argparse.SUPPRESS:  # -h/--help stay argparse's alone
-            return act
-        self.options.update(dict.fromkeys(act.option_strings, act))
-        if act.required:
-            self.required.add(act.dest)
-        else:  # a string default goes through type, as argparse sends it
-            convert = isinstance(act.default, str)
-            self.defaults[act.dest] = (act.type or str)(act.default) if convert else act.default
-        return act
-
-    def set_defaults(self, **kwargs):
-        super().set_defaults(**kwargs)
-        self.defaults.update(kwargs)
+@functools.cache
+def _flag_table(sub: argparse.ArgumentParser) -> tuple[dict, dict, set]:
+    """sub's flag table, read from argparse's registry: (each option string's Action,
+    what argparse sets for each flag not given, set_defaults values included, and
+    the dests that must be given). -h/--help stay argparse's alone."""
+    acts = [a for a in sub._actions if a.default is not argparse.SUPPRESS]
+    # a string default goes through type, as argparse sends it
+    defaults = {a.dest: (a.type or str)(a.default) if isinstance(a.default, str) else a.default
+                for a in acts if not a.required}
+    return ({s: a for a in acts for s in a.option_strings}, {**sub._defaults, **defaults},
+            {a.dest for a in acts if a.required})
 
 
 def _from_table(subcommands, argv) -> argparse.Namespace | None:
@@ -99,9 +86,10 @@ def _from_table(subcommands, argv) -> argparse.Namespace | None:
     sub = subcommands.get(argv[0]) if argv else None
     if sub is None:
         return None
-    ns, tokens = dict(sub.defaults, command=argv[0]), iter(argv[1:])
+    options, defaults, required = _flag_table(sub)
+    ns, tokens = dict(defaults, command=argv[0]), iter(argv[1:])
     for flag in tokens:
-        act = sub.options.get(flag)
+        act = options.get(flag)
         if act is not None and act.nargs == 0:  # store_true
             ns[act.dest] = act.const
             continue
@@ -114,7 +102,7 @@ def _from_table(subcommands, argv) -> argparse.Namespace | None:
             return None
         if act.choices is not None and value not in act.choices:
             return None
-    return argparse.Namespace(**ns) if sub.required <= ns.keys() else None
+    return argparse.Namespace(**ns) if required <= ns.keys() else None
 
 
 def _subcommand(sp, name: str, func, summary: str, formats: tuple[str, ...] = ()):
@@ -260,8 +248,8 @@ def cmd_table1(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="treeca",
                                  description="Linear CA on the order-2 Cayley tree over Z_p")
-    sp = ap.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
-    ap.subcommands = sp.choices  # name -> _Subcommand, each with its flag table
+    sp = ap.add_subparsers(dest="command", required=True)
+    ap.subcommands = sp.choices  # name -> subparser
 
     m = _subcommand(sp, "matrix", cmd_matrix, "print the rule matrix")
     _add_param_flags(m)
@@ -335,7 +323,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error invalid-input: {exc}\n")
         return EXIT_DOMAIN
-    except MemoryError as exc:  # NumPy names the allocation; Python's own is bare
+    # a size past the address range (a bytearray or 3 << n at n = 10^20) is an OverflowError
+    except (MemoryError, OverflowError) as exc:  # NumPy names the allocation; Python's own is bare
         sys.stderr.write(f"error out-of-memory: {str(exc) or 'not enough memory'}\n")
         return EXIT_DOMAIN
 

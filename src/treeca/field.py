@@ -6,14 +6,17 @@ from functools import lru_cache
 
 from .errors import ModulusOutOfRange, NonPrimeModulus
 
-# The first twelve primes as Miller-Rabin witnesses make the test
-# deterministic for all n < 3.3e24, far past the supported range.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes as Miller-Rabin witnesses make the test exact for
+# all n < psi_13 = 3317044064679887385961981 (Sorenson and Webster), far past
+# p < 2^31. psi_13 = 1287836182261 * 2575672364521 passes all thirteen; the
+# first twelve alone pass psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
 
 
 @lru_cache(maxsize=1024)  # every PrimeField(p) asks again; sweeps reuse a few primes
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24."""
+    """Deterministic primality test, exact for n < MR_EXACT_BELOW."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:

@@ -7,9 +7,9 @@ index flattens the ball of radius n level by level, addresses in
 lexicographic order within each level, giving the basis used by all
 matrices and configuration vectors.
 
-Production code finds neighbours by index arithmetic (neighbor_tables);
-the digit-string address methods of TreeShape are the independent
-reference that the tests check it against.
+Production code reads a level as an index slice (level_offsets; vertex v >= 1
+has children 2v+2, 2v+3). Only _positions and the solve on D read neighbor_tables,
+the same arithmetic as arrays. Tests check both against the digit-string addresses.
 """
 from __future__ import annotations
 
@@ -32,10 +32,6 @@ def validate_address(addr: Address) -> None:
         raise AddressOutOfShape(f"malformed address {addr!r}")
 
 
-def level(addr: Address) -> int:
-    return len(addr)
-
-
 def parent(addr: Address) -> Optional[Address]:
     """Parent address, or None for the root."""
     validate_address(addr)
@@ -45,7 +41,7 @@ def parent(addr: Address) -> Optional[Address]:
 
 
 def ball_size(n: int) -> int:
-    return 3 * 2**n - 2  # |V_n| = 1 + 3(2^n - 1), the vertex count up to level n
+    return (3 << n) - 2  # |V_n| = 1 + 3(2^n - 1), the vertex count up to level n
 
 
 def digit_budget() -> int:
@@ -86,18 +82,19 @@ class TreeShape:
 
     @cached_property
     def level_offsets(self) -> tuple[int, ...]:
-        # level l >= 1 starts at 3*2^(l-1) - 2, two below its size
-        return (0,) + tuple((3 << (l - 1)) - 2 for l in range(1, self.n + 1))
+        # level l >= 1 starts at |V_(l-1)|, two below its size 3*2^(l-1)
+        return (0,) + tuple(map(ball_size, range(self.n)))
 
-    def check_level(self, l: int) -> None:
-        if l > self.n:
-            raise AddressOutOfShape(f"level {l} exceeds shape level {self.n}")
+    def _level(self, addr: Address) -> int:
+        """The level of addr, a well-formed address inside the shape."""
+        validate_address(addr)
+        if len(addr) > self.n:
+            raise AddressOutOfShape(f"level {len(addr)} exceeds shape level {self.n}")
+        return len(addr)
 
     def linear_index(self, addr: Address) -> int:
         """Position of addr in the level-by-level lexicographic flattening."""
-        validate_address(addr)
-        l = level(addr)
-        self.check_level(l)
+        l = self._level(addr)
         if l == 0:
             return 0
         # first digit counts in base 3 over blocks of 2^(l-1); the rest in base 2
@@ -123,9 +120,7 @@ class TreeShape:
 
     def children(self, addr: Address) -> list[Address]:
         """Children inside the shape; empty at level n (null boundary)."""
-        validate_address(addr)
-        l = level(addr)
-        self.check_level(l)
+        l = self._level(addr)
         if l == self.n:
             return []
         if addr == "":

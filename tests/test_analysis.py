@@ -230,11 +230,14 @@ def test_classify_and_sweep_reject_levels_whose_rank_would_not_print(digit_limit
         sweep(SweepSpec(n_values=(2, deepest + 1), p_values=(17,), random_count=1))
 
 
-def test_deep_level_is_rejected_before_any_tree_is_built(monkeypatch, digit_limit):
-    def no_shape(n):
-        raise AssertionError(f"TreeShape({n}) built")
+def test_deep_level_is_rejected_before_its_vertex_count_is_formed(monkeypatch, digit_limit):
+    """TreeShape(n) is O(1), so the screen may build it; |V_n| = 3*2^n - 2, read
+    through ball_size or total_vertices, is never formed at a level past the budget."""
+    def no_count(*args):
+        raise AssertionError("|V_n| formed")
 
-    monkeypatch.setattr(analysis, "TreeShape", no_shape)
+    monkeypatch.setattr(analysis, "ball_size", no_count)
+    monkeypatch.setattr(TreeShape, "total_vertices", property(no_count))
     for n in (20000, 10**12):
         with pytest.raises(InvalidLevel):
             classify(1, 1, 1, 1, n, 5)

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -287,6 +288,43 @@ def test_classify_deep_level_is_invalid_level_but_det_answers(capsys):
     assert 0 <= int(out) < 17 and out == f"{int(out)}\n"
 
 
+@pytest.mark.parametrize("coeffs", [["-c", "1", "-d", "1"],
+                                    ["-c", "0", "-d", "0", "--allow-zero-coeffs"]])
+def test_det_past_the_address_range_is_out_of_memory(capsys, coeffs):
+    """det at n = 10^20: the level recursion's bit array (outside D) and the rank
+    |V_(n-1)| (on D) are past the address range. Each is one out-of-memory line
+    (exit 3), not an OverflowError traceback, and neither forms 2^n by pow."""
+    code, out, err = run(capsys, "det", "-n", str(10**20), "-p", "5", "-a", "1", "-b", "1",
+                         *coeffs)
+    assert (code, out) == (3, "") and err.startswith("error out-of-memory: ")
+
+
+@pytest.mark.parametrize("p,code", [(318665857834031151167461, "non-prime-modulus"),
+                                    (3317044064679887385961981, "modulus-out-of-range")])
+def test_entropy_modulus_past_the_exact_primality_range(capsys, p, code):
+    """psi_12, a strong pseudoprime to the bases 2 .. 37, is refused as composite;
+    psi_13 and above, where is_prime is no longer exact, as out of range."""
+    status, out, err = run(capsys, "entropy", "-p", str(p), "--max-n", "2")
+    assert (status, out) == (3, "") and err.startswith(f"error {code}: ")
+
+
+def test_sweep_across_the_int64_rank_edge_prints_classifys_lines(capsys):
+    """At n = 62 |V_n| passes int64, so a sweep over n = 61 and 62 holds an
+    object table: each line is still classify's CSV line for its tuple."""
+    code, out, _ = run(capsys, "sweep", "--a-values", "1,5", "--b-values", "12", "--c-values",
+                       "1,3", "--d-values", "1,4", "--n-values", "62,61", "--p-values", "17,13")
+    want = []
+    for p, n, a, c, d in itertools.product((13, 17), (61, 62), (1, 5), (1, 3), (1, 4)):
+        flags = dict(a=a, b=12, c=c, d=d, n=n, p=p)
+        got = run(capsys, "classify", "--format", "csv",
+                  *itertools.chain.from_iterable((f"-{k}", str(v)) for k, v in flags.items()))
+        assert got[0] == 0
+        want.append(got[1].splitlines()[1])
+    assert code == 0 and out.splitlines()[1:] == want
+    # a + b = 0 mod p (1 + 12 at 13, 5 + 12 at 17) and c^2 != d^2: full rank, past int64
+    assert f",{3 * 2**62 - 2},true\n" in out
+
+
 def test_threads_environment_variable_is_not_read(capsys, monkeypatch):
     monkeypatch.setenv("TREECA_THREADS", "abc")
     build_parser.cache_clear()  # a parser built now must not read the variable
@@ -489,8 +527,9 @@ def spelled_argv(draw):
     name = draw(st.sampled_from([*subs, "-h", "bogus"]))
     noise = draw(st.integers(0, 3))  # the chance in 10 that a flag is not written well
     argv = [name]
-    for flag in draw(st.permutations(sorted(subs[name].options) if name in subs else [])):
-        act = subs[name].options[flag]
+    options = cli._flag_table(subs[name])[0] if name in subs else {}
+    for flag in draw(st.permutations(sorted(options))):
+        act = options[flag]
         good = (st.sampled_from(sorted(act.choices)) if act.choices else
                 st.integers(0, 40).map(str) if act.type else st.sampled_from(["2", "1,2", "x"]))
         form = "exact"
@@ -534,7 +573,7 @@ def test_canonical_spellings_take_the_table_route():
     reads it."""
     subs = build_parser().subcommands
     for command, (argv, _) in VALID.items():
-        for flag, act in [(None, None), *subs[command].options.items()]:
+        for flag, act in [(None, None), *cli._flag_table(subs[command])[0].items()]:
             value = [] if act is None or act.nargs == 0 else [
                 sorted(act.choices)[0] if act.choices else "1"]
             full = [*argv, *([flag] if flag else []), *value]

@@ -1,7 +1,7 @@
 import pytest
 
 from treeca.errors import ModulusOutOfRange, NonPrimeModulus
-from treeca.field import PrimeField, is_prime
+from treeca.field import MR_EXACT_BELOW, PrimeField, is_prime
 
 
 def test_make_field_accepts_primes():
@@ -32,6 +32,15 @@ def test_is_prime_strong_pseudoprimes():
     assert not is_prime(3215031751)
     assert not is_prime(3825123056546413051)
     assert is_prime(2**61 - 1)
+
+
+def test_is_prime_is_exact_below_its_bound():
+    """psi_12, the least strong pseudoprime to the first twelve prime bases, is
+    composite; psi_13, which passes the first thirteen, is the bound."""
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441 and psi_12 < MR_EXACT_BELOW
+    assert not is_prime(psi_12)
+    assert MR_EXACT_BELOW == 1287836182261 * 2575672364521
 
 
 @pytest.mark.parametrize("p", [2**31, 2**31 + 11, 3215031751])

@@ -1,5 +1,6 @@
-"""Every name a treeca module imports is used in that module."""
+"""Every name a treeca module imports is used there; no test oracle is a package export."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,16 @@ def test_module_uses_every_import(name):
 
 def test_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == {"os", "c"}
+
+
+# test oracles and benchmark-only names: importable from their modules, not from treeca
+MODULE_ONLY = {"analysis": ("det_formula_n2", "det_formula_n3"),
+               "dynamics": ("bijectivity_oracle", "enumerate_preimages", "step_matrix"),
+               "rulematrix": ("det_mod_p", "rank_mod_p"), "tree": ("parent",)}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, ns in MODULE_ONLY.items() for n in ns])
+def test_oracles_are_not_package_exports(module, name):
+    with pytest.raises(ImportError):
+        exec(f"from treeca import {name}", {})
+    assert callable(getattr(importlib.import_module(f"treeca.{module}"), name))

@@ -43,6 +43,16 @@ def test_level_counts(n):
         assert shape.level_offsets[l] == 1 + 3 * (2 ** (l - 1) - 1)
 
 
+def test_ball_size_is_the_vertex_count_and_its_levels_start_there():
+    """ball_size's shift is 3*2^n - 2, and level_offsets, read from it, keeps
+    the formula it had: level l >= 1 starts at 3*2^(l-1) - 2."""
+    for n in range(301):
+        assert ball_size(n) == 3 * 2**n - 2
+    for n in (1, 2, 7, 300):
+        want = (0,) + tuple((3 << (l - 1)) - 2 for l in range(1, n + 1))
+        assert TreeShape(n).level_offsets == want
+
+
 def test_linear_index_examples():
     shape = TreeShape(2)
     assert shape.linear_index("") == 0
