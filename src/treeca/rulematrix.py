@@ -511,49 +511,54 @@ _MAX_PARSE_LEVEL = 10
 @lru_cache(maxsize=None)
 def _digit_table() -> np.ndarray:
     """ASCII digits of 0 .. 9999 as uint32 words, leading zeros as NUL bytes, built by
-    broadcasting with no division. A digit byte has the bits of "0" set, so OR-ing
-    "0000" pads an entry with zeros, and "0" in byte 3 writes 0 as "0"."""
+    broadcasting with no division, in two rows: row 1, for a number's last word, has 0 as
+    "0". A digit byte has the bits of "0" set, so OR-ing "0000" pads an entry with zeros."""
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
-    table = np.zeros(1, dtype=np.uint32)
+    table = np.zeros((2, 1), dtype=np.uint32)
     for k in range(4):
-        table = (table[:, None] | digit << np.uint32(8 * k)).ravel()
-    for k in range(4):  # byte k is a leading zero below 10^(3-k)
-        table[: 10 ** (3 - k)] &= ~np.uint32(0xFF << (8 * k))
+        table = (table[..., None] | digit << np.uint32(8 * k)).reshape(2, -1)
+    for k in range(4):  # byte k is a leading zero below 10^(3-k), bar row 1's "0"
+        table[: 2 - k // 3, : 10 ** (3 - k)] &= ~np.uint32(0xFF << (8 * k))
     table.setflags(write=False)
     return table
 
 
 def _digit_words(v: np.ndarray, out: np.ndarray) -> None:
     """Write the digits of v's ints in [0, 10^(4k)) (int64, or Python ints in an object
-    array) to out[..., :k] as k _digit_table words, most significant first, each zero-padded
-    behind a nonzero one; leading zeros stay NUL bytes for the writer to drop."""
-    pad, zero = np.frombuffer(b"0000" + b"0".rjust(4, b"\0"), dtype=np.uint32)
-    for j in range(out.shape[-1] - 1, 0, -1):
+    array, divided in uint32 for k > 1 below 2^32) to out[..., :k] as k _digit_table words,
+    most significant first, each zero-padded behind a nonzero one; leading zeros are NUL."""
+    table, pad, last = _digit_table(), np.uint32(0x30303030), out.shape[-1] - 1  # "0000"
+    v = v.astype(np.uint32) if last and v.dtype == np.int64 and v.max() < 1 << 32 else v
+    for j in range(last, 0, -1):
         q = v // 10_000
-        out[..., j] = _digit_table()[(v - q * 10_000).astype(np.intp)] | (q > 0) * pad
+        out[..., j] = table[int(j == last)][(v - q * 10_000).astype(np.intp)] | (q > 0) * pad
         v = q
-    out[..., 0] = _digit_table()[v.astype(np.intp)]
-    out[..., -1] |= zero  # 0 as "0"
+    out[..., 0] = table[int(not last)][v.astype(np.intp)]
 
 
 def _row_blocks(table, heads: Sequence[str], ends: Sequence[str], end: Optional[np.ndarray] = None,
                 cuts: Optional[Sequence[int]] = None) -> Iterator[str]:
     """The text of table's columns (int64, or Python ints in an object array) in blocks of
     whole rows, no Python object per cell: row i is heads[0], table[0, i], heads[1], ..,
-    ends[end[i]] (ends[0] with no end), the last head heading every later column, each a
-    slot of uint32 words whose NUL bytes are dropped. A block ends at each of the ascending
-    cuts, by default every _BLOCK // 36 rows (a reversibility-table row is about 36 words)."""
-    wh, we = (max(map(len, x)) // 4 + 1 for x in (heads, ends))
+    ends[end[i]] (ends[0] with no end), the last head heading every later column. A cell is
+    one slot of max(ceil((h + D) / 4), e) uint32 words for h-byte heads, D digits and e-word
+    row ends: digits right-aligned, the head first, OR-ed into the top digit word where they
+    meet. NUL bytes are dropped; blocks end at the cuts, by default every _BLOCK // 36 rows."""
+    h, we = max(map(len, heads)), -(-max(map(len, ends)) // 4)
     heads, ends = (np.frombuffer("".join(t.ljust(4 * w, "\0") for t in x).encode(), np.uint32)
-                   .reshape(-1, w) for x, w in ((heads, wh), (ends, we)))
+                   .reshape(len(x), w) for x, w in ((heads, max(-(-h // 4), we)), (ends, we)))
     cuts = [*range(0, table.shape[1], _BLOCK // 36), table.shape[1]] if cuts is None else cuts
     for start, stop in zip(cuts, cuts[1:]):
         v = table[:, start:stop]
-        k = -(-len(str(v.max())) // 4)
-        slots = np.zeros((stop - start, len(v) + 1, max(wh + k, we)), dtype=np.uint32)
-        slots[:, :len(heads), :wh], slots[:, len(heads):-1, :wh] = heads, heads[-1]
+        d = len(str(v.max()))  # digits of the block's largest value
+        own = max(-(-(h + d) // 4), we) + d // -4  # the words before the top digit word
+        slots = np.zeros((stop - start, len(v) + 1, own - d // -4), dtype=np.uint32)
+        _digit_words(v.T, slots[:, :-1, own:])
+        slots[:, :len(heads), :own], slots[:, len(heads):-1, :own] = heads[:, :own], heads[-1, :own]
+        if h > 4 * own:
+            slots[:, :len(heads), own] |= heads[:, own]
+            slots[:, len(heads):-1, own] |= heads[-1, own]
         slots[:, -1, :we] = ends[0] if end is None else ends[end[start:stop].astype(np.intp)]
-        _digit_words(v.T, slots[:, :-1, wh:wh + k])
         yield slots.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -489,8 +489,10 @@ def assert_same_text(got, want):
 DIGIT_BOUNDARIES = sorted({0, 2**31 - 1} | {10**k + e for k in range(1, 10) for e in (-1, 0, 1)})
 
 
-# the largest residue picks the slot width: one word below 10^5, two from it
-WIDTH_SWITCH = [99_999, 100_000, 100_001]
+# the largest residue picks the slot: with the two-byte head ", " one word to 99, two from
+# 100 and three from 10^6; its digits take two words from 10^4 and three from 10^8, and
+# divide in uint32 below 2^32
+WIDTH_SWITCH = [99, 100, 101, 9_999, 10_000, 999_999, 10**6, 99_999_999, 10**8, 2**32 - 1, 2**32]
 
 
 @settings(max_examples=150, deadline=None)
@@ -501,9 +503,9 @@ WIDTH_SWITCH = [99_999, 100_000, 100_001]
 # 11 rows of 3070 cells: three blocks of whole rows, the last one short
 @example(rows=11, cols=3070, seed=0, top=2**31, largest=None, boundary_share=0.5)
 @example(rows=11, cols=3070, seed=0, top=100_000, largest=None, boundary_share=0.5)
-@example(rows=1, cols=4, seed=0, top=100_000, largest=99_999, boundary_share=0.5)
-@example(rows=1, cols=4, seed=0, top=100_000, largest=100_000, boundary_share=0.5)
-@example(rows=1, cols=4, seed=1, top=10, largest=100_001, boundary_share=0.0)
+@example(rows=1, cols=4, seed=0, top=10, largest=99, boundary_share=0.5)
+@example(rows=1, cols=4, seed=0, top=10, largest=100, boundary_share=0.5)
+@example(rows=1, cols=4, seed=1, top=100_000, largest=2**32, boundary_share=0.0)
 def test_trace_json_matches_json_dumps(rows, cols, seed, top, largest, boundary_share):
     # residues below top, one cell raised to largest: either side of the width switch
     rng = np.random.default_rng(seed)

@@ -13,12 +13,15 @@ from treeca.dynamics import _apply_local
 from treeca.errors import DimensionMismatch, FormatError, SingularMatrix
 from treeca.field import PrimeField
 from treeca.rulematrix import (
+    _BLOCK,
     Params,
     RuleMatrix,
+    _digit_table,
     _level_recursion,
     _level_schedule,
     _positions,
     _reduce,
+    _row_blocks,
     _tree_back,
     _tree_solve,
     _tree_sweep,
@@ -1387,3 +1390,61 @@ def test_level_recursion_at_n_100000_keeps_no_level_list():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert det == 0 and rank == ball_size(n) - sum(3 << (l - 2) for l in range(3, n, 3))
+
+
+# residues of every decimal width and either side of 2^32 and 2^63
+_EDGE_INTS = sorted({10**k + e for k in range(19) for e in (-1, 0, 1)}
+                    | {2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1})
+_WORDS = st.text(st.sampled_from('ab,:[]{} "\n'), max_size=9)  # heads and ends of 0-9 characters
+
+
+@st.composite
+def _row_tables(draw):
+    """(table, heads, ends, end, cuts): an int64 table of edge values and small ones, or an
+    object table with ints past 2^63; heads and ends per column, all empty at times."""
+    cols, rows = draw(st.integers(1, 5)), draw(st.sampled_from([1, 2, 7, 40, _BLOCK // 36 + 3]))
+    if draw(st.booleans()):
+        ints = st.one_of(st.sampled_from(_EDGE_INTS), st.integers(0, 2**63 - 1), st.integers(0, 200))
+        dtype = np.int64
+    else:
+        ints = st.one_of(st.integers(0, 10**30), st.sampled_from([2**63, 2**64 + 1, 10**19, 0]))
+        dtype = object
+    seed = draw(st.integers(0, 2**32 - 1))
+    pool = np.array(draw(st.lists(ints, min_size=1, max_size=8)), dtype=dtype)
+    table = pool[np.random.default_rng(seed).integers(0, len(pool), (cols, rows))]
+    heads = draw(st.one_of(st.just([""]), st.lists(_WORDS, min_size=1, max_size=cols)))
+    ends = draw(st.one_of(st.just([""]), st.lists(_WORDS, min_size=1, max_size=3)))
+    end = None if draw(st.booleans()) else np.random.default_rng(seed).integers(0, len(ends), rows)
+    inner = draw(st.sets(st.integers(1, rows - 1), max_size=4)) if rows > 1 else set()
+    cuts = None if draw(st.booleans()) else [0, *sorted(inner), rows]
+    return table, heads, ends, end, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_row_tables())
+@example(case=(np.array([[1, 3], [3, 3], [3, 2], [2, 4]]), [""], [""], None, None))
+def test_row_blocks_is_the_text_of_its_heads_values_and_ends(case):
+    """Each block of _row_blocks is its whole rows as plain Python writes them: the
+    column's head (the last head for every later column) and str(value), then the row's end."""
+    table, heads, ends, end, cuts = case
+    rows = ["".join(heads[min(j, len(heads) - 1)] + str(int(table[j, i])) for j in range(len(table)))
+            + ends[0 if end is None else int(end[i])] for i in range(table.shape[1])]
+    bounds = [*range(0, len(rows), _BLOCK // 36), len(rows)] if cuts is None else cuts
+    want = ["".join(rows[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert list(_row_blocks(table, heads, ends, end, cuts)) == want
+
+
+@pytest.mark.parametrize("top,bound", [(17, 300_000), (2**31, 650_000)])
+def test_row_blocks_slot_buffer_stays_small(top, bound):
+    """One trace block of 3070 x 5 residues holds a slot of ceil((2 + D) / 4) words per
+    cell: below 17 one word, below 2^31 three, so the traced peak stays under the bound
+    (two and four words per cell, with a NUL word in each row end, peaked at 370 and 739 kB)."""
+    table = np.random.default_rng(0).integers(0, top, size=(3070, 5))
+    _digit_table()
+    tracemalloc.start()
+    try:
+        text = "".join(_row_blocks(table, ("", ", "), ("], [", "]]")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("], [") == 5 and peak < bound
