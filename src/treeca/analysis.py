@@ -315,16 +315,18 @@ def table1_expected() -> list[tuple[int, int, int, int, int, int, str]]:
 
 def table1_check(fixture_text: str) -> tuple[np.ndarray, np.ndarray]:
     """Recompute every fixture row and diff verdicts; raises FixtureMismatch
-    with per-row diffs if anything disagrees, FormatError if a column or a
-    field is missing. Each row is checked as classify checks it, in fixture
-    order; then the rows are answered in one pass per level count, as the
-    columns (table, reversible) in fixture order."""
+    with per-row diffs if anything disagrees, FormatError if a column is missing
+    or a row lacks one of its fields or has more fields than the header. Each row
+    is checked as classify checks it, in fixture order; then the rows are answered
+    in one pass per level count, as the columns (table, reversible) in fixture order."""
     reader = csv.DictReader(io.StringIO(fixture_text))
     columns = ("a", "b", "c", "d", "n", "p", "reversibility")
     if missing := [k for k in columns if k not in (reader.fieldnames or ())]:
         raise FormatError(f"fixture has no column {', '.join(missing)}")
     rows, verdicts = [], []
     for row in reader:
+        if None in row:  # DictReader files the fields past the header under the key None
+            raise FormatError(f"fixture line {reader.line_num} has more fields than the header")
         if any(row[k] is None for k in columns):
             raise FormatError(f"fixture line {reader.line_num} has fewer fields than the header")
         a, b, c, d, n, p = (int(row[k]) for k in columns[:6])

@@ -12,24 +12,22 @@ main reads a well-formed argv, `<subcommand> (flag value | bare-flag)*` with
 exact option strings, no value starting with "-", every type and choice good
 and every required flag given, from the subcommand's flag table. Any other
 argv (help, `--samp`, `--seed=4`, `-n2`, every usage error) goes to argparse.
+
+At import this module loads argparse and treeca.errors alone; each cmd_* imports
+what it calls (the library module, json, pathlib) after its usage checks, so no
+usage error or help loads NumPy, and det, matrix, evolve and garden load no
+treeca.analysis.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import itertools
-import json
 import os
 import sys
-from pathlib import Path
-from typing import Iterable
+from collections.abc import Iterable
 
-from . import analysis, dynamics, rulematrix
-from .errors import DimensionMismatch, FixtureMismatch, InvalidLevel, TreecaError
-from .field import PrimeField
-from .rulematrix import Params, build_rule_matrix
-from .tree import TreeShape
+from .errors import DimensionMismatch, FixtureMismatch, FormatError, InvalidLevel, TreecaError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,16 +45,19 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         sys.stdout.writelines(parts)
 
 
-def _params(args) -> Params:
-    field = PrimeField(args.p)
-    return Params(a=args.a, b=args.b, c=args.c, d=args.d, field=field,
-                  allow_zero=args.allow_zero_coeffs)
+def _params(args):
+    from . import field, rulematrix
+
+    return rulematrix.Params(a=args.a, b=args.b, c=args.c, d=args.d, field=field.PrimeField(args.p),
+                             allow_zero=args.allow_zero_coeffs)
 
 
-def _matrix(args, indexed: bool = False) -> rulematrix.RuleMatrix:
+def _matrix(args, indexed: bool = False):
+    from . import rulematrix, tree
+
     if indexed and args.n > 61:  # every vertex has an int64 index; refused before 2^n is formed
         raise InvalidLevel(f"level {args.n}: |V_n| = 3*2^n - 2 is past int64 indexing (n <= 61)")
-    return build_rule_matrix(TreeShape(args.n), _params(args))
+    return rulematrix.build_rule_matrix(tree.TreeShape(args.n), _params(args))
 
 
 def _add_param_flags(sub):
@@ -125,16 +126,22 @@ def _at_least(args, low: int, *dests: str) -> None:
 
 
 def cmd_matrix(args) -> int:
+    from . import rulematrix
+
     _emit(rulematrix.matrix_blocks(_matrix(args, indexed=True), sparse=args.sparse), args.out)
     return EXIT_OK
 
 
 def cmd_det(args) -> int:
+    from . import rulematrix
+
     _emit(f"{rulematrix.linalg_report(_matrix(args)).det}\n", args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
+    from . import analysis
+
     rec = analysis.classify(args.a, args.b, args.c, args.d, args.n, args.p,
                             allow_zero=args.allow_zero_coeffs)
     if args.format == "json":
@@ -152,6 +159,10 @@ def cmd_classify(args) -> int:
 
 def cmd_evolve(args) -> int:
     _at_least(args, 0, "steps")
+    from pathlib import Path
+
+    from . import dynamics
+
     cfg = dynamics.parse_config(Path(args.input).read_text() if args.input else sys.stdin.read())
     if cfg.shape.n != args.n or cfg.p != args.p:
         raise DimensionMismatch(
@@ -168,6 +179,10 @@ def cmd_evolve(args) -> int:
 
 def cmd_garden(args) -> int:
     _at_least(args, 0, "samples", "seed")
+    import json
+
+    from . import dynamics
+
     rep = dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples, seed=args.seed)
     head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
                        "image_size": rep.image_size, "garden_count": rep.garden_count,
@@ -185,6 +200,10 @@ def cmd_garden(args) -> int:
 
 def cmd_entropy(args) -> int:
     _at_least(args, 1, "max_n")
+    import json
+
+    from . import analysis
+
     seq = analysis.entropy_sequence(args.p, args.max_n)
     if args.format == "json":
         text = json.dumps(
@@ -199,8 +218,10 @@ def cmd_entropy(args) -> int:
 
 def cmd_probe(args) -> int:
     _at_least(args, 1, "steps")
+    from . import analysis, tree
+
     probe = analysis.partition_atom_count(_params(args), steps=args.steps,
-                                          truncation=TreeShape(args.n), mode=args.mode)
+                                          truncation=tree.TreeShape(args.n), mode=args.mode)
     text = (
         f"steps={probe.steps} truncation_level={probe.truncation_level} p={probe.p} "
         f"mode={probe.mode}\n"
@@ -211,17 +232,29 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    return tuple(rulematrix._int64s([t for t in text.split(",") if t.strip()],
-                                    f"{flag} holds a number outside int64").tolist())
+def _parse_int_list(args, dest: str) -> tuple[int, ...]:
+    """dest's comma-separated integers: an item that int() refuses is a usage error, as a
+    bad -n is, and one past int64 is a FormatError. Read with no NumPy loaded."""
+    flag = "--" + dest.replace("_", "-")
+    tokens = [t for t in getattr(args, dest).split(",") if t.strip()]
+    try:  # a token past 20 characters (19 digits and a sign) is past int64, unread by int()
+        values = [int(t) if len(t) <= 20 else 1 << 63 for t in tokens]
+    except ValueError as exc:  # int()'s own message, naming the item
+        args.usage_error(f"argument {flag}: {exc}")
+    if not all(-(1 << 63) <= v < 1 << 63 for v in values):
+        raise FormatError(f"{flag} holds a number outside int64")
+    return tuple(values)
 
 
 def cmd_sweep(args) -> int:
     _at_least(args, 0, "random", "seed")
     if args.random and any(getattr(args, f"{k}_values") for k in "abcd"):
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
-    lists = {f"{k}_values": _parse_int_list(getattr(args, f"{k}_values"), f"--{k}-values")
-             for k in "abcdnp"}
+    lists = {f"{k}_values": _parse_int_list(args, f"{k}_values") for k in "abcdnp"}
+    import json
+
+    from . import analysis
+
     columns = analysis.sweep(analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed))
     if args.format == "json":  # json.dumps({"seed": .., "records": [..]}, indent=2), in blocks
         seed = json.dumps(args.seed if args.random else None)
@@ -234,11 +267,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def fixture_path() -> Path:
-    return Path(importlib.resources.files("treeca") / "data" / "table1.csv")
+def fixture_path():
+    import importlib.resources
+
+    return importlib.resources.files("treeca") / "data" / "table1.csv"  # a Path in a directory
 
 
 def cmd_table1(args) -> int:
+    from pathlib import Path
+
+    from . import analysis
+
     path = Path(args.fixture) if args.fixture else fixture_path()
     _emit(analysis.csv_blocks(analysis.table1_check(path.read_text())), args.out)
     return EXIT_OK

@@ -177,6 +177,18 @@ def test_table1_malformed_fixture(tmp_path, capsys, edit):
     assert "format-error" in err
 
 
+@pytest.mark.parametrize("row,count", [("1,1,1,1,2,2,irreversible,extra", "more"),
+                                       ("1,1,1,1,2,2", "fewer")])
+def test_table1_row_with_a_field_count_off_the_header_is_a_format_error(tmp_path, capsys, row,
+                                                                         count):
+    """A row longer than the header is refused as a shorter one is (the longer one
+    exited 0: DictReader files its extra fields under the key None)."""
+    f = tmp_path / "fixture.csv"
+    f.write_text(f"a,b,c,d,n,p,reversibility\n{row}\n")
+    assert run(capsys, "table1", "--fixture", str(f)) == (
+        3, "", f"error format-error: fixture line 2 has {count} fields than the header\n")
+
+
 def test_probe_large_steps_is_invalid_input(capsys):
     code, out, err = run(capsys, "probe", "-n", "1", "-p", "2",
                          "-a", "1", "-b", "1", "-c", "1", "-d", "1", "--steps", "40")
@@ -777,6 +789,19 @@ def test_sweep_refuses_an_oversized_token(capsys, monkeypatch):
         3, "", "error format-error: --n-values holds a number outside int64\n")
 
 
+@pytest.mark.parametrize("argv,flag,item", [
+    (["sweep", "--p-values", "5,x"], "--p-values", "x"),
+    (["sweep", "--p-values", "5", "--n-values", "2.5"], "--n-values", "2.5"),
+])
+def test_sweep_non_integer_item_is_a_usage_error(capsys, monkeypatch, argv, flag, item):
+    """A value-list item that int() refuses is a usage error under sweep's usage
+    line, as a bad -n is elsewhere (it exited 3 with int()'s bare message)."""
+    usage = build_parser().subcommands["sweep"].format_usage()
+    assert run_exit(capsys, monkeypatch, argv) == (
+        2, "", f"{usage}treeca sweep: error: argument {flag}: "
+               f"invalid literal for int() with base 10: {item!r}\n")
+
+
 @pytest.mark.parametrize("p", [17, 99_991, 100_003, 2**31 - 1])
 def test_evolve_out_file_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, p):
     """--out and stdout get the same bytes, json.dumps of the trace; the
@@ -1114,3 +1139,53 @@ def test_with_no_digit_limit_an_enumeration_count_is_not_formed(tmp_path):
     code, out, err = _answer(["-c", script], tmp_path)
     assert (code, out) == (1, "")
     assert err.endswith("EnumerationTooLarge: 3^201326590 configurations exceed cap 2\n")
+
+
+_LOADED = ("import atexit, sys\n"  # the modules loaded, as stderr's last line at exit
+           "atexit.register(lambda: sys.stderr.write('\\n' + ' '.join(sys.modules) + '\\n'))\n")
+HEAVY = {"numpy", "json", "csv", "concurrent.futures"}
+
+
+def _loaded(code, tmp_path):
+    """(exit code, stdout, the modules loaded) of a cold process running code."""
+    status, out, err = _answer(["-c", _LOADED + code], tmp_path)
+    return status, out, set(err.splitlines()[-1].split())
+
+
+def _treeca_loaded(argv, tmp_path):
+    return _loaded(f"from treeca import cli\nsys.exit(cli.main({argv!r}))\n", tmp_path)
+
+
+def test_import_treeca_loads_no_submodule(tmp_path):
+    _, _, loaded = _loaded("import treeca\n", tmp_path)
+    assert {m for m in loaded if m.startswith("treeca")} == {"treeca"}
+    assert "numpy" not in loaded
+
+
+def test_the_parser_loads_only_cli_and_errors(tmp_path):
+    _, _, loaded = _loaded("import treeca.cli\ntreeca.cli.build_parser()\n", tmp_path)
+    assert {m for m in loaded if m.startswith("treeca")} == {"treeca", "treeca.cli", "treeca.errors"}
+    assert not loaded & HEAVY
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0), (["det", "--help"], 0), (["classify", "-a", "1"], 2),
+    (["evolve", *COEFFS, "-n", "1", "-p", "3", "--steps", "-1"], 2),
+    (["sweep", "--p-values", "5,x"], 2),
+])
+def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):
+    """argparse's usage errors and the subcommands' own (a count below its bound,
+    a value-list item int() refuses) alike."""
+    status, _, loaded = _treeca_loaded(argv, tmp_path)
+    assert status == code and "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", *COEFFS, "-n", "3", "-p", "5"], ["matrix", *COEFFS, "-n", "2", "-p", "5"],
+    ["evolve", *COEFFS, "-n", "1", "-p", "3", "--input", "start.cfg"],
+    ["garden", *COEFFS, "-n", "2", "-p", "2", "--samples", "1"],
+])
+def test_matrix_questions_never_load_analysis(tmp_path, argv):
+    (tmp_path / "start.cfg").write_text(CONFIG_N1_P3)
+    status, out, loaded = _treeca_loaded(argv, tmp_path)
+    assert status == 0 and out and "treeca.analysis" not in loaded

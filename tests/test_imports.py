@@ -1,6 +1,11 @@
-"""Every name a treeca module imports is used there; no test oracle is a package export."""
+"""Every name a treeca module imports is used there; no test oracle is a package export;
+the package exports load on first read."""
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -44,3 +49,49 @@ def test_oracles_are_not_package_exports(module, name):
     with pytest.raises(ImportError):
         exec(f"from treeca import {name}", {})
     assert callable(getattr(importlib.import_module(f"treeca.{module}"), name))
+
+
+# what `from treeca import *` bound when the package imported every export eagerly
+STAR = {"Configuration", "EntropySequence", "GardenReport", "LinAlgReport", "Params",
+        "PartitionProbe", "PrimeField", "ReversibilityRecord", "RuleMatrix", "SolutionSet",
+        "SweepSpec", "TreeShape", "analysis", "build_rule_matrix", "classify", "dynamics",
+        "entropy_sequence", "errors", "evolve", "field", "garden_report", "invert", "is_prime",
+        "kernel_basis", "linalg_report", "partition_atom_count", "preimages", "rulematrix",
+        "solve", "step_local", "sweep", "tree"}
+
+
+@pytest.mark.parametrize("name", treeca.__all__)
+def test_each_export_is_its_owning_modules_object(name):
+    obj = getattr(treeca, name)
+    if isinstance(obj, types.ModuleType):
+        assert obj is importlib.import_module(f"treeca.{name}")
+    else:
+        assert obj.__module__.startswith("treeca.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_star_import_binds_the_eager_export_set():
+    namespace = {}
+    exec("from treeca import *", namespace)
+    assert set(namespace) - {"__builtins__"} == STAR == set(treeca.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'treeca' has no attribute 'no_such_name'"):
+        getattr(treeca, "no_such_name")
+
+
+def test_exports_and_submodules_resolve_after_a_bare_import():
+    """In a fresh process: a bare `import treeca` binds no export and no submodule,
+    and each resolves on first read, an export entering vars(treeca) then."""
+    script = ("import treeca\n"
+              "assert not {'classify', 'dynamics', 'evolve'} & vars(treeca).keys()\n"
+              "assert treeca.dynamics.__name__ == 'treeca.dynamics'\n"
+              "assert 'evolve' not in vars(treeca)\n"
+              "assert treeca.evolve is treeca.dynamics.evolve and 'evolve' in vars(treeca)\n"
+              "assert not hasattr(treeca, 'cli') and not hasattr(treeca, 'parent')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
