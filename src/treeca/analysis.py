@@ -106,24 +106,35 @@ def sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """classify every tuple of the spec, in canonical order (ReversibilityRecord.sort_key), as
     the columns (table, reversible) of _verdict_columns, which build no record. The
     (p, n) groups are seeded draws from Z_p^* or the cartesian product; the first bad tuple in
-    generation order raises classify's error (modulus, coefficients, level), an empty group none."""
+    generation order raises classify's error (modulus, coefficients, level), an empty group none.
+    The product is formed once, as int64 columns, when a group has passed its checks."""
     lists = (spec.a_values, spec.b_values, spec.c_values, spec.d_values)
     rng = np.random.default_rng(spec.seed) if spec.random_count else None
-    rows, parts = None if rng else list(itertools.product(*lists)), []
+    count = spec.random_count if rng else math.prod(map(len, lists))  # a group's tuples
+    grid, parts = None, []
     # an empty cartesian product makes no group, so it checks no modulus or level
-    for p, n in itertools.product(spec.p_values, spec.n_values if rows != [] else ()):
+    for p, n in itertools.product(spec.p_values, spec.n_values if count else ()):
         field = PrimeField(p)  # before the draws: rng.integers(1, p) needs p >= 2
-        if rng:
-            rows = rng.integers(1, p, size=(spec.random_count, 4))
-        elif not all(0 < v < p for v in itertools.chain(*lists)):
-            first = next(t for t in rows if not all(0 < v < p for v in t))
-            if first is not rows[0]:
+        if not rng and not all(0 < v < p for v in itertools.chain(*lists)):
+            # the product's first bad tuple: its first tuple, if that is bad, else the
+            # fastest-varying list's first bad value with every other list at its first
+            first = [values[0] for values in lists]
+            if all(0 < v < p for v in first):
+                k = max(k for k, values in enumerate(lists) if not all(0 < v < p for v in values))
+                first[k] = next(v for v in lists[k] if not 0 < v < p)
                 _printable_shape(n)  # the group's first tuple is good, so its level comes first
             Params(*first, field=field)  # raises the coefficient's error
         _printable_shape(n)
-        parts.append(np.vstack([np.asarray(rows, np.int64).T, np.full((2, len(rows)), [[n], [p]])]))
+        if count > np.iinfo(np.intp).max // 48:  # NumPy would refuse it as a ValueError
+            raise MemoryError(f"Unable to allocate a sweep's columns: 6 arrays of {count} int64 "
+                              f"values are past the address range")
+        if not rng and grid is None:
+            grid = np.stack(np.broadcast_arrays(*np.ix_(*lists))).reshape(4, -1)
+        parts.append(np.empty((6, count), dtype=np.int64))
+        parts[-1][:4] = rng.integers(1, p, size=(count, 4)).T if rng else grid
+        parts[-1][4:] = [[n], [p]]
     cols = np.hstack(parts) if parts else np.empty((6, 0), dtype=np.int64)
-    del parts  # a sweep's memory is a few copies of its columns at most
+    del parts, grid  # a sweep's memory is a few copies of its columns at most
     cols = cols[:, np.lexsort((*cols[3::-1], cols[4], cols[5]))]
     return _verdict_columns(cols)
 
@@ -315,8 +326,9 @@ def table1_expected() -> list[tuple[int, int, int, int, int, int, str]]:
 
 def table1_check(fixture_text: str) -> tuple[np.ndarray, np.ndarray]:
     """Recompute every fixture row and diff verdicts; raises FixtureMismatch
-    with per-row diffs if anything disagrees, FormatError if a column is missing
-    or a row lacks one of its fields or has more fields than the header. Each row
+    with per-row diffs if anything disagrees, FormatError if a column is missing,
+    a row lacks one of its fields or has more fields than the header, or a number
+    field is not an integer or is longer than int64's 20 characters. Each row
     is checked as classify checks it, in fixture order; then the rows are answered
     in one pass per level count, as the columns (table, reversible) in fixture order."""
     reader = csv.DictReader(io.StringIO(fixture_text))
@@ -329,7 +341,16 @@ def table1_check(fixture_text: str) -> tuple[np.ndarray, np.ndarray]:
             raise FormatError(f"fixture line {reader.line_num} has more fields than the header")
         if any(row[k] is None for k in columns):
             raise FormatError(f"fixture line {reader.line_num} has fewer fields than the header")
-        a, b, c, d, n, p = (int(row[k]) for k in columns[:6])
+        values = []
+        for k in columns[:6]:  # past 20 characters (19 digits and a sign) is past int64
+            if len(row[k]) > 20:
+                raise FormatError(f"fixture line {reader.line_num} field {k} is outside int64")
+            try:
+                values.append(int(row[k]))
+            except ValueError:
+                raise FormatError(f"fixture line {reader.line_num} field {k} is not an integer: "
+                                  f"{row[k]!r}") from None
+        a, b, c, d, n, p = values
         Params(a=a, b=b, c=c, d=d, field=PrimeField(p))
         rows.append((a, b, c, d, _printable_shape(n).n, p))
         verdicts.append(row["reversibility"])

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand is a thin adapter over the library: it parses flags,
-calls one library routine, serializes the result, and exits. Exit codes
-are stable: 0 success, 2 usage error, 3 domain error, 4 fixture mismatch.
+Every subcommand is a thin adapter over the library: its cmd_* function
+takes the parsed flags, calls one library routine and returns the serialized
+result, a str or an iterable of strings. main writes that text to stdout or
+--out, the strings as they are made, and owns the exit codes, which are
+stable: 0 success, 2 usage error, 3 domain error, 4 fixture mismatch.
 
 main reuses one parser per process: build_parser is cached, so each
 subcommand's cmd_* function is bound when the parser is first built. To
@@ -13,10 +15,11 @@ exact option strings, no value starting with "-", every type and choice good
 and every required flag given, from the subcommand's flag table. Any other
 argv (help, `--samp`, `--seed=4`, `-n2`, every usage error) goes to argparse.
 
-At import this module loads argparse and treeca.errors alone; each cmd_* imports
-what it calls (the library module, json, pathlib) after its usage checks, so no
-usage error or help loads NumPy, and det, matrix, evolve and garden load no
-treeca.analysis.
+At import this module loads argparse, the package and treeca.errors alone. Each
+cmd_* reads the library as treeca.<module>, which the package imports on first
+read, and imports json or pathlib itself, all after its usage checks. So no usage
+error or help loads NumPy; det, matrix, evolve and garden load no treeca.analysis;
+and the other five load no treeca.dynamics.
 """
 from __future__ import annotations
 
@@ -25,39 +28,26 @@ import functools
 import itertools
 import os
 import sys
-from collections.abc import Iterable
+
+import treeca
 
 from .errors import DimensionMismatch, FixtureMismatch, FormatError, InvalidLevel, TreecaError
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_FIXTURE = 4
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write text, or an iterable's strings as they are made, to file out or stdout."""
-    parts = [text] if isinstance(text, str) else text
-    if out:
-        with open(out, "w") as f:
-            f.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
-
-
 def _params(args):
-    from . import field, rulematrix
-
-    return rulematrix.Params(a=args.a, b=args.b, c=args.c, d=args.d, field=field.PrimeField(args.p),
-                             allow_zero=args.allow_zero_coeffs)
+    return treeca.rulematrix.Params(a=args.a, b=args.b, c=args.c, d=args.d,
+                                    field=treeca.field.PrimeField(args.p),
+                                    allow_zero=args.allow_zero_coeffs)
 
 
 def _matrix(args, indexed: bool = False):
-    from . import rulematrix, tree
-
     if indexed and args.n > 61:  # every vertex has an int64 index; refused before 2^n is formed
         raise InvalidLevel(f"level {args.n}: |V_n| = 3*2^n - 2 is past int64 indexing (n <= 61)")
-    return rulematrix.build_rule_matrix(tree.TreeShape(args.n), _params(args))
+    return treeca.rulematrix.build_rule_matrix(treeca.tree.TreeShape(args.n), _params(args))
 
 
 def _add_param_flags(sub):
@@ -125,44 +115,31 @@ def _at_least(args, low: int, *dests: str) -> None:
             args.usage_error(f"--{flag} must be >= {low}, got {getattr(args, dest)}")
 
 
-def cmd_matrix(args) -> int:
-    from . import rulematrix
-
-    _emit(rulematrix.matrix_blocks(_matrix(args, indexed=True), sparse=args.sparse), args.out)
-    return EXIT_OK
+def cmd_matrix(args):
+    return treeca.rulematrix.matrix_blocks(_matrix(args, indexed=True), sparse=args.sparse)
 
 
-def cmd_det(args) -> int:
-    from . import rulematrix
-
-    _emit(f"{rulematrix.linalg_report(_matrix(args)).det}\n", args.out)
-    return EXIT_OK
+def cmd_det(args):
+    return f"{treeca.rulematrix.linalg_report(_matrix(args)).det}\n"
 
 
-def cmd_classify(args) -> int:
-    from . import analysis
-
+def cmd_classify(args):
+    analysis = treeca.analysis
     rec = analysis.classify(args.a, args.b, args.c, args.d, args.n, args.p,
                             allow_zero=args.allow_zero_coeffs)
     if args.format == "json":
-        text = analysis.records_to_json([rec]) + "\n"
-    elif args.format == "csv":
-        text = analysis.records_to_csv([rec])
-    else:
-        text = (
-            f"a={rec.a} b={rec.b} c={rec.c} d={rec.d} n={rec.n} p={rec.p} "
-            f"det={rec.det} rank={rec.rank} verdict={rec.verdict}\n"
-        )
-    _emit(text, args.out)
-    return EXIT_OK
+        return analysis.records_to_json([rec]) + "\n"
+    if args.format == "csv":
+        return analysis.records_to_csv([rec])
+    return (f"a={rec.a} b={rec.b} c={rec.c} d={rec.d} n={rec.n} p={rec.p} "
+            f"det={rec.det} rank={rec.rank} verdict={rec.verdict}\n")
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args):
     _at_least(args, 0, "steps")
     from pathlib import Path
 
-    from . import dynamics
-
+    dynamics = treeca.dynamics
     cfg = dynamics.parse_config(Path(args.input).read_text() if args.input else sys.stdin.read())
     if cfg.shape.n != args.n or cfg.p != args.p:
         raise DimensionMismatch(
@@ -171,19 +148,17 @@ def cmd_evolve(args) -> int:
         )
     params = _params(args)
     if args.format == "text":  # the last configuration only, so no trace is kept
-        _emit(dynamics.format_config(dynamics.evolve_last(cfg, params, args.steps)), args.out)
-    else:  # the trace's text is written block by block, as its states are stepped
-        _emit(itertools.chain(dynamics.evolve_blocks(cfg, params, args.steps), ["\n"]), args.out)
-    return EXIT_OK
+        return dynamics.format_config(dynamics.evolve_last(cfg, params, args.steps))
+    # the trace's text is written block by block, as its states are stepped
+    return itertools.chain(dynamics.evolve_blocks(cfg, params, args.steps), ["\n"])
 
 
-def cmd_garden(args) -> int:
+def cmd_garden(args):
     _at_least(args, 0, "samples", "seed")
     import json
 
-    from . import dynamics
-
-    rep = dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples, seed=args.seed)
+    rep = treeca.dynamics.garden_report(_matrix(args, indexed=True), samples=args.samples,
+                                        seed=args.seed)
     head = json.dumps({"order": rep.order, "rank": rep.rank, "p": rep.p,
                        "image_size": rep.image_size, "garden_count": rep.garden_count,
                        "seed": args.seed}, indent=2)
@@ -191,45 +166,32 @@ def cmd_garden(args) -> int:
     rows = ",\n    ".join("[\n      " + ",\n      ".join(map(str, c.values.tolist())) + "\n    ]"
                           for c in rep.sample_garden_configs)
     samples = f"[\n    {rows}\n  ]" if rows else "[]"
-    _emit(f'{head[:-2]},\n  "sample_garden_configs": {samples}\n}}\n', args.out)
     if rep.garden_count and len(rep.sample_garden_configs) < args.samples:
         sys.stderr.write(f"warning: found {len(rep.sample_garden_configs)} of {args.samples} "
-                         f"samples after {dynamics.GARDEN_DRAWS} draws\n")
-    return EXIT_OK
+                         f"samples after {treeca.dynamics.GARDEN_DRAWS} draws\n")
+    return f'{head[:-2]},\n  "sample_garden_configs": {samples}\n}}\n'
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args):
     _at_least(args, 1, "max_n")
     import json
 
-    from . import analysis
-
-    seq = analysis.entropy_sequence(args.p, args.max_n)
-    if args.format == "json":
-        text = json.dumps(
-            {"p": seq.p, "terms": [{"n": n, "H_n": h, "H_n_over_n": hn} for n, h, hn in seq.terms]},
-            indent=2,
-        ) + "\n"
-    else:
-        text = analysis.entropy_csv(seq)
-    _emit(text, args.out)
-    return EXIT_OK
+    seq = treeca.analysis.entropy_sequence(args.p, args.max_n)
+    if args.format == "csv":
+        return treeca.analysis.entropy_csv(seq)
+    terms = [{"n": n, "H_n": h, "H_n_over_n": hn} for n, h, hn in seq.terms]
+    return json.dumps({"p": seq.p, "terms": terms}, indent=2) + "\n"
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args):
     _at_least(args, 1, "steps")
-    from . import analysis, tree
-
-    probe = analysis.partition_atom_count(_params(args), steps=args.steps,
-                                          truncation=tree.TreeShape(args.n), mode=args.mode)
-    text = (
-        f"steps={probe.steps} truncation_level={probe.truncation_level} p={probe.p} "
-        f"mode={probe.mode}\n"
-        f"observed_atom_count={probe.atom_count}\n"
-        f"claimed_atom_count={probe.claimed_atom_count}\n"
-    )
-    _emit(text, args.out)
-    return EXIT_OK
+    probe = treeca.analysis.partition_atom_count(_params(args), steps=args.steps,
+                                                 truncation=treeca.tree.TreeShape(args.n),
+                                                 mode=args.mode)
+    return (f"steps={probe.steps} truncation_level={probe.truncation_level} p={probe.p} "
+            f"mode={probe.mode}\n"
+            f"observed_atom_count={probe.atom_count}\n"
+            f"claimed_atom_count={probe.claimed_atom_count}\n")
 
 
 def _parse_int_list(args, dest: str) -> tuple[int, ...]:
@@ -246,25 +208,21 @@ def _parse_int_list(args, dest: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     _at_least(args, 0, "random", "seed")
     if args.random and any(getattr(args, f"{k}_values") for k in "abcd"):
         args.usage_error("--random draws (a, b, c, d) itself: it takes no --a-values .. --d-values")
     lists = {f"{k}_values": _parse_int_list(args, f"{k}_values") for k in "abcdnp"}
     import json
 
-    from . import analysis
-
+    analysis = treeca.analysis
     columns = analysis.sweep(analysis.SweepSpec(**lists, random_count=args.random, seed=args.seed))
     if args.format == "json":  # json.dumps({"seed": .., "records": [..]}, indent=2), in blocks
         seed = json.dumps(args.seed if args.random else None)
-        blocks = itertools.chain([f'{{\n  "seed": {seed},\n  "records": '],
-                                 analysis.json_blocks(columns, "  "), ["\n}\n"])
-    else:
-        blocks = itertools.chain([f"# seed={args.seed}\n"] if args.random else [],
-                                 analysis.csv_blocks(columns))
-    _emit(blocks, args.out)
-    return EXIT_OK
+        return itertools.chain([f'{{\n  "seed": {seed},\n  "records": '],
+                               analysis.json_blocks(columns, "  "), ["\n}\n"])
+    return itertools.chain([f"# seed={args.seed}\n"] if args.random else [],
+                           analysis.csv_blocks(columns))
 
 
 def fixture_path():
@@ -273,14 +231,11 @@ def fixture_path():
     return importlib.resources.files("treeca") / "data" / "table1.csv"  # a Path in a directory
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args):
     from pathlib import Path
 
-    from . import analysis
-
     path = Path(args.fixture) if args.fixture else fixture_path()
-    _emit(analysis.csv_blocks(analysis.table1_check(path.read_text())), args.out)
-    return EXIT_OK
+    return treeca.analysis.csv_blocks(treeca.analysis.table1_check(path.read_text()))
 
 
 @functools.cache
@@ -347,7 +302,14 @@ def main(argv=None) -> int:
         if unread:  # argparse hands them back to the top-level parser, whose usage line lists all nine
             args.usage_error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        return args.func(args)
+        text = args.func(args)
+        parts = [text] if isinstance(text, str) else text  # an iterable's strings, as they are made
+        if args.out:
+            with open(args.out, "w") as f:
+                f.writelines(parts)
+        else:
+            sys.stdout.writelines(parts)
+        return EXIT_OK
     except FixtureMismatch as exc:
         sys.stderr.write(f"error {exc.code}: {exc}\n")
         for line in exc.diffs:

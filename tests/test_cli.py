@@ -1014,10 +1014,10 @@ def test_a_failed_out_write_is_invalid_input(capsys, monkeypatch, argv):
     assert (code, out) == (3, "") and err.startswith("error invalid-input: [Errno 28]")
 
 
-def _treeca_process(args, cwd, **environ):
+def _treeca_process(args, cwd, preexec_fn=None, **environ):
     """A Python process with piped stdout and stderr that imports this treeca,
     its stdout block-buffered as in a shell pipeline (PYTHONUNBUFFERED unset),
-    with the environment variables environ added."""
+    with the environment variables environ added, running preexec_fn first."""
     import os
     import subprocess
 
@@ -1027,8 +1027,8 @@ def _treeca_process(args, cwd, **environ):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env.update(environ)
-    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, cwd=cwd, env=env)
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            cwd=cwd, env=env, preexec_fn=preexec_fn)
 
 
 @pytest.mark.parametrize("command", [["matrix", "-n", "11"],
@@ -1189,3 +1189,130 @@ def test_matrix_questions_never_load_analysis(tmp_path, argv):
     (tmp_path / "start.cfg").write_text(CONFIG_N1_P3)
     status, out, loaded = _treeca_loaded(argv, tmp_path)
     assert status == 0 and out and "treeca.analysis" not in loaded
+
+
+# Each cmd_* returns its text, a str or an iterable of strings; main writes it.
+
+
+def _returned_text(args):
+    text = args.func(args)
+    return text if isinstance(text, str) else "".join(text)
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_each_subcommand_returns_the_text_main_writes(capsys, monkeypatch, command):
+    """args.func(args) returns what main writes, and writes nothing itself."""
+    argv, stdin = VALID[command]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    text = _returned_text(build_parser().parse_args(argv))
+    assert capsys.readouterr() == ("", "")
+    assert run_exit(capsys, monkeypatch, argv, stdin) == (0, text, "")
+
+
+@pytest.mark.parametrize("command", list(VALID))
+def test_out_holds_the_stdout_bytes(tmp_path, capsys, monkeypatch, command):
+    argv, stdin = VALID[command]
+    code, want, _ = run_exit(capsys, monkeypatch, argv, stdin)
+    out = tmp_path / "answer"
+    assert run_exit(capsys, monkeypatch, [*argv, "--out", str(out)], stdin) == (0, "", "")
+    assert out.read_bytes() == want.encode() and code == 0 and want
+
+
+@pytest.mark.parametrize("argv,stdin,code,line", [
+    (["matrix", *COEFFS, "-n", "2", "-p", "4"], "", 3,
+     "error non-prime-modulus: modulus 4 is not prime\n"),
+    (["evolve", *COEFFS, "-n", "1", "-p", "3"], "treeca-config 1 1 3\n0 1 2\n", 3,
+     "error format-error: expected 4 residues, got 3\n"),
+    ([*UNIT_SWEEP[:-1], "0"], "", 3, "error invalid-input: coefficient d must be nonzero\n"),
+    (["table1", "--fixture", "tampered.csv"], "", 4,
+     "error fixture-mismatch: 1 row(s) differ from fixture\n"
+     "  (a=1,b=1,c=1,d=1,n=2,p=2): computed irreversible, fixture says reversible\n"),
+], ids=["matrix", "evolve", "sweep", "table1"])
+def test_a_domain_error_under_out_leaves_no_file(tmp_path, capsys, monkeypatch, argv, stdin, code,
+                                                 line):
+    (tmp_path / "tampered.csv").write_text("a,b,c,d,n,p,reversibility\n1,1,1,1,2,2,reversible\n")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "answer"
+    assert run_exit(capsys, monkeypatch, [*argv, "--out", str(out)], stdin) == (code, "", line)
+    assert not out.exists()
+
+
+def test_garden_shortfall_under_out_writes_the_payload_and_warns(tmp_path, capsys):
+    argv = ["garden", *COEFFS, "-n", "1", "-p", "2", "--samples", "10001"]
+    code, payload, warning = run(capsys, *argv)
+    out = tmp_path / "garden.json"
+    assert run(capsys, *argv, "--out", str(out)) == (0, "", warning)
+    assert out.read_text() == payload and warning.startswith("warning: found ")
+
+
+def test_cli_binds_the_package_and_no_library_module():
+    import types
+
+    import treeca
+
+    bound = {name: value for name, value in vars(cli).items()
+             if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "treeca"}
+    assert bound == {"treeca": treeca}
+
+
+@pytest.mark.parametrize("command", ["classify", "probe", "entropy", "sweep", "table1"])
+def test_the_analysis_questions_never_load_dynamics(tmp_path, command):
+    status, out, loaded = _treeca_loaded(VALID[command][0], tmp_path)
+    assert status == 0 and out and "treeca.dynamics" not in loaded
+
+
+def _capped_answer(argv, tmp_path):
+    """(exit code, stdout, stderr) of cli.main(argv) in a process of its own, within a
+    1 GB address space and 20 s: a sweep that formed its product would fail both."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    (tmp_path / "argv.json").write_text(json.dumps(argv))  # past the 128 kB of one argument
+    script = ("import json, sys\nfrom treeca import cli\n"
+              "sys.exit(cli.main(json.load(open('argv.json'))))\n")
+    proc = _treeca_process(["-c", script], tmp_path, preexec_fn=cap)
+    try:
+        out, err = proc.communicate(timeout=20)
+    finally:
+        proc.kill()
+    return proc.returncode, out.decode(), err.decode()
+
+
+PAST_THE_ADDRESS_RANGE = ("error out-of-memory: Unable to allocate a sweep's columns: 6 arrays of "
+                          "{} int64 values are past the address range\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    # 10^8 tuples, the first (0, 0, 0, 0): it grew to any address-space limit before its check
+    (["sweep", "--p-values", "5",
+      *(f for k in "abcd" for f in (f"--{k}-values", ",".join(map(str, range(100)))))],
+     "error invalid-input: coefficient a must be nonzero\n"),
+    # NumPy's "Maximum allowed dimension exceeded" came out as invalid-input
+    (["sweep", "--random", str(10**20), "--p-values", "5"], PAST_THE_ADDRESS_RANGE.format(10**20)),
+    # 60 000^4 good tuples: NumPy's "broadcast dimensions too large"
+    (["sweep", "--p-values", str(2**31 - 1),
+      *(f for k in "abcd" for f in (f"--{k}-values", ",".join(map(str, range(1, 60001)))))],
+     PAST_THE_ADDRESS_RANGE.format(60000**4)),
+], ids=["zero-coefficient", "random-1e20", "four-60000-value-lists"])
+def test_sweep_refuses_before_it_allocates(tmp_path, argv, line):
+    out = tmp_path / "sweep.csv"
+    assert _capped_answer(argv, tmp_path) == (3, "", line)
+    assert _capped_answer([*argv, "--out", str(out)], tmp_path) == (3, "", line)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,line", [
+    ("x", "field p is not an integer: 'x'"),
+    ("", "field p is not an integer: ''"),
+    ("1.5", "field p is not an integer: '1.5'"),
+    ("7" * 5000, "field p is outside int64"),  # was Python's int() digit-limit message
+    ("1" * 23, "field p is outside int64"),  # was modulus-out-of-range
+], ids=["x", "empty", "1.5", "5000-digits", "23-digits"])
+def test_table1_fixture_field_that_is_not_an_int64_is_a_format_error(tmp_path, capsys, field,
+                                                                        line):
+    f = tmp_path / "fixture.csv"
+    f.write_text(f"a,b,c,d,n,p,reversibility\n1,1,1,1,2,2,irreversible\n1,1,1,1,2,{field},x\n")
+    assert run(capsys, "table1", "--fixture", str(f)) == (
+        3, "", f"error format-error: fixture line 3 {line}\n")
