@@ -2,9 +2,9 @@
 
 step_local applies the local rule by level slices of the configuration
 (vertex v >= 1 has children 2v+2, 2v+3) and never touches a rule matrix;
-step_matrix is the matrix-action route, whose rows are built from the
-tree's neighbour table. Their agreement is exactly what the rule-matrix
-construction claims, so the two paths are kept strictly separate.
+step_matrix is the matrix-action route, whose rows are the rule matrix's
+entries as _positions places them. Their agreement is exactly what the
+rule-matrix construction claims, so the two paths are kept strictly separate.
 """
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, EnumerationTooLarge, FormatError
 from .rulematrix import (_BLOCK, Params, RuleMatrix, SolutionSet, _int64s, _row_blocks,
                           linalg_report, solve)
+from .rulematrix import _positions as _neighbor_tables  # perfbench's set-up imports it from here
 from .tree import TreeShape, digit_budget, printable
-from .tree import neighbor_tables as _neighbor_tables  # perfbench imports it from here
 
 # Exhaustive operations refuse to run past this many configurations.
 DEFAULT_ENUMERATION_CAP = 2**20

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FormatError, SingularMatrix
 from .field import PrimeField
-from .tree import TreeShape, ball_size, neighbor_tables
+from .tree import TreeShape, ball_size
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class RuleMatrix:
     def _dense(self) -> np.ndarray:
         rows, cols, labels = _positions(self.shape.n)
         dense = np.zeros((self.order, self.order), dtype=np.int64)
-        dense[rows, cols] = np.array([self.params.coeff(k) for k in "abcd"])[labels]
+        dense[rows, cols] = _coeffs(self.params)[labels]
         dense.setflags(write=False)
         return dense
 
@@ -94,16 +94,25 @@ def build_rule_matrix(shape: TreeShape, params: Params) -> RuleMatrix:
     return RuleMatrix(shape, params)
 
 
-@lru_cache(maxsize=None)
+def _coeffs(q: Params) -> np.ndarray:
+    """a, b, c, d as an array, so that _coeffs(q)[labels] is the value of each entry."""
+    return np.array([q.coeff(k) for k in "abcd"])
+
+
+@lru_cache(maxsize=1)  # only the latest level's tables are kept
 def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (row, column, label 0-3 for a-d) of each entry, by row and column: d a b c
-    in row 0, and c d a b at par[v], v, c1[v], c2[v] in row v >= 1 (a leaf: c d)."""
-    par, c1, c2 = neighbor_tables(n)
-    cols = np.stack([par, np.arange(len(par)), c1, c2], axis=1)
-    labels = np.tile([2, 3, 0, 1], (len(par), 1))
-    cols[0], labels[0] = (0, 1, 2, 3), (3, 0, 1, 2)
-    keep = cols < len(par)  # drops the sentinel: the root's parent, a leaf's children
-    tables = np.nonzero(keep)[0], cols[keep], labels[keep]
+    at columns 0-3 of row 0, and c d a b in row v >= 1 at its parent max((v-2)//2, 0), v
+    and its children 2v+2, 2v+3, which a leaf (2v+2 >= |V_n|) does not have."""
+    size = TreeShape(n).total_vertices
+    if size > np.iinfo(np.intp).max // 32:  # NumPy would refuse the columns as a ValueError
+        raise MemoryError(f"Unable to allocate the level-{n} rule-matrix positions: "
+                          f"{4 * size} int64 columns are past the address range")
+    v = np.arange(size)
+    cols = np.stack([np.maximum((v - 2) // 2, 0), v, 2 * v + 2, 2 * v + 3], axis=1)
+    cols[0] = 0, 1, 2, 3
+    rows, k = np.divmod(np.flatnonzero(cols < size), 4)  # k: slot c d a b (row 0: d a b c)
+    tables = rows, cols[rows, k], ((k + 2 + (rows == 0)) % 4).astype(np.int8)
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -125,10 +134,10 @@ def _positions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # inverse per level, den * num^-1).
 # _tree_solve brings those rows to the canonical particular solution and kernel
 # basis zero level by zero level, deepest first, with no general elimination.
-# On D each row of M has at most two entries, and only sibling rows share a
-# column, so det is 0, the rank a closed form, and _direct_solve reads the same
-# canonical basis off the rows in one pass. kernel_basis is the kernel of
-# solve(m, 0), and invert stacks solve's particular solutions of the unit
+# On D each row of M has at most two nonzero entries, and only sibling rows share
+# a column, so det is 0, the rank a closed form, and _direct_solve reads the same
+# canonical basis off the entries of _positions in one pass. kernel_basis is the
+# kernel of solve(m, 0), and invert stacks solve's particular solutions of the unit
 # columns. The forward reduction _reduce (pivot: first nonzero residue,
 # lowest row), rref_mod's single back-substitution pass, det_mod and
 # kernel_basis_mod are the dense oracle that the tests check these routes
@@ -459,26 +468,26 @@ def _tree_solve(m: RuleMatrix, y: np.ndarray) -> Optional[Solution]:
 
 
 def _direct_solve(m: RuleMatrix, y: np.ndarray) -> Optional[Solution]:
-    """_tree_solve's (particular, kernel) on D, or None when y lies outside
-    the image. Row v reads g x_u + h x_w = y_v: (a, b) at (c1(v), c2(v))
-    when c = 0, so a leaf's row is 0; c at parent(v) when a = b = 0, and column 3
-    in the root's row. Its pivot, its first nonzero column, is shared by sibling
-    rows alone, whose y must then agree."""
-    a, b, c, p, order = m.params.a, m.params.b, m.params.c, m.p, m.order
-    par, c1, c2 = neighbor_tables(m.shape.n)
-    # the first column u with its g, then the other w with its h: a = b = 0 leaves c x_parent;
-    # c = 0 leaves a x_c1 + b x_c2, which starts at c2 when a = 0 (and is 0 if b = 0, too)
-    u, g, w, h = (np.r_[3, par[1:]], c, None, 0) if c else (c1, a, c2, b) if a else (c2, b, c1, 0)
-    piv = u if g else np.full(order, order)  # order: no pivot, so y_v must be 0
+    """_tree_solve's (particular, kernel) on D, or None when y is outside the image, read
+    off M's nonzero entries (_positions): each row is g x_u, plus h x_w when present, with
+    u < w and one g in every row (a, else b, else c). The pivot u, its first nonzero column,
+    is shared by sibling rows alone (c x_parent(v) when a = b = 0), whose y must then agree;
+    w is a free column (a x_c1(v) + b x_c2(v) when c = 0, so a leaf's row is 0)."""
+    p, order = m.p, m.order
+    rows, cols, labels = _positions(m.shape.n)
+    vals = _coeffs(m.params)[labels]
+    rows, cols, vals = (t[vals != 0] for t in (rows, cols, vals))
+    hw = np.flatnonzero(np.diff(rows, prepend=-1) == 0)  # each h x_w, after its row's g x_u
+    piv = np.full(order, order)  # order: no pivot, so y_v must be 0
+    piv[np.delete(rows, hw)] = np.delete(cols, hw)
     val = np.zeros(order + 1, dtype=np.int64)
     val[piv] = y
     if val[order] or (val[piv] != y).any():
         return None
-    free, gi = np.setdiff1d(np.arange(order), piv), pow(g or 1, -1, p)
+    free, gi = np.setdiff1d(np.arange(order), piv), pow(int(vals[0]) if len(vals) else 1, -1, p)
     kernel = np.zeros((len(free), order), dtype=np.int64)
     kernel[np.arange(len(free)), free] = 1
-    if h:  # c = 0: the free column c2(v) is -b/a at the pivot c1(v) of each inner v
-        kernel[np.searchsorted(free, w[piv < order]), piv[piv < order]] = (p - h) * gi % p
+    kernel[np.searchsorted(free, cols[hw]), cols[hw - 1]] = (p - vals[hw]) * gi % p  # -h/g at u
     return val[:order] * gi % p, tuple(kernel)
 
 
@@ -570,7 +579,7 @@ def matrix_blocks(m: RuleMatrix, sparse: bool = False) -> Iterator[str]:
     copied out, a block of "<u2" cell words gets each entry's word at its flat position:
     its low byte the coefficient's digit, or a marker 1-4 (a-d) for bytes.replace."""
     rows, cols, labels = _positions(m.shape.n)
-    coeffs, order = np.array([m.params.coeff(k) for k in "abcd"]), m.order
+    coeffs, order = _coeffs(m.params), m.order
     step = max(_BLOCK // (4 if sparse else order), 1)
     bounds = [*range(0, order, step), order]
     if sparse:

@@ -7,9 +7,9 @@ index flattens the ball of radius n level by level, addresses in
 lexicographic order within each level, giving the basis used by all
 matrices and configuration vectors.
 
-Production code reads a level as an index slice (level_offsets; vertex v >= 1
-has children 2v+2, 2v+3). Only _positions and the solve on D read neighbor_tables,
-the same arithmetic as arrays. Tests check both against the digit-string addresses.
+Production code reads a level as an index slice (level_offsets) and a vertex's
+neighbours by index arithmetic: vertex v >= 1 has parent max((v-2)//2, 0) and
+children 2v+2, 2v+3. Tests check both against the digit-string addresses.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import AddressOutOfShape, InvalidLevel
 
@@ -134,28 +132,3 @@ class TreeShape:
     def child_indices(self, index: int) -> list[int]:
         return [self.linear_index(c) for c in self.children(self.address_of(index))]
 
-
-@lru_cache(maxsize=None)
-def neighbor_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (parent, child1, child2) index arrays of the level-n shape;
-    absent neighbours point at a zero sentinel slot at total_vertices. The
-    root's third child, 3, is left to callers.
-
-    Level l >= 1 starts at 3*2^(l-1)-2 and position q of level l has
-    children 2q, 2q+1 of level l+1, so vertex v >= 1 has children 2v+2, 2v+3.
-    """
-    shape = TreeShape(n)
-    size = shape.total_vertices
-    if size > np.iinfo(np.intp).max // 8:  # np.full would refuse it as a ValueError
-        raise MemoryError(f"Unable to allocate the level-{n} neighbour tables: 3 arrays of "
-                          f"{size} int64 values are past the address range")
-    par, c1, c2 = (np.full(size, size, dtype=np.int64) for _ in range(3))
-    par[1:4] = 0
-    par[4:] = (np.arange(4, size) - 2) // 2
-    c1[0], c2[0] = 1, 2
-    inner = np.arange(1, shape.level_offsets[n])  # levels 1 .. n-1
-    c1[inner] = 2 * inner + 2
-    c2[inner] = 2 * inner + 3
-    for a in (par, c1, c2):
-        a.setflags(write=False)
-    return par, c1, c2

@@ -971,13 +971,15 @@ def test_matrix_past_memory_writes_nothing(tmp_path, capsys, monkeypatch, sparse
 
 @pytest.mark.parametrize("n", [59, 61])
 def test_matrix_past_the_address_range_is_out_of_memory(tmp_path, capsys, monkeypatch, n):
-    """From n = 59 the tables' 3*2^n int64 values pass what NumPy can address: that is
-    out-of-memory too, as at n = 58, not NumPy's "array is too big" ValueError."""
+    """From n = 57 the rule matrix's 4|V_n| int64 column indices pass what NumPy can
+    address: that is out-of-memory too, as at n = 56, not NumPy's "array is too big"
+    ValueError."""
     out = tmp_path / "matrix.txt"
     code, stdout, err = run_exit(capsys, monkeypatch,
                                  ["matrix", *COEFFS, "-n", str(n), "-p", "5", "--out", str(out)])
     assert (code, stdout) == (3, "")
-    assert err.startswith(f"error out-of-memory: Unable to allocate the level-{n} neighbour tables")
+    assert err.startswith(
+        f"error out-of-memory: Unable to allocate the level-{n} rule-matrix positions")
     assert not out.exists()
 
 

@@ -13,7 +13,8 @@ import pytest
 import treeca
 
 SRC = Path(treeca.__file__).parent
-# imported only for perfbench: spans.py patches ThreadPoolExecutor, run.py imports _neighbor_tables
+# imported only for perfbench: spans.py patches ThreadPoolExecutor, and run.py's set-up calls
+# _neighbor_tables, the name dynamics binds to rulematrix._positions
 ALLOWED = {"analysis": {"ThreadPoolExecutor"}, "dynamics": {"_neighbor_tables"}}
 
 
@@ -81,6 +82,13 @@ def test_unknown_name_is_an_attribute_error():
         getattr(treeca, "no_such_name")
 
 
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 def test_exports_and_submodules_resolve_after_a_bare_import():
     """In a fresh process: a bare `import treeca` binds no export and no submodule,
     and each resolves on first read, an export entering vars(treeca) then."""
@@ -90,8 +98,16 @@ def test_exports_and_submodules_resolve_after_a_bare_import():
               "assert 'evolve' not in vars(treeca)\n"
               "assert treeca.evolve is treeca.dynamics.evolve and 'evolve' in vars(treeca)\n"
               "assert not hasattr(treeca, 'cli') and not hasattr(treeca, 'parent')\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent),
-                                                        os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = run_fresh(script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_tree_arithmetic_loads_no_numpy():
+    """In a fresh process, treeca.tree answers its size and digit-budget questions
+    with no NumPy loaded."""
+    script = ("import sys, treeca.tree as t\n"
+              "answers = t.TreeShape(10**12).n, t.ball_size(5), t.printable(3, 10)\n"
+              "assert answers == (10**12, 94, 59049)\n"
+              "assert 'numpy' not in sys.modules\n")
+    proc = run_fresh(script)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -32,6 +32,7 @@ from treeca.rulematrix import (
     invert,
     kernel_basis,
     linalg_report,
+    matrix_blocks,
     parse_matrix,
     rank_mod_p,
     rref_mod,
@@ -388,6 +389,23 @@ def test_matrix_blocks_are_whole_rows_of_the_dense_text(n, p, block, data):
     windows = [{r // step for r in block_rows} for block_rows in rows]
     assert all(len(w) == 1 for w in windows)  # no block spans two windows of step rows
     assert [w.pop() for w in windows] == sorted({int(t.split()[0]) // step for t in triples})
+
+
+def test_positions_are_kept_for_one_level():
+    """A library process keeps only the latest level's entry tables: after COO writes
+    at n = 13 and then n = 12, less traced memory is held than after n = 13 alone."""
+    params = params_for(5, 1, 2, 3, 4)
+    _positions.cache_clear()
+    tracemalloc.start()
+    try:
+        held = []
+        for n in (13, 12):
+            for _ in matrix_blocks(build_rule_matrix(TreeShape(n), params), sparse=True):
+                pass
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert held[1] < held[0]
 
 
 # ---------------------------------------------------------------------------
@@ -865,15 +883,15 @@ def test_large_levels_never_form_the_vertex_count(capsys, monkeypatch):
 
 def test_tree_route_reads_no_neighbour_table(monkeypatch):
     """Outside D, solve, kernel_basis, garden_report and invert read each level's
-    children as the next level's rows: no neighbour table is built. Each answer
-    is checked by the local rule."""
+    children as the next level's rows: no per-vertex table of the matrix's entries
+    (_positions) is built. Each answer is checked by the local rule."""
     from treeca import rulematrix
     from treeca.dynamics import garden_report
 
     def unbuilt(*args):
         raise AssertionError("neighbour table built")
 
-    monkeypatch.setattr(rulematrix, "neighbor_tables", unbuilt)
+    monkeypatch.setattr(rulematrix, "_positions", unbuilt)
     rng = np.random.default_rng(5)
     for coeffs in ((1, 16, 3, 2), (2, 1, 3, 3), (1, 1, 1, 0)):  # full rank, zero levels, d = 0
         m = build_rule_matrix(TreeShape(5), params_for(17, *coeffs, allow_zero=True))
@@ -1102,15 +1120,15 @@ def test_no_zero_pattern_reads_a_dense_form_or_eliminates(monkeypatch):
     ((0, 0, 0, 0), 0),
 ])
 def test_degenerate_det_and_rank_at_n_40_build_no_tables(coeffs, rank, capsys, monkeypatch):
-    """On D, det and rank are closed forms: no level table, no neighbour
-    table, and a traced peak below 64 kB; classify prints them at n = 40."""
+    """On D, det and rank are closed forms: no level table, no per-vertex
+    table (_positions), and a traced peak below 64 kB; classify prints them at n = 40."""
     from treeca import rulematrix
 
     def unbuilt(*args):
         raise AssertionError("table built")
 
     monkeypatch.setattr(TreeShape, "level_offsets", property(unbuilt))
-    monkeypatch.setattr(rulematrix, "neighbor_tables", unbuilt)
+    monkeypatch.setattr(rulematrix, "_positions", unbuilt)
     m = build_rule_matrix(TreeShape(40), params_for(5, *coeffs, allow_zero=True))
     tracemalloc.start()
     try:

@@ -15,8 +15,8 @@ from treeca.analysis import _printable_shape, partition_atom_count
 from treeca.dynamics import Configuration, _check_enumeration, enumerate_preimages, garden_report
 from treeca.errors import AddressOutOfShape, EnumerationTooLarge, InvalidLevel
 from treeca.field import PrimeField, is_prime
-from treeca.rulematrix import LinAlgReport, Params, SolutionSet, build_rule_matrix
-from treeca.tree import TreeShape, ball_size, digit_budget, neighbor_tables, parent, printable
+from treeca.rulematrix import LinAlgReport, Params, SolutionSet, _positions, build_rule_matrix
+from treeca.tree import TreeShape, ball_size, digit_budget, parent, printable
 
 
 def test_shape_sizes():
@@ -115,19 +115,23 @@ def test_address_out_of_shape():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_neighbor_tables_match_address_route(n):
+    """Row v of the rule matrix's positions, made by index arithmetic, lists the
+    address route's parent, v and children, labelled c, d, a, b; row 0 lists
+    d, then a, b, c at the root's three children."""
     shape = TreeShape(n)
-    size = shape.total_vertices
-    par, c1, c2 = neighbor_tables(n)
-    for v in range(size):
+    want = []
+    for v in range(shape.total_vertices):
         pi = shape.parent_index(v)
-        kids = shape.child_indices(v) + [size, size]
-        assert (par[v], c1[v], c2[v]) == (size if pi is None else pi, kids[0], kids[1])
+        row = [] if pi is None else [(pi, 2)]  # labels 0-3 for a-d: c at the parent, d at v
+        row += [(v, 3), *zip(shape.child_indices(v), range(3))]  # a, b (and c at the root)
+        want += [(v, col, label) for col, label in row]
+    assert list(zip(*(a.tolist() for a in _positions(n)))) == want
 
 
 def test_neighbor_tables_read_only_and_validated():
-    assert not any(a.flags.writeable for a in neighbor_tables(3))
+    assert not any(a.flags.writeable for a in _positions(3))
     with pytest.raises(InvalidLevel):
-        neighbor_tables(0)
+        _positions(0)
 
 
 # ---------------------------------------------------------------------------
